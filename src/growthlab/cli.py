@@ -109,8 +109,7 @@ def _cmd_growth(args) -> int:
         elems = [engine.evaluate_word(w) for w in words]
     except UnknownGeneratorError as exc:
         raise CliError(2, f"unknown generator {exc}") from None
-    table = ball_sizes(engine, elems, args.radius, budget=args.budget,
-                       threads=args.threads)
+    table = ball_sizes(engine, elems, args.radius, budget=args.budget)
     _emit(table.to_tsv(), args.out)
     if table.truncated:
         raise CliError(3, f"budget exhausted after radius {table.radius}")
@@ -159,7 +158,7 @@ def _cmd_witness(args) -> int:
     engine = _load_engine(args.group)
     words = _parse_words(args.gens, ",")
     try:
-        cert = analyze(engine, words, args.u, args.d, threads=args.threads)
+        cert = analyze(engine, words, args.u, args.d)
     except UnknownGeneratorError as exc:
         raise CliError(2, f"unknown generator {exc}") from None
     payload = cert.to_json()
@@ -213,8 +212,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gens", required=True, help="comma-separated generator words")
     p.add_argument("--radius", type=int, required=True)
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
-                   help="visited-element cap (exit 3 when exhausted)")
-    p.add_argument("--threads", type=int, default=1)
+                   help="cap on elements counted: radius n is emitted iff "
+                        "gamma(n) <= budget (exit 3 when exhausted)")
+    p.add_argument("--threads", type=int, default=1,
+                   help="accepted for compatibility; has no effect")
     _add_common_out(p)
     p.set_defaults(func=_cmd_growth)
 
@@ -238,7 +239,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=int, required=True,
                    help="abelian small-subgroup cap")
     p.add_argument("--json", action="store_true", help="emit the certificate as JSON")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1,
+                   help="accepted for compatibility; has no effect")
     _add_common_out(p)
     p.set_defaults(func=_cmd_witness)
 

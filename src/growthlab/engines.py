@@ -23,7 +23,6 @@ followed by a decimal payload (semidirect keys embed the base key, a
 from __future__ import annotations
 
 import json
-import threading
 
 from growthlab import wordops
 from growthlab.words import Word, WordSyntaxError
@@ -353,7 +352,7 @@ class SemidirectEngine(_EngineBase):
     The automorphism comes with generator images in both directions; the
     two maps are checked inverse on every generator at construction.
     Powers of the automorphism are applied through a per-generator,
-    per-exponent memo that is safe to share between worker threads.
+    per-exponent memo of generator images, filled on first use.
     """
 
     family = "semidirect"
@@ -379,7 +378,6 @@ class SemidirectEngine(_EngineBase):
                 raise GroupSpecError(f"forward(backward({g})) != {g}: maps are not inverse")
 
         self._levels = {0: {g: base.generator(g) for g in base.gen_names}, 1: fwd, -1: bwd}
-        self._lock = threading.Lock()
 
         rename = {n: _bump_stable_name(n) for n in base.gen_names}
         if len(set(rename.values())) != len(rename):
@@ -408,20 +406,16 @@ class SemidirectEngine(_EngineBase):
         hit = levels.get(k)
         if hit is not None:
             return hit
-        with self._lock:
-            hit = levels.get(k)
-            if hit is not None:
-                return hit
-            step = 1 if k > 0 else -1
-            j = k - step
-            while levels.get(j) is None:
-                j -= step
-            one = levels[step]
-            while j != k:
-                prev = levels[j]
-                j += step
-                levels[j] = {g: self._apply_images(one, prev[g]) for g in self.base.gen_names}
-            return levels[k]
+        step = 1 if k > 0 else -1
+        j = k - step
+        while levels.get(j) is None:
+            j -= step
+        one = levels[step]
+        while j != k:
+            prev = levels[j]
+            j += step
+            levels[j] = {g: self._apply_images(one, prev[g]) for g in self.base.gen_names}
+        return levels[k]
 
     def auto_power(self, el, k: int):
         """alpha^k applied to a base element."""

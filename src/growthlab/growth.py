@@ -8,7 +8,6 @@ gamma(n)**(1/n) bound the growth rate of the group from above.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 DEFAULT_BUDGET = 50_000_000
@@ -59,81 +58,53 @@ class GrowthTable:
 
 
 def _closed_alphabet(engine, gens):
-    """Generator elements plus inverses, deduplicated by canonical key."""
+    """Generator elements plus inverses, deduplicated by element equality."""
     alphabet = []
-    seen = set()
     notes = []
     for g in gens:
         for el in (g, engine.invert(g)):
-            key = engine.canonical_key(el)
-            if key in seen:
-                continue
-            seen.add(key)
-            alphabet.append(el)
-    idkey = engine.canonical_key(engine.identity)
-    if idkey in seen:
-        alphabet = [el for el in alphabet if engine.canonical_key(el) != idkey]
+            if el not in alphabet:
+                alphabet.append(el)
+    if engine.identity in alphabet:
+        alphabet.remove(engine.identity)
         notes.append("identity generator ignored")
     if len(alphabet) < 2 * len(gens):
         notes.append("generating set not free of coincidences")
     return alphabet, notes
 
 
-def _expand_chunk(engine, alphabet, chunk):
-    out = []
-    for el in chunk:
-        for a in alphabet:
-            nxt = engine.multiply(el, a)
-            out.append((engine.canonical_key(nxt), nxt))
-    return out
-
-
 def ball_sizes(engine, gens, radius: int, budget: int = DEFAULT_BUDGET,
                threads: int = 1) -> GrowthTable:
     """Breadth-first ball counts gamma(0..radius).
 
-    Exploration stops with truncated=True once the visited-state budget
-    is exhausted; the table then covers only the completed radii.
+    Elements are their own set keys: normal forms are canonical, so
+    tuple equality is group equality.  The alphabet is closed under
+    inverses, so for x in the sphere S_n and a letter a the product x a
+    has length n - 1, n or n + 1.  The products of S_n that lie in
+    neither S_{n-1} nor S_n therefore form exactly S_{n+1}, and only
+    those two spheres are kept.
+
+    `budget` caps the elements counted: radius n completes iff
+    gamma(n) <= budget (or S_n is empty).  Otherwise exploration stops
+    with truncated=True and the table covers only the completed radii.
+    `threads` is accepted for compatibility and has no effect.
     """
     if radius < 0:
         raise GrowthError("radius must be nonnegative")
     alphabet, notes = _closed_alphabet(engine, gens)
-    identity = engine.identity
-    visited = {engine.canonical_key(identity)}
-    frontier = [identity]
+    multiply = engine.multiply
+    previous, sphere = set(), {engine.identity}
     counts = [1]
     truncated = False
-    pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
-    try:
-        for _ in range(radius):
-            if not frontier:
-                counts.append(counts[-1])
-                continue
-            if pool is not None and len(frontier) >= 4 * threads:
-                size = (len(frontier) + threads - 1) // threads
-                chunks = [frontier[i:i + size]
-                          for i in range(0, len(frontier), size)]
-                parts = pool.map(
-                    lambda c: _expand_chunk(engine, alphabet, c), chunks)
-                produced = [p for part in parts for p in part]
-            else:
-                produced = _expand_chunk(engine, alphabet, frontier)
-            new_frontier = []
-            for key, el in produced:
-                if key in visited:
-                    continue
-                if len(visited) >= budget:
-                    truncated = True
-                    break
-                visited.add(key)
-                new_frontier.append(el)
-            if truncated:
-                break
-            frontier = new_frontier
-            counts.append(counts[-1] + len(new_frontier))
-    finally:
-        if pool is not None:
-            pool.shutdown(wait=False)
+    for _ in range(radius):
+        nxt = {multiply(el, a) for el in sphere for a in alphabet}
+        nxt -= sphere
+        nxt -= previous
+        if nxt and counts[-1] + len(nxt) > budget:
+            truncated = True
+            break
+        previous, sphere = sphere, nxt
+        counts.append(counts[-1] + len(nxt))
     table = GrowthTable(radius=len(counts) - 1, counts=counts,
                         gens=list(gens), engine_id=engine.spec_id(),
                         truncated=truncated, notes=notes)

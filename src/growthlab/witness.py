@@ -16,7 +16,6 @@ re-verified by an independent computation before it is returned.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -543,8 +542,8 @@ def _case(engine, elems, u, d, i, cand):
 
 def analyze(engine, gens, u: float, d: int, threads: int = 1) -> Certificate:
     """Search the candidate subgroups lexicographically and return the
-    first certificate; deterministic for fixed inputs regardless of the
-    worker schedule."""
+    first certificate; deterministic for fixed inputs.  `threads` is
+    accepted for compatibility and has no effect."""
     if engine.family != "semidirect":
         raise WitnessError("analysis requires a split-extension engine")
     if u <= 1.0:
@@ -571,20 +570,9 @@ def analyze(engine, gens, u: float, d: int, threads: int = 1) -> Certificate:
             VIRTUALLY_NILPOTENT_DIAGNOSIS,
             reason="every generator commutator vanishes; the generated "
                    "group is abelian")
-    cases = [(i, cand) for i in range(len(elems)) for cand in cands]
     diags = []
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(
-                lambda case: _case(engine, elems, u, d, case[0], case[1]),
-                cases))
-        for cert, diag in results:
-            if cert is not None:
-                return cert
-            if diag:
-                diags.append(diag)
-    else:
-        for i, cand in cases:
+    for i in range(len(elems)):
+        for cand in cands:
             cert, diag = _case(engine, elems, u, d, i, cand)
             if cert is not None:
                 return cert

@@ -2,7 +2,13 @@ import random
 
 import pytest
 
-from growthlab.engines import AbelianEngine, FreeEngine, KleinEngine
+from growthlab.engines import (
+    AbelianEngine,
+    BS1Engine,
+    FreeEngine,
+    KleinEngine,
+    SemidirectEngine,
+)
 from growthlab.growth import (
     GrowthError,
     GrowthTable,
@@ -14,6 +20,20 @@ from growthlab.growth import (
 from growthlab.words import Word
 
 from util import family_engines, random_element, torus_engine
+
+
+def nested_bs1_engine():
+    """Extension of bs1 (m = 2) by the involution a -> a^-1, t -> a t."""
+    flip = {"a": "a^-1", "t": "a t"}
+    return SemidirectEngine(BS1Engine(2), flip, flip)
+
+
+def nested_torus_engine():
+    """Extension of the torus group by conjugation with x."""
+    return SemidirectEngine(
+        torus_engine(),
+        {"t": "x t x^-1", "x": "x", "y": "x y x^-1"},
+        {"t": "x^-1 t x", "x": "x", "y": "x^-1 y x"})
 
 
 def gens_of(engine, *texts):
@@ -68,13 +88,45 @@ def test_klein_counts_at_twenty():
     assert abs(est[20] - 841 ** (1 / 20)) < 1e-12
 
 
-@pytest.mark.parametrize("engine", family_engines(), ids=lambda e: e.spec_id())
+@pytest.mark.parametrize(
+    "engine", family_engines() + [nested_bs1_engine(), nested_torus_engine()],
+    ids=lambda e: e.spec_id())
 def test_counts_match_reference_bfs(engine):
+    # bs1's relator t a t^-1 a^-2 has odd length, so with the standard
+    # generators some products of S_n fall back into S_n
     rng = random.Random(31)
-    gens = [random_element(rng, engine, max_len=2) for _ in range(2)]
-    radius = 4
-    table = ball_sizes(engine, gens, radius)
-    assert table.counts == brute_ball_counts(engine, gens, radius)
+    radius = 5
+    for gens in ([random_element(rng, engine, max_len=2) for _ in range(2)],
+                 [engine.generator(n) for n in engine.gen_names]):
+        table = ball_sizes(engine, gens, radius)
+        assert table.counts == brute_ball_counts(engine, gens, radius)
+
+
+@pytest.mark.parametrize("budget, counts, truncated", [
+    (16, [1, 5], True),
+    (17, [1, 5, 17], True),
+    (52, [1, 5, 17], True),
+    (53, [1, 5, 17, 53], False),
+])
+def test_budget_boundaries(budget, counts, truncated):
+    # radius n completes iff gamma(n) <= budget
+    eng = FreeEngine(2)
+    table = ball_sizes(eng, gens_of(eng, "x", "y"), 3, budget=budget)
+    assert table.counts == counts
+    assert table.radius == len(counts) - 1
+    assert table.truncated is truncated
+
+
+def test_notes_for_identity_and_coincident_generators():
+    eng = FreeEngine(2)
+    assert ball_sizes(eng, gens_of(eng, "x", "y"), 2).notes == []
+    assert ball_sizes(eng, [eng.identity], 2).notes == [
+        "identity generator ignored",
+        "generating set not free of coincidences",
+    ]
+    coincident = ball_sizes(eng, gens_of(eng, "x", "x^-1"), 3)
+    assert coincident.notes == ["generating set not free of coincidences"]
+    assert coincident.counts == [1, 3, 5, 7]
 
 
 def test_identity_generator_gives_flat_table():
