@@ -28,15 +28,11 @@ from growthlab.laurent import (
     rs_rewrite,
 )
 from growthlab.spectra import (
-    EXPONENTIAL,
-    LOG_BASE,
     SpectraError,
     VIRTUALLY_NILPOTENT,
     IntPoly,
-    all_roots_of_unity,
-    char_poly,
-    mahler_gap_threshold,
-    spectral_radius,
+    classify_abelian_by_cyclic,
+    classify_char_poly,
 )
 from growthlab.witness import WitnessError, analyze, pcc_scan
 from growthlab.words import Word, WordSyntaxError
@@ -134,21 +130,17 @@ def _cmd_spectra(args) -> int:
     if (args.matrix is None) == (args.poly is None):
         raise CliError(2, "give exactly one of --matrix or --poly")
     if args.matrix is not None:
-        p = char_poly(_parse_matrix(args.matrix))
+        cls = classify_abelian_by_cyclic(_parse_matrix(args.matrix))
     else:
-        p = IntPoly.parse(args.poly)
-    if p.degree < 1:
-        raise CliError(2, "polynomial must have degree at least 1")
-    if not p.is_monic():
-        raise CliError(2, "polynomial must be monic")
-    unity = all_roots_of_unity(p)
+        cls = classify_char_poly(IntPoly.parse(args.poly))
+    unity = cls.kind == VIRTUALLY_NILPOTENT
     payload = {
-        "char_poly": p.format(),
+        "char_poly": cls.char.format(),
         "roots_of_unity": unity,
-        "spectral_radius": spectral_radius(p),
-        "threshold": mahler_gap_threshold(p.degree),
-        "classification": VIRTUALLY_NILPOTENT if unity else EXPONENTIAL,
-        "log_base": LOG_BASE,
+        "spectral_radius": 1.0 if unity else cls.m,
+        "threshold": cls.threshold,
+        "classification": cls.kind,
+        "log_base": cls.log_base,
     }
     _emit(json.dumps(payload, sort_keys=True) + "\n", args.out)
     return 0

@@ -3,19 +3,22 @@
 An automorphism of Z^n either has every eigenvalue a root of unity (the
 matrix is quasi-unipotent and the extension is virtually nilpotent) or
 its spectral radius clears a degree-dependent gap above 1, giving
-exponential growth.  Root-of-unity detection is exact via cyclotomic
-trial division; the radius is numeric with a certified gap check.
+exponential growth.  Both decisions are exact: roots of unity by
+cyclotomic trial division, the gap by the Schur-Cohn test
+`roots_inside` on integer coefficients.  Only the reported radius `m`
+is a float, from an Aberth iteration on the square-free part.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-import numpy as np
+from growthlab.laurent import _zx_gcd
 
 LOG_BASE = "e"  # base of the logarithm in the gap threshold
 
@@ -408,43 +411,111 @@ def all_roots_of_unity(p: IntPoly) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# spectral radius
+# root location and spectral radius
+
+def roots_inside(coeffs, r) -> bool:
+    """Whether every zero of an integer polynomial (low-to-high) lies in
+    the open disc |z| < r, decided exactly for rational r > 0.
+
+    Schur-Cohn (Henrici, Applied and Computational Complex Analysis I,
+    section 6.8): with r = P/Q the zeros of q(z) = Q^n p(Pz/Q) are those
+    of p divided by r.  While |a_0| < |a_n|, Rouche's theorem shows that
+    (a_n q - a_0 q*)/z, with q* the reversed q, has one zero fewer than q
+    in the open unit disc and degree one less; |a_0| >= |a_n| means the
+    product of the zeros has modulus at least 1.  A zero on the circle
+    is a zero of q* too, survives every step and ends in a failed
+    comparison, so it counts as outside."""
+    r = Fraction(r)
+    if r <= 0:
+        raise SpectraError("radius must be positive")
+    xs = list(coeffs)
+    while xs and xs[-1] == 0:
+        xs.pop()
+    if not xs:
+        raise SpectraError("the zero polynomial has no isolated zeros")
+    n = len(xs) - 1
+    p, q = r.numerator, r.denominator
+    xs = [c * p ** k * q ** (n - k) for k, c in enumerate(xs)]
+    while len(xs) > 1:
+        a0, an = xs[0], xs[-1]
+        if abs(a0) >= abs(an):
+            return False
+        n = len(xs) - 1
+        xs = [an * xs[j + 1] - a0 * xs[n - 1 - j] for j in range(n)]
+        g = math.gcd(*xs)
+        xs = [c // g for c in xs]
+    return True
+
+
+_ABERTH_STEP_TOL = 2.0 ** -40
+_ABERTH_MAX_SWEEPS = 200
+
+
+def _aberth_roots(xs):
+    """All roots of an integer polynomial with simple, nonzero roots by
+    Aberth-Ehrlich iteration (Aberth 1973).  Each root stops once
+    its correction is below _ABERTH_STEP_TOL relative, which the cubic
+    convergence at a simple root turns into full working precision.
+
+    The start circle has 1.5 times the geometric mean radius R: a
+    polynomial invariant under inversion in a circle has R as that
+    circle's radius, and the iteration would keep the inverted pairs
+    on it and converge slowly, as it does for the reciprocal
+    t^2 - 3t + 1 from the unit circle."""
+    n = len(xs) - 1
+    cs = [float(c) for c in reversed(xs)]  # high-to-low for Horner
+    rad = 1.5 * abs(cs[-1] / cs[0]) ** (1.0 / n)
+    zs = [rad * cmath.exp(1j * (2.0 * math.pi * k / n + 0.4))
+          for k in range(n)]
+    live = list(range(n))
+    for _ in range(_ABERTH_MAX_SWEEPS):
+        still = []
+        for k in live:
+            z = zs[k]
+            pv, dv = 0j, 0j
+            for c in cs:
+                dv = dv * z + pv
+                pv = pv * z + c
+            if pv == 0:
+                continue
+            s = 0j
+            for j in range(n):
+                if j != k:
+                    s += 1.0 / (z - zs[j])
+            w = 1.0 / (dv / pv - s)
+            zs[k] = z - w
+            if abs(w) > _ABERTH_STEP_TOL * abs(zs[k]):
+                still.append(k)
+        if not still:
+            return zs
+        live = still
+    raise SpectraError("root iteration did not converge")
+
 
 def max_root_modulus(coeffs, tol: float = 1e-9) -> float:
-    """Numeric largest root modulus of a coefficient list (low-to-high)."""
+    """Largest root modulus of an integer coefficient list (low-to-high),
+    as a float.
+
+    The iteration runs on the square-free part p / gcd(p, p'), whose
+    roots are simple: at a repeated root an iteration converges only
+    linearly and to a fraction of the working precision."""
     xs = list(coeffs)
     while xs and xs[-1] == 0:
         xs.pop()
     if len(xs) <= 1:
         return 0.0
-    roots = np.roots([float(c) for c in reversed(xs)])
-    best = max(roots, key=abs)
-    # guarded Newton polish on the extremal root
-    z = complex(best)
-    dcoeffs = [i * c for i, c in enumerate(xs)][1:]
-
-    def ev(cs, x):
-        acc = 0j
-        for c in reversed(cs):
-            acc = acc * x + c
-        return acc
-
-    for _ in range(100):
-        dz = ev(dcoeffs, z)
-        if abs(dz) < 1e-8:
-            break
-        step = ev(xs, z) / dz
-        if abs(step) > 1e-3 * (1.0 + abs(z)):
-            break
-        z -= step
-        if abs(step) < 1e-15:
-            break
-    r = abs(z) if abs(ev(xs, z)) <= abs(ev(xs, complex(best))) else abs(best)
-    lead = abs(xs[-1])
-    cauchy = 1.0 + max(abs(c) for c in xs) / lead
+    cauchy = 1.0 + max(abs(c) for c in xs) / abs(xs[-1])
+    xs = xs[next(i for i, c in enumerate(xs) if c):]  # zero roots
+    if len(xs) == 1:
+        return 0.0
+    g = _zx_gcd(xs, [k * c for k, c in enumerate(xs)][1:])
+    if len(g) > 1:
+        xs, rem = _poly_divmod(xs, g)
+        assert not rem, "gcd(p, p') must divide p"
+    r = max(abs(z) for z in _aberth_roots(xs))
     if r > cauchy + tol:
         raise SpectraError("radius estimate exceeds the Cauchy bound")
-    return float(r)
+    return r
 
 
 def spectral_radius(p: IntPoly, tol: float = 1e-9) -> float:
@@ -484,21 +555,35 @@ class SpectralClassification:
     log_base: str = LOG_BASE
 
 
-def classify_abelian_by_cyclic(m) -> SpectralClassification:
-    """Classify the extension of Z^n by an integer matrix action."""
-    p = char_poly(m)
+def classify_char_poly(p: IntPoly) -> SpectralClassification:
+    """Classify the automorphism of Z^n with characteristic polynomial p.
+
+    p must be monic with constant term +-1 (the determinant up to sign).
+    Cyclotomic factors are stripped once; what is left is either 1
+    (every root a root of unity) or must have a root on or beyond the
+    Mahler gap, which is decided exactly."""
     n = p.degree
+    if n < 1:
+        raise SpectraError("polynomial must have degree at least 1")
+    if not p.is_monic():
+        raise SpectraError("polynomial must be monic")
     det = (-1) ** n * p.coeffs[0]
     if abs(det) != 1:
         raise SpectraError(f"determinant {det} is not a unit")
     thr = mahler_gap_threshold(n)
-    if all_roots_of_unity(p):
+    rest, _ = _strip_cyclotomic(p.coeffs)
+    if rest == [1]:
         return SpectralClassification(VIRTUALLY_NILPOTENT, p, threshold=thr)
-    rad = spectral_radius(p)
-    if rad < thr:
+    if roots_inside(rest, Fraction(thr)):
         raise SpectraError(
             "radius below the degree gap for a non-cyclotomic polynomial")
-    return SpectralClassification(EXPONENTIAL, p, m=rad, threshold=thr)
+    return SpectralClassification(EXPONENTIAL, p, m=max_root_modulus(rest),
+                                  threshold=thr)
+
+
+def classify_abelian_by_cyclic(m) -> SpectralClassification:
+    """Classify the extension of Z^n by an integer matrix action."""
+    return classify_char_poly(char_poly(m))
 
 
 def fixed_vector_of_power(m, r: int):

@@ -32,7 +32,7 @@ from growthlab.spectra import (
     mat_det,
     mat_pow,
     mat_vec,
-    max_root_modulus,
+    roots_inside,
     smallest_cyclotomic_order,
 )
 from growthlab.subgroups import fold, is_cyclic_pair
@@ -48,7 +48,7 @@ INCONCLUSIVE = "Inconclusive"
 # chain relations are searched within this exponent window
 RELATION_SEARCH_BOUND = 8
 # required margin over 2 for the expanding-action word argument
-EXPANSION_MARGIN = 2.05
+EXPANSION_MARGIN = Fraction(41, 20)
 _EXPANSION_POWER_CAP = 128
 
 
@@ -368,10 +368,19 @@ def _try_solve(aug, k, rows):
 def _expansion_power(r_mat, v_coords) -> int:
     """Least K for which the minimal polynomial of v under R^K has a
     root of modulus beyond the margin, making the 2^L sign words over
-    the orbit pairwise distinct."""
+    the orbit pairwise distinct.
+
+    The exact test "not every root in |z| < 41/20" also accepts a root
+    of modulus exactly 41/20, which the strict "> 2.05" did not; no such
+    root exists.  The annihilator is primitive and divides the monic
+    integer characteristic polynomial of R^K, so by Gauss's lemma it is
+    monic up to sign and its roots are algebraic integers.  A root z
+    with |z| = 41/20 would make z * conj(z) = 1681/400 an algebraic
+    integer, and a rational algebraic integer is an integer."""
     for k in range(1, _EXPANSION_POWER_CAP + 1):
         anni = _krylov_annihilator(mat_pow(r_mat, k), v_coords)
-        if max_root_modulus(anni) > EXPANSION_MARGIN:
+        assert abs(anni[-1]) == 1, "annihilator must be monic up to sign"
+        if not roots_inside(anni, EXPANSION_MARGIN):
             return k
     raise AssertionError("expanding action failed to clear the margin")
 

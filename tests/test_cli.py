@@ -2,9 +2,14 @@
 exit codes, stderr records, and output-file handling."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import growthlab
 from growthlab import VERSION_STRING
 from growthlab.cli import main
 
@@ -201,6 +206,37 @@ def test_spectra_poly_input(capsys):
     assert abs(payload["threshold"] - 1.0033535800365154) < 1e-12
 
 
+def test_spectra_stdout_bytes(capsys):
+    code, out, err = run(capsys, ["spectra", "--matrix", "[[2,1],[1,1]]"])
+    assert code == 0 and err == ""
+    assert out == (
+        '{"char_poly": "1 - 3*t + t^2", "classification": "Exponential", '
+        '"log_base": "e", "roots_of_unity": false, '
+        '"spectral_radius": 2.618033988749895, '
+        '"threshold": 1.0033535800365154}\n')
+    code, out, err = run(capsys, ["spectra", "--poly", "t^2+1"])
+    assert code == 0 and err == ""
+    assert out == (
+        '{"char_poly": "1 + t^2", "classification": "VirtuallyNilpotent", '
+        '"log_base": "e", "roots_of_unity": true, "spectral_radius": 1.0, '
+        '"threshold": 1.0033535800365154}\n')
+
+
+@pytest.mark.parametrize("argv", [
+    ["--poly", "t^2"],
+    ["--poly", "t^2-t"],
+    ["--poly", "t-2"],
+    ["--matrix", "[[2,0],[0,1]]"],
+    ["--matrix", "[[0]]"],
+])
+def test_spectra_non_unit_determinant(capsys, argv):
+    code, out, err = run(capsys, ["spectra", *argv])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("ERR 2 ") and err.endswith(" is not a unit\n")
+    assert err.count("\n") == 1
+
+
 def test_spectra_argument_validation(capsys):
     code, out, err = run(capsys, ["spectra"])
     assert code == 2
@@ -300,6 +336,51 @@ def test_pcc_rot4_exact(tmp_path, capsys):
 
 # ---------------------------------------------------------------------------
 # top-level behavior
+
+
+_NO_NUMPY_SCRIPT = """
+import contextlib, io, json, sys
+sys.modules["numpy"] = None  # any import of numpy now raises ImportError
+from growthlab.cli import main
+results = []
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    results.append({"code": code, "stdout": out.getvalue()})
+print(json.dumps(results))
+"""
+
+
+def test_all_subcommands_run_without_numpy(tmp_path):
+    free2 = spec_file(tmp_path, "free2.json", FREE2_SPEC)
+    torus = spec_file(tmp_path, "torus.json", TORUS_SPEC)
+    cases = [
+        ["growth", "--group", free2, "--gens", "x,y", "--radius", "3"],
+        ["alexander", "--relators", "t x t^-1 x"],
+        ["spectra", "--matrix", "[[2,1],[1,1]]"],
+        ["witness", "--group", torus, "--gens", "t,x", "--u", "3", "--d", "2",
+         "--json"],
+        ["pcc", "--group", torus, "--max-period", "10", "--max-length", "6"],
+        ["rewrite", "--relator", "t x t^-1 x"],
+    ]
+    src = str(Path(growthlab.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c", _NO_NUMPY_SCRIPT, json.dumps(cases)],
+        capture_output=True, text=True, env=env, timeout=120, check=False)
+    assert proc.returncode == 0, proc.stderr
+    results = json.loads(proc.stdout)
+    assert [r["code"] for r in results] == [0] * len(cases)
+    growth, alexander, spectra, witness, pcc, rewrite = \
+        [r["stdout"] for r in results]
+    assert [int(line.split("\t")[1]) for line in growth.splitlines()[1:]] \
+        == [1, 5, 17, 53]
+    assert alexander.startswith("Delta = 1 + t; ")
+    assert json.loads(spectra)["spectral_radius"] == 2.618033988749895
+    assert json.loads(witness)["variant"] == "NonCyclicPair"
+    assert json.loads(pcc)["certificate"]["k"] == "x y x^-1 y^-1"
+    assert rewrite == "rewritten = x_1 x_0\nabelianized = 1 + t\n"
 
 
 def test_version_flag(capsys):

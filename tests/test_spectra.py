@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -24,6 +25,7 @@ from growthlab.spectra import (
     mat_vec,
     matrix_rank,
     max_root_modulus,
+    roots_inside,
     smallest_cyclotomic_order,
     spectral_radius,
 )
@@ -182,6 +184,19 @@ def test_max_root_modulus_plain():
     assert abs(max_root_modulus([1, -3, 1]) - (3 + math.sqrt(5)) / 2) < 1e-9
 
 
+def test_max_root_modulus_repeated_roots():
+    # (t-3)^3: the iteration runs on the square-free part t-3
+    assert abs(max_root_modulus([-27, 27, -9, 1]) - 3.0) < 3e-12
+    fib3 = IntPoly.of(_poly_mul(_poly_mul([1, -3, 1], [1, -3, 1]), [1, -3, 1]))
+    golden = (3 + math.sqrt(5)) / 2
+    assert abs(spectral_radius(fib3) - golden) < 1e-12 * golden
+
+
+def test_max_root_modulus_zero_roots():
+    assert max_root_modulus([0, 0, 1]) == 0.0
+    assert abs(max_root_modulus([0, 0, -2, 1]) - 2.0) < 1e-12
+
+
 def test_spectral_radius_requires_monic():
     with pytest.raises(SpectraError):
         spectral_radius(IntPoly.parse("2t-1"))
@@ -203,6 +218,113 @@ def test_threshold_strictly_decreasing():
     vals = [mahler_gap_threshold(d) for d in range(1, 11)]
     for a, b in zip(vals, vals[1:]):
         assert a > b > 1.0
+
+
+# ---------------------------------------------------------------------------
+# the exact disc test
+
+
+def _linear(p, q):
+    """q z - p, with the root p/q."""
+    return [-p, q]
+
+
+def _quadratic(a, b):
+    """z^2 - 2a z + (a^2 + b^2), with the roots a +- bi."""
+    return [a * a + b * b, -2 * a, 1]
+
+
+def test_roots_inside_linear_factors():
+    eps = Fraction(1, 10 ** 12)
+    for p, q in ((3, 1), (-3, 1), (1, 2), (-7, 3), (5, 4)):
+        root = Fraction(abs(p), q)
+        assert roots_inside(_linear(p, q), root + eps)
+        assert not roots_inside(_linear(p, q), root)
+        assert not roots_inside(_linear(p, q), root - eps)
+    assert roots_inside(_linear(0, 5), eps)
+
+
+def test_roots_inside_root_on_the_circle_is_outside():
+    assert not roots_inside([-3, 1], 3)
+    assert not roots_inside(_quadratic(3, 4), 5)  # |3 +- 4i| = 5
+    assert roots_inside(_quadratic(3, 4), Fraction(5000001, 1000000))
+    assert not roots_inside(_quadratic(0, 1), 1)  # z^2 + 1
+    assert not roots_inside(list(cyclotomic(12)), 1)
+
+
+def test_roots_inside_quadratics_against_squared_modulus():
+    radii = [Fraction(k, 4) for k in range(1, 33)]
+    for a in range(-5, 6):
+        for b in range(0, 6):
+            mod2 = a * a + b * b
+            for r in radii:
+                assert roots_inside(_quadratic(a, b), r) == (mod2 < r * r), \
+                    (a, b, r)
+
+
+def test_roots_inside_zero_repeated_and_non_monic():
+    # zero roots: z^3 and z^2 (z - 2)
+    assert roots_inside([0, 0, 0, 1], Fraction(1, 100))
+    assert roots_inside([0, 0, -2, 1], Fraction(201, 100))
+    assert not roots_inside([0, 0, -2, 1], 2)
+    # repeated roots: (2z - 3)^3 and (z^2 - 2z + 2)^2
+    cube = _poly_mul(_poly_mul([-3, 2], [-3, 2]), [-3, 2])
+    assert not roots_inside(cube, Fraction(3, 2))
+    assert roots_inside(cube, Fraction(3, 2) + Fraction(1, 10 ** 9))
+    square = _poly_mul(_quadratic(1, 1), _quadratic(1, 1))  # |1 +- i|^2 = 2
+    assert not roots_inside(square, Fraction(141421, 100000))
+    assert roots_inside(square, Fraction(141422, 100000))
+    # non-monic: (2z - 1)(3z - 1) = 6z^2 - 5z + 1
+    assert not roots_inside([1, -5, 6], Fraction(1, 2))
+    assert roots_inside([1, -5, 6], Fraction(51, 100))
+    # degree 0 has no zeros; nonpositive radii and the zero polynomial
+    # are rejected
+    assert roots_inside([7], Fraction(1, 3))
+    with pytest.raises(SpectraError):
+        roots_inside([-1, 1], 0)
+    with pytest.raises(SpectraError):
+        roots_inside([0, 0], 1)
+
+
+def test_roots_inside_random_products_of_known_factors():
+    rng = random.Random(56)
+    for _ in range(300):
+        coeffs = [rng.choice([-3, -1, 1, 2, 5])]
+        mods2 = []  # squared root moduli, exact
+        for _ in range(rng.randrange(1, 4)):
+            if rng.random() < 0.5:
+                p, q = rng.randrange(-6, 7), rng.randrange(1, 4)
+                coeffs = _poly_mul(coeffs, _linear(p, q))
+                mods2.append(Fraction(p, q) ** 2)
+            else:
+                a, b = rng.randrange(-3, 4), rng.randrange(0, 4)
+                coeffs = _poly_mul(coeffs, _quadratic(a, b))
+                mods2.append(Fraction(a * a + b * b))
+        top = max(mods2)
+        # the second radius is the largest modulus itself whenever that
+        # is rational, which puts a root on the circle
+        near_top = Fraction(math.isqrt(top.numerator),
+                            math.isqrt(top.denominator))
+        for r in (Fraction(rng.randrange(1, 40), rng.randrange(1, 8)),
+                  near_top):
+            if r > 0:
+                assert roots_inside(coeffs, r) == (top < r * r), (coeffs, r)
+
+
+def test_roots_inside_brackets_max_root_modulus():
+    # the desk-check family: monic, degree <= 3, coefficients in [-4, 4]
+    for deg in (1, 2, 3):
+        for packed in range(9 ** deg):
+            rest = packed
+            coeffs = []
+            for _ in range(deg):
+                coeffs.append(rest % 9 - 4)
+                rest //= 9
+            coeffs.append(1)
+            m = max_root_modulus(coeffs)
+            if m > 0:
+                assert roots_inside(coeffs, m * (1 + 1e-9)), coeffs
+                assert not roots_inside(coeffs, m * (1 - 1e-9)), coeffs
 
 
 def test_mahler_gap_desk_check():
@@ -242,6 +364,34 @@ def test_classify_fib_exponential():
 def test_classify_requires_unimodular():
     with pytest.raises(SpectraError):
         classify_abelian_by_cyclic([[2, 0], [0, 1]])
+
+
+def _block_diag(*blocks):
+    n = sum(len(b) for b in blocks)
+    out = [[0] * n for _ in range(n)]
+    off = 0
+    for b in blocks:
+        for i, row in enumerate(b):
+            out[off + i][off:off + len(b)] = row
+        off += len(b)
+    return out
+
+
+@pytest.mark.parametrize("copies", [1, 2, 3, 4])
+def test_classify_repeated_eigenvalues(copies):
+    cls = classify_abelian_by_cyclic(_block_diag(*[FIB] * copies))
+    golden = (3 + math.sqrt(5)) / 2
+    assert cls.kind == EXPONENTIAL
+    assert abs(cls.m - golden) < 1e-12 * golden
+
+
+def test_classify_strips_cyclotomic_factors():
+    # (t+1)(t^2-3t+1): the radius is that of the non-cyclotomic part
+    cls = classify_abelian_by_cyclic(_block_diag([[-1]], FIB))
+    assert cls.kind == EXPONENTIAL
+    assert abs(cls.m - (3 + math.sqrt(5)) / 2) < 1e-12 * cls.m
+    cls = classify_abelian_by_cyclic(_block_diag([[-1]], ROT4))
+    assert cls.kind == VIRTUALLY_NILPOTENT and cls.m is None
 
 
 # ---------------------------------------------------------------------------
