@@ -23,6 +23,7 @@ followed by a decimal payload (semidirect keys embed the base key, a
 from __future__ import annotations
 
 import json
+from operator import add, neg
 
 from growthlab import wordops
 from growthlab.words import Word, WordSyntaxError
@@ -86,6 +87,13 @@ def _free_names(rank: int):
 class _EngineBase:
     family = ""
 
+    def multiplier(self):
+        """The multiply function for one search, such as one ball
+        enumeration: a callable (a, b) -> a * b.  Engines with nothing
+        worth memoising across the products of a search return the bound
+        ``multiply``."""
+        return self.multiply
+
     def power(self, a, k):
         """a**k by binary powering."""
         if k < 0:
@@ -112,9 +120,6 @@ class _EngineBase:
 
     def generator(self, name: str):
         raise NotImplementedError
-
-    def describe(self, el) -> str:
-        return str(self.element_to_word(el))
 
     def spec_id(self) -> str:
         return json.dumps(self.spec_dict(), sort_keys=True, separators=(",", ":"))
@@ -209,10 +214,10 @@ class AbelianEngine(_EngineBase):
         return tuple(1 if j == i else 0 for j in range(self.rank))
 
     def multiply(self, a, b):
-        return tuple(x + y for x, y in zip(a, b))
+        return tuple(map(add, a, b))
 
     def invert(self, a):
-        return tuple(-x for x in a)
+        return tuple(map(neg, a))
 
     def power(self, a, k):
         return tuple(k * x for x in a)
@@ -353,6 +358,12 @@ class SemidirectEngine(_EngineBase):
     two maps are checked inverse on every generator at construction.
     Powers of the automorphism are applied through a per-generator,
     per-exponent memo of generator images, filled on first use.
+
+    ``multiplier()`` adds a per-search memo of alpha^k1(w2) keyed by
+    (w2, k1).  In a ball enumeration w2 runs over the alphabet's letters
+    and k1 over the shifts visited, so the memo grows to at most
+    letters x shifts entries.  It lives in the returned closure;
+    nothing of it stays on the engine.
     """
 
     family = "semidirect"
@@ -439,6 +450,26 @@ class SemidirectEngine(_EngineBase):
         w2, k2 = b
         return (self.base.multiply(w1, self.auto_power(w2, k1)), k1 + k2)
 
+    def multiplier(self):
+        """A multiply that memoises alpha^k1(w2) per (w2, k1) for the
+        life of the returned closure (see the class docstring).  Base
+        products go through the base engine's own multiplier, so nested
+        extensions memoise at every level."""
+        base_mul = self.base.multiplier()
+        auto_power = self.auto_power
+        images = {}
+
+        def multiply(a, b):
+            w1, k1 = a
+            w2, k2 = b
+            try:
+                img = images[w2, k1]
+            except KeyError:
+                img = images[w2, k1] = auto_power(w2, k1)
+            return (base_mul(w1, img), k1 + k2)
+
+        return multiply
+
     def invert(self, a):
         w, k = a
         return (self.auto_power(self.base.invert(w), -k), -k)
@@ -460,12 +491,6 @@ class SemidirectEngine(_EngineBase):
     def canonical_key(self, a) -> bytes:
         w, k = a
         return TAG_SEMIDIRECT + self.base.canonical_key(w) + b"|" + str(k).encode()
-
-    def forward_words(self) -> dict:
-        return dict(self._fwd_words)
-
-    def backward_words(self) -> dict:
-        return dict(self._bwd_words)
 
     def spec_dict(self) -> dict:
         return {

@@ -22,7 +22,6 @@ class GrowthTable:
     radius: int
     counts: list  # counts[n] = gamma(n), n = 0..radius
     gens: list = field(default_factory=list)
-    engine_id: str = ""
     truncated: bool = False
     notes: list = field(default_factory=list)
 
@@ -82,7 +81,9 @@ def ball_sizes(engine, gens, radius: int, budget: int = DEFAULT_BUDGET,
     inverses, so for x in the sphere S_n and a letter a the product x a
     has length n - 1, n or n + 1.  The products of S_n that lie in
     neither S_{n-1} nor S_n therefore form exactly S_{n+1}, and only
-    those two spheres are kept.
+    those two spheres are kept.  Products go through
+    ``engine.multiplier()``, one multiply function for this search, so
+    split extensions memoise the automorphism powers of the alphabet.
 
     `budget` caps the elements counted: radius n completes iff
     gamma(n) <= budget (or S_n is empty).  Otherwise exploration stops
@@ -92,7 +93,7 @@ def ball_sizes(engine, gens, radius: int, budget: int = DEFAULT_BUDGET,
     if radius < 0:
         raise GrowthError("radius must be nonnegative")
     alphabet, notes = _closed_alphabet(engine, gens)
-    multiply = engine.multiply
+    multiply = engine.multiplier()
     previous, sphere = set(), {engine.identity}
     counts = [1]
     truncated = False
@@ -106,8 +107,7 @@ def ball_sizes(engine, gens, radius: int, budget: int = DEFAULT_BUDGET,
         previous, sphere = sphere, nxt
         counts.append(counts[-1] + len(nxt))
     table = GrowthTable(radius=len(counts) - 1, counts=counts,
-                        gens=list(gens), engine_id=engine.spec_id(),
-                        truncated=truncated, notes=notes)
+                        gens=list(gens), truncated=truncated, notes=notes)
     table.validate()
     return table
 

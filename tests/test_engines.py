@@ -21,6 +21,8 @@ from util import (
     TORUS_AUTO,
     family_engines,
     insert_trivial_pair,
+    nested_bs1_engine,
+    nested_torus_engine,
     random_element,
     random_word,
     torus_engine,
@@ -128,6 +130,31 @@ def test_element_to_word_round_trips(engine):
     for _ in range(200):
         a = random_element(rng, engine)
         assert engine.evaluate_word(engine.element_to_word(a)) == a
+
+
+def shifted_element(rng, engine):
+    """A random element; in a split extension its shift is +-1..3."""
+    a = random_element(rng, engine)
+    if engine.family != "semidirect":
+        return a
+    t = engine.generator("t")
+    return engine.multiply(engine.embed(engine.kernel_part(a)),
+                           engine.power(t, rng.choice([-3, -2, -1, 1, 2, 3])))
+
+
+@pytest.mark.parametrize(
+    "engine", family_engines() + [nested_bs1_engine(), nested_torus_engine()],
+    ids=lambda e: e.spec_id())
+def test_multiplier_agrees_with_multiply(engine):
+    # 4 right factors against few shifts: the memo of a split extension
+    # misses on the first (letter, shift) pairs and hits afterwards
+    rng = random.Random(13)
+    mul = engine.multiplier()
+    right = [shifted_element(rng, engine) for _ in range(4)]
+    for _ in range(300):
+        a = shifted_element(rng, engine)
+        for b in right:
+            assert mul(a, b) == engine.multiply(a, b)
 
 
 # ---------------------------------------------------------------------------

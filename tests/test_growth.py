@@ -2,13 +2,7 @@ import random
 
 import pytest
 
-from growthlab.engines import (
-    AbelianEngine,
-    BS1Engine,
-    FreeEngine,
-    KleinEngine,
-    SemidirectEngine,
-)
+from growthlab.engines import AbelianEngine, FreeEngine, KleinEngine
 from growthlab.growth import (
     GrowthError,
     GrowthTable,
@@ -19,21 +13,13 @@ from growthlab.growth import (
 )
 from growthlab.words import Word
 
-from util import family_engines, random_element, torus_engine
-
-
-def nested_bs1_engine():
-    """Extension of bs1 (m = 2) by the involution a -> a^-1, t -> a t."""
-    flip = {"a": "a^-1", "t": "a t"}
-    return SemidirectEngine(BS1Engine(2), flip, flip)
-
-
-def nested_torus_engine():
-    """Extension of the torus group by conjugation with x."""
-    return SemidirectEngine(
-        torus_engine(),
-        {"t": "x t x^-1", "x": "x", "y": "x y x^-1"},
-        {"t": "x^-1 t x", "x": "x", "y": "x^-1 y x"})
+from util import (
+    family_engines,
+    nested_bs1_engine,
+    nested_torus_engine,
+    random_element,
+    torus_engine,
+)
 
 
 def gens_of(engine, *texts):
@@ -211,6 +197,19 @@ def test_thread_counts_agree():
     t8 = ball_sizes(eng, gens, 5, threads=8)
     assert t1.counts == t2.counts == t8.counts
     assert t1.to_tsv() == t2.to_tsv() == t8.to_tsv()
+
+
+def test_multiplier_memo_belongs_to_one_search():
+    # alphabet B shares no letter with A, and A's second run must not
+    # see anything left over from the searches before it
+    eng = torus_engine()
+    attrs = set(vars(eng))
+    set_a = gens_of(eng, "t", "x")
+    set_b = gens_of(eng, "t x", "y^2 t^-1")
+    for gens in (set_a, set_b, set_a):
+        table = ball_sizes(eng, gens, 5)
+        assert table.counts == brute_ball_counts(eng, gens, 5)
+    assert set(vars(eng)) == attrs
 
 
 def test_repeat_runs_are_identical():

@@ -28,6 +28,20 @@ def fib_engine():
     return SemidirectEngine(AbelianEngine(2), *FIB_AUTO)
 
 
+def nested_bs1_engine():
+    """Extension of bs1 (m = 2) by the involution a -> a^-1, t -> a t."""
+    flip = {"a": "a^-1", "t": "a t"}
+    return SemidirectEngine(BS1Engine(2), flip, flip)
+
+
+def nested_torus_engine():
+    """Extension of the torus group by conjugation with x."""
+    return SemidirectEngine(
+        torus_engine(),
+        {"t": "x t x^-1", "x": "x", "y": "x y x^-1"},
+        {"t": "x^-1 t x", "x": "x", "y": "x^-1 y x"})
+
+
 def family_engines():
     """One engine per family plus split-extension variants."""
     return [
