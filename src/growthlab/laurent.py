@@ -7,14 +7,19 @@ normalized gcd over the relators is the polynomial invariant Delta.
 Delta carries two facts used elsewhere: a kernel that is finitely
 generated forces Delta monic at both ends, and the degree (top exponent
 minus bottom exponent) bounds the first Betti number.
+
+A Laurent polynomial shifted to bottom exponent 0 is an element of
+Z[t] with nonzero constant term, so the gcd, the divisibility test and
+the Betti ranks run on the Z[t] division and the fraction-free
+elimination of `_exact`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
+from growthlab._exact import eliminate, poly_divmod, zx_gcd
 from growthlab.words import Word
 
 NOT_FG = "NotFG"
@@ -168,74 +173,15 @@ def _to_list(p: LaurentPoly):
     return [p.coeffs.get(e, 0) for e in range(lo, hi + 1)]
 
 
-def _content(xs) -> int:
-    g = 0
-    for c in xs:
-        g = math.gcd(g, abs(c))
-    return g
-
-
-def _primitive(xs):
-    while xs and xs[-1] == 0:
-        xs = xs[:-1]
-    if not xs:
-        return []
-    g = _content(xs)
-    return [c // g for c in xs]
-
-
-def _prem(a, b):
-    """Fraction-free pseudo-remainder of a by b (lists, b nonzero)."""
-    a = list(a)
-    lb = b[-1]
-    while len(a) >= len(b) and any(a):
-        while a and a[-1] == 0:
-            a.pop()
-        if len(a) < len(b):
-            break
-        d = len(a) - len(b)
-        la = a[-1]
-        a = [c * lb for c in a]
-        for j, c in enumerate(b):
-            a[d + j] -= la * c
-        while a and a[-1] == 0:
-            a.pop()
-    return a
-
-
-def _zx_gcd(a, b):
-    """gcd in Z[t] of nonzero coefficient lists, positive leading."""
-    ca, cb = _content(a), _content(b)
-    g = math.gcd(ca, cb)
-    a, b = _primitive(a), _primitive(b)
-    while b:
-        a, b = b, _primitive(_prem(a, b))
-    if a[-1] < 0:
-        a = [-c for c in a]
-    return [c * g for c in a]
-
-
 def divides(d: LaurentPoly, p: LaurentPoly) -> bool:
     """Whether d divides p in the Laurent ring (zero divides only zero)."""
     if d.is_zero():
         return p.is_zero()
     if p.is_zero():
         return True
-    num = _to_list(p)
-    den = _to_list(d)
-    while len(num) >= len(den):
-        lead = num[-1]
-        if lead % den[-1]:
-            return False
-        q = lead // den[-1]
-        off = len(num) - len(den)
-        for j, c in enumerate(den):
-            num[off + j] -= q * c
-        while num and num[-1] == 0:
-            num.pop()
-        if not num:
-            return True
-    return not num
+    # the shifts leave both with a nonzero constant term, prime to t,
+    # so divisibility in the Laurent ring is divisibility in Z[t]
+    return not poly_divmod(_to_list(p), _to_list(d))[1]
 
 
 def laurent_gcd(ps) -> LaurentPoly:
@@ -249,7 +195,7 @@ def laurent_gcd(ps) -> LaurentPoly:
     for p in nz[1:]:
         if g == [1]:
             break
-        g = _zx_gcd(g, _to_list(p))
+        g = zx_gcd(g, _to_list(p))
     result = LaurentPoly.of_list(g).normalized()
     for p in nz:
         if not divides(result, p):
@@ -364,33 +310,6 @@ def sticking_contradiction(alpha: int, beta: int,
 # Betti bounds along the subgroup chain
 
 
-def _rational_rank(rows) -> int:
-    if not rows:
-        return 0
-    m = [[Fraction(c) for c in row] for row in rows]
-    ncols = len(m[0])
-    rank = 0
-    for col in range(ncols):
-        pivot = None
-        for r in range(rank, len(m)):
-            if m[r][col] != 0:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        inv = m[rank][col]
-        for r in range(rank + 1, len(m)):
-            if m[r][col] != 0:
-                f = m[r][col] / inv
-                for c in range(col, ncols):
-                    m[r][c] -= f * m[rank][c]
-        rank += 1
-        if rank == len(m):
-            break
-    return rank
-
-
 def betti_chain(relator_polys, depth: int) -> list:
     """Upper bounds b_0..b_depth on the first Betti numbers of the
     chain subgroups: i+1 generators minus the rank spanned by every
@@ -413,5 +332,5 @@ def betti_chain(relator_polys, depth: int) -> list:
                 for j, c in enumerate(coeffs):
                     row[s + j] = c
                 rows.append(row)
-        out.append((i + 1) - _rational_rank(rows))
+        out.append((i + 1) - len(eliminate(rows)[1]))
     return out

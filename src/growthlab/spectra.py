@@ -3,10 +3,15 @@
 An automorphism of Z^n either has every eigenvalue a root of unity (the
 matrix is quasi-unipotent and the extension is virtually nilpotent) or
 its spectral radius clears a degree-dependent gap above 1, giving
-exponential growth.  Both decisions are exact: roots of unity by
-cyclotomic trial division, the gap by the Schur-Cohn test
-`roots_inside` on integer coefficients.  Only the reported radius `m`
-is a float, from an Aberth iteration on the square-free part.
+exponential growth.  Both decisions are exact: roots of unity by the
+one cyclotomic pass of `_exact.strip_cyclotomic`, the gap by the
+Schur-Cohn test `roots_inside` on integer coefficients.  Only the
+reported radius `m` is a float, from an Aberth iteration on the
+square-free part.
+
+Determinant, rank, unimodular inverse and fixed vectors are read off
+the one fraction-free elimination `_exact.eliminate`; `hermite_rows` is
+a lattice normal form over Z and keeps its own reduction.
 """
 
 from __future__ import annotations
@@ -16,9 +21,15 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
-from growthlab.laurent import _zx_gcd
+from growthlab._exact import (  # cyclotomic, euler_phi: public here too
+    cyclotomic,
+    eliminate,
+    euler_phi,
+    poly_divmod,
+    strip_cyclotomic,
+    zx_gcd,
+)
 
 LOG_BASE = "e"  # base of the logarithm in the gap threshold
 
@@ -119,28 +130,6 @@ class IntPoly:
         return f"IntPoly({self.format()})"
 
 
-def _poly_divmod(a, b):
-    """Greedy integer division of coefficient lists; b leading must be
-    +-1 for exactness to be meaningful."""
-    a = list(a)
-    q = [0] * max(len(a) - len(b) + 1, 0)
-    while len(a) >= len(b) and any(a):
-        while a and a[-1] == 0:
-            a.pop()
-        if len(a) < len(b):
-            break
-        if a[-1] % b[-1]:
-            break
-        f = a[-1] // b[-1]
-        off = len(a) - len(b)
-        q[off] = f
-        for j, c in enumerate(b):
-            a[off + j] -= f * c
-    while a and a[-1] == 0:
-        a.pop()
-    return q, a
-
-
 # ---------------------------------------------------------------------------
 # integer matrices
 
@@ -184,25 +173,8 @@ def mat_trace(m):
 
 
 def mat_det(m) -> int:
-    n = len(m)
-    a = [[Fraction(x) for x in row] for row in m]
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if pivot is None:
-            return 0
-        if pivot != col:
-            a[col], a[pivot] = a[pivot], a[col]
-            det = -det
-        det *= a[col][col]
-        inv = a[col][col]
-        for r in range(col + 1, n):
-            if a[r][col] != 0:
-                f = a[r][col] / inv
-                for c in range(col, n):
-                    a[r][c] -= f * a[col][c]
-    assert det.denominator == 1
-    return int(det)
+    _, pivots, d, sign = eliminate(m)
+    return sign * d if len(pivots) == len(m) else 0
 
 
 def mat_pow(m, k: int):
@@ -219,46 +191,21 @@ def mat_pow(m, k: int):
     return acc
 
 
-def _minor(m, i, j):
-    return [[m[r][c] for c in range(len(m)) if c != j]
-            for r in range(len(m)) if r != i]
-
-
 def mat_inv_unimodular(m):
-    """Exact inverse of an integer matrix with determinant +-1."""
+    """Exact inverse of an integer matrix with determinant +-1: the
+    right half of the eliminated [M | I], divided by d = +-1."""
     n = len(m)
-    d = mat_det(m)
-    if abs(d) != 1:
-        raise SpectraError(f"matrix determinant {d} is not a unit")
-    if n == 1:
-        return [[d]]
-    adj = [[(-1) ** (i + j) * mat_det(_minor(m, j, i)) for j in range(n)]
-           for i in range(n)]
-    return mat_scale(adj, d)
+    aug = [list(row) + [int(i == j) for j in range(n)]
+           for i, row in enumerate(m)]
+    rows, pivots, d, sign = eliminate(aug, n)
+    det = sign * d if len(pivots) == n else 0
+    if abs(det) != 1:
+        raise SpectraError(f"matrix determinant {det} is not a unit")
+    return [[x * d for x in row[n:]] for row in rows]
 
 
 def matrix_rank(rows) -> int:
-    rows = [row for row in rows if any(row)]
-    if not rows:
-        return 0
-    a = [[Fraction(x) for x in row] for row in rows]
-    ncols = len(a[0])
-    rank = 0
-    for col in range(ncols):
-        pivot = next((r for r in range(rank, len(a)) if a[r][col] != 0), None)
-        if pivot is None:
-            continue
-        a[rank], a[pivot] = a[pivot], a[rank]
-        inv = a[rank][col]
-        for r in range(rank + 1, len(a)):
-            if a[r][col] != 0:
-                f = a[r][col] / inv
-                for c in range(col, ncols):
-                    a[r][c] -= f * a[rank][c]
-        rank += 1
-        if rank == len(a):
-            break
-    return rank
+    return len(eliminate(rows)[1])
 
 
 def _ext_gcd(a: int, b: int):
@@ -334,80 +281,24 @@ def char_poly(m) -> IntPoly:
     return IntPoly(tuple(coeffs))
 
 
-@lru_cache(maxsize=None)
-def euler_phi(k: int) -> int:
-    out = k
-    n = k
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            out -= out // p
-            while n % p == 0:
-                n //= p
-        p += 1
-    if n > 1:
-        out -= out // n
-    return out
-
-
-@lru_cache(maxsize=None)
-def cyclotomic(k: int) -> tuple:
-    """Coefficients (low-to-high) of the k-th cyclotomic polynomial."""
-    num = [0] * (k + 1)
-    num[0], num[k] = -1, 1
-    for d in range(1, k):
-        if k % d == 0:
-            q, rem = _poly_divmod(num, list(cyclotomic(d)))
-            assert not rem
-            num = q
-    return tuple(num)
-
-
-def _strip_cyclotomic(coeffs):
-    """Divide out every cyclotomic factor; returns (rest, stripped_any)."""
-    xs = list(coeffs)
-    d0 = len(xs) - 1
-    stripped = False
-    bound = 2 * d0 * d0 + 1
-    k = 1
-    while k <= bound and len(xs) > 1:
-        if euler_phi(k) <= len(xs) - 1:
-            q, rem = _poly_divmod(xs, list(cyclotomic(k)))
-            if not rem and q:
-                xs = q
-                stripped = True
-                continue
-        k += 1
-    return xs, stripped
-
-
 def smallest_cyclotomic_order(p: IntPoly) -> int:
     """Least k whose k-th cyclotomic polynomial divides p, or None.
 
     A hit at k means p has a primitive k-th root of unity among its
     roots, so the matrix it came from has a fixed vector at power k."""
-    d = p.degree
-    if d < 1:
-        return None
-    for k in range(1, 2 * d * d + 2):
-        if euler_phi(k) > d:
-            continue
-        _, rem = _poly_divmod(list(p.coeffs), list(cyclotomic(k)))
-        if not rem:
-            return k
-    return None
+    return strip_cyclotomic(p.coeffs)[1]
 
 
 def all_roots_of_unity(p: IntPoly) -> bool:
-    """Exact Kronecker-style test by cyclotomic trial division."""
+    """Exact Kronecker-style test: nothing is left once the cyclotomic
+    factors are divided out."""
     if not p.is_monic():
         raise SpectraError("root-of-unity test requires a monic polynomial")
     if p.degree == 0:
         return True
     if p.coeffs[0] == 0:
         return False  # zero is a root
-    rest, _ = _strip_cyclotomic(p.coeffs)
-    return rest == [1]
+    return strip_cyclotomic(p.coeffs)[0] == [1]
 
 
 # ---------------------------------------------------------------------------
@@ -508,9 +399,9 @@ def max_root_modulus(coeffs, tol: float = 1e-9) -> float:
     xs = xs[next(i for i, c in enumerate(xs) if c):]  # zero roots
     if len(xs) == 1:
         return 0.0
-    g = _zx_gcd(xs, [k * c for k, c in enumerate(xs)][1:])
+    g = zx_gcd(xs, [k * c for k, c in enumerate(xs)][1:])
     if len(g) > 1:
-        xs, rem = _poly_divmod(xs, g)
+        xs, rem = poly_divmod(xs, g)
         assert not rem, "gcd(p, p') must divide p"
     r = max(abs(z) for z in _aberth_roots(xs))
     if r > cauchy + tol:
@@ -527,11 +418,11 @@ def spectral_radius(p: IntPoly, tol: float = 1e-9) -> float:
         raise SpectraError("spectral radius requires a monic polynomial")
     if p.degree < 1:
         raise SpectraError("degree must be at least 1")
-    rest, stripped = _strip_cyclotomic(p.coeffs)
+    rest, least = strip_cyclotomic(p.coeffs)
     if len(rest) == 1:
         return 1.0
     r = max_root_modulus(rest, tol)
-    if stripped:
+    if least is not None:
         r = max(r, 1.0)
     return r
 
@@ -571,7 +462,7 @@ def classify_char_poly(p: IntPoly) -> SpectralClassification:
     if abs(det) != 1:
         raise SpectraError(f"determinant {det} is not a unit")
     thr = mahler_gap_threshold(n)
-    rest, _ = _strip_cyclotomic(p.coeffs)
+    rest, _ = strip_cyclotomic(p.coeffs)
     if rest == [1]:
         return SpectralClassification(VIRTUALLY_NILPOTENT, p, threshold=thr)
     if roots_inside(rest, Fraction(thr)):
@@ -591,47 +482,20 @@ def fixed_vector_of_power(m, r: int):
     if r < 1:
         raise SpectraError("power must be at least 1")
     n = len(m)
-    a = mat_sub(mat_pow(m, r), mat_identity(n))
-    rows = [[Fraction(x) for x in row] for row in a]
-    ncols = n
-    pivots = []
-    rank = 0
-    for col in range(ncols):
-        pivot = next((i for i in range(rank, len(rows))
-                      if rows[i][col] != 0), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = rows[rank][col]
-        rows[rank] = [x / inv for x in rows[rank]]
-        for i in range(len(rows)):
-            if i != rank and rows[i][col] != 0:
-                f = rows[i][col]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[rank])]
-        pivots.append(col)
-        rank += 1
-        if rank == len(rows):
-            break
-    free = [c for c in range(ncols) if c not in pivots]
-    if not free:
+    rows, pivots, d, _ = eliminate(mat_sub(mat_pow(m, r), mat_identity(n)))
+    j0 = next((c for c in range(n) if c not in pivots), None)
+    if j0 is None:
         return None
-    j0 = free[0]
-    x = [Fraction(0)] * ncols
-    x[j0] = Fraction(1)
-    for prow, pcol in enumerate(pivots):
-        x[pcol] = -rows[prow][j0]
-    lcm = 1
-    for f in x:
-        lcm = lcm * f.denominator // math.gcd(lcm, f.denominator)
-    v = [int(f * lcm) for f in x]
-    g = 0
-    for c in v:
-        g = math.gcd(g, abs(c))
-    v = [c // g for c in v]
-    first = next(c for c in v if c)
-    if first < 0:
-        v = [-c for c in v]
-    v = tuple(v)
+    # the null vector with x[j0] = 1 and the other free unknowns 0,
+    # scaled by d to clear the denominators
+    v = [0] * n
+    v[j0] = d
+    for row, col in zip(rows, pivots):
+        v[col] = -row[j0]
+    g = math.gcd(*v)
+    if next(c for c in v if c) < 0:
+        g = -g
+    v = tuple(c // g for c in v)
     if mat_vec(mat_pow(m, r), v) != v:
         raise AssertionError("fixed-vector witness failed re-verification")
     return v

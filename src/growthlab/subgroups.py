@@ -178,20 +178,14 @@ def is_cyclic_pair(engine, u, v) -> bool:
     if fam == "abelian":
         return _abelian_rank_le_1(u, v)
     if fam in ("klein", "semidirect", "bs1"):
-        if fam == "klein":
-            p, q = u[1], v[1]
-        elif fam == "semidirect":
-            p, q = u[1], v[1]
-        else:
-            p, q = u[2], v[2]
+        shift = 2 if fam == "bs1" else 1
+        p, q = u[shift], v[shift]
         if p == 0 and q == 0:
-            if fam == "klein":
-                # both in <a>, a subgroup of Z
-                return True
-            if fam == "bs1":
-                # finitely generated subgroups of Z[1/m] are cyclic
-                return True
-            return is_cyclic_pair(engine.base, u[0], v[0])
+            if fam == "semidirect":
+                return is_cyclic_pair(engine.base, u[0], v[0])
+            # klein: both in <a>, a subgroup of Z; bs1: finitely
+            # generated subgroups of Z[1/m] are cyclic
+            return True
         if fam == "bs1":
             raise UnsupportedFamilyError(
                 "cyclic-pair decision for bs1 elements with nonzero shifts is not supported"

@@ -16,9 +16,10 @@ re-verified by an independent computation before it is returned.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
+from growthlab._exact import solve
 from growthlab.engines import UnsupportedFamilyError, units_to_flat
 from growthlab.laurent import sticking_contradiction
 from growthlab.spectra import (
@@ -56,6 +57,10 @@ class WitnessError(Exception):
     pass
 
 
+# JSON names of the Certificate fields that differ from the field name
+_JSON_KEYS = {"u_word": "u", "v_word": "v", "k_word": "k", "c_word": "c"}
+
+
 @dataclass
 class Certificate:
     variant: str
@@ -74,33 +79,16 @@ class Certificate:
     reverified: bool = None
 
     def to_json(self) -> dict:
-        out = {"variant": self.variant}
-        if self.bound is not None:
-            out["bound"] = self.bound
-        if self.u_word is not None:
-            out["u"] = self.u_word
-        if self.v_word is not None:
-            out["v"] = self.v_word
-        if self.max_A_length is not None:
-            out["max_A_length"] = self.max_A_length
-        if self.depth is not None:
-            out["depth"] = self.depth
-        if self.matrix is not None:
-            out["matrix"] = [list(row) for row in self.matrix]
-        if self.m is not None:
-            out["m"] = self.m
-        if self.k_word is not None:
-            out["k"] = self.k_word
-        if self.n is not None:
-            out["n"] = self.n
-        if self.c_word is not None:
-            out["c"] = self.c_word
-        if self.reason is not None:
-            out["reason"] = self.reason
-        if self.diagnostics is not None:
-            out["diagnostics"] = self.diagnostics
-        if self.reverified is not None:
-            out["reverified"] = self.reverified
+        """The set fields in declaration order; the word fields print
+        under their one-letter names."""
+        out = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if value is None:
+                continue
+            if f.name == "matrix":
+                value = [list(row) for row in value]
+            out[_JSON_KEYS.get(f.name, f.name)] = value
         return out
 
 
@@ -119,21 +107,6 @@ def combined_bound(u: float, branch: str, d: int = None) -> float:
             raise WitnessError("chain branch needs the depth cap d")
         return u ** (1.0 / (2 * d + 4))
     raise WitnessError(f"unknown branch {branch!r}")
-
-
-def commutator_candidates(gens) -> list:
-    """All commutators of signed generator pairs, as length-4 words in
-    the A alphabet (their values are filtered against the identity once
-    an engine evaluates them)."""
-    words = [Word.parse(w) if isinstance(w, str) else w for w in gens]
-    out = []
-    for j in range(len(words)):
-        for k in range(j + 1, len(words)):
-            for sj, sk in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
-                wj = words[j] if sj > 0 else words[j].inverse()
-                wk = words[k] if sk > 0 else words[k].inverse()
-                out.append(wj * wk * wj.inverse() * wk.inverse())
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -263,37 +236,12 @@ def _abelian_matrix(engine):
 
 def _solve_int_combo(basis_rows, target):
     """Integer coordinates of target in the given lattice basis."""
-    k = len(basis_rows)
-    r = len(target)
-    aug = [[Fraction(basis_rows[j][i]) for j in range(k)] + [Fraction(target[i])]
-           for i in range(r)]
-    pivots = []
-    rank = 0
-    for col in range(k):
-        pivot = next((i for i in range(rank, r) if aug[i][col] != 0), None)
-        if pivot is None:
-            continue
-        aug[rank], aug[pivot] = aug[pivot], aug[rank]
-        inv = aug[rank][col]
-        aug[rank] = [x / inv for x in aug[rank]]
-        for i in range(r):
-            if i != rank and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[rank])]
-        pivots.append(col)
-        rank += 1
-    coords = [Fraction(0)] * k
-    for prow, pcol in enumerate(pivots):
-        coords[pcol] = aug[prow][k]
-    for i in range(rank, r):
-        if aug[i][k] != 0:
-            raise AssertionError("target vector lies outside the lattice")
-    out = []
-    for f in coords:
-        if f.denominator != 1:
-            raise AssertionError("lattice coordinates are not integral")
-        out.append(int(f))
-    return out
+    coords = solve(basis_rows, target)
+    if coords is None:
+        raise AssertionError("target vector lies outside the lattice")
+    if any(f.denominator != 1 for f in coords):
+        raise AssertionError("lattice coordinates are not integral")
+    return [int(f) for f in coords]
 
 
 def _invariant_lattice(n_mat, n_inv, v):
@@ -320,49 +268,16 @@ def _restricted_matrix(n_mat, basis_rows):
 def _krylov_annihilator(t_mat, v):
     """Primitive integer coefficients (low-to-high) of the minimal
     polynomial of v under t_mat."""
-    dim = len(v)
     vs = [list(v)]
-    for _ in range(dim):
+    for _ in range(len(v)):
         vs.append(list(mat_vec(t_mat, vs[-1])))
-        k = len(vs) - 1
-        aug = [[Fraction(vs[j][i]) for j in range(k)] + [Fraction(vs[k][i])]
-               for i in range(dim)]
-        sol = _try_solve(aug, k, dim)
+        sol = solve(vs[:-1], vs[-1])
         if sol is not None:
-            denom = 1
-            for f in sol:
-                denom = denom * f.denominator // math.gcd(denom, f.denominator)
+            denom = math.lcm(*(f.denominator for f in sol))
             coeffs = [-int(f * denom) for f in sol] + [denom]
-            g = 0
-            for c in coeffs:
-                g = math.gcd(g, abs(c))
+            g = math.gcd(*coeffs)
             return [c // g for c in coeffs]
     raise AssertionError("no dependence found within the space dimension")
-
-
-def _try_solve(aug, k, rows):
-    rank = 0
-    pivots = []
-    for col in range(k):
-        pivot = next((i for i in range(rank, rows) if aug[i][col] != 0), None)
-        if pivot is None:
-            continue
-        aug[rank], aug[pivot] = aug[pivot], aug[rank]
-        inv = aug[rank][col]
-        aug[rank] = [x / inv for x in aug[rank]]
-        for i in range(rows):
-            if i != rank and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[rank])]
-        pivots.append(col)
-        rank += 1
-    for i in range(rank, rows):
-        if aug[i][k] != 0:
-            return None
-    sol = [Fraction(0)] * k
-    for prow, pcol in enumerate(pivots):
-        sol[pcol] = aug[prow][k]
-    return sol
 
 
 def _expansion_power(r_mat, v_coords) -> int:

@@ -1,6 +1,7 @@
 """Acceptance gate: the eight shipping criteria, one test each, with a
 printed verdict line per criterion."""
 
+import hashlib
 import json
 import math
 import random
@@ -43,6 +44,7 @@ from util import (
     family_engines,
     fib_engine,
     random_element,
+    reference_balls,
     rot4_engine,
     torus_engine,
 )
@@ -56,32 +58,14 @@ TORUS_SPEC = {
     },
 }
 
+# sha256 of the 50 word lists the survey selects, one set per line with
+# its words joined by " | "
+SURVEY_SHA256 = (
+    "ad2d6ded98489ab261ae1c62f7d88fd3cdce9a9227cd7ce89415ccae5d4d8938")
+
 
 def verdict(line):
     print(line, flush=True)
-
-
-def brute_ball(engine, gens, radius):
-    alphabet = []
-    for g in gens:
-        for el in (g, engine.invert(g)):
-            if el not in alphabet:
-                alphabet.append(el)
-    seen = {engine.canonical_key(engine.identity)}
-    frontier = [engine.identity]
-    counts = [1]
-    for _ in range(radius):
-        nxt = []
-        for el in frontier:
-            for a in alphabet:
-                prod = engine.multiply(el, a)
-                key = engine.canonical_key(prod)
-                if key not in seen:
-                    seen.add(key)
-                    nxt.append(prod)
-        counts.append(counts[-1] + len(nxt))
-        frontier = nxt
-    return counts
 
 
 # ---------------------------------------------------------------------------
@@ -109,28 +93,12 @@ def torus_survey():
     start = time.monotonic()
     eng = torus_engine()
     golden = analyze(eng, ["t", "x"], 3.0, 2)
-    x_key = eng.canonical_key(eng.evaluate_word(Word.parse("x")))
-    t_key = eng.canonical_key(eng.evaluate_word(Word.parse("t")))
+    x_el = eng.evaluate_word(Word.parse("x"))
+    t_el = eng.evaluate_word(Word.parse("t"))
 
     def generates(elems):
-        alphabet = []
-        for g in elems:
-            for el in (g, eng.invert(g)):
-                if el != eng.identity and el not in alphabet:
-                    alphabet.append(el)
-        seen = {eng.canonical_key(eng.identity)}
-        frontier = [eng.identity]
-        for _ in range(6):
-            nxt = []
-            for el in frontier:
-                for a in alphabet:
-                    prod = eng.multiply(el, a)
-                    key = eng.canonical_key(prod)
-                    if key not in seen:
-                        seen.add(key)
-                        nxt.append(prod)
-            frontier = nxt
-        return x_key in seen and t_key in seen
+        return any(x_el in ball and t_el in ball
+                   for ball in reference_balls(eng, elems, 6))
 
     rng = random.Random(5005)
     names = ["t", "x", "y"]
@@ -163,7 +131,8 @@ def test_criterion_1_free_ball_counts(free2_table):
     start = time.monotonic()
     eng = FreeEngine(2)
     gens = [eng.generator("x"), eng.generator("y")]
-    assert brute_ball(eng, gens, 6) == [2 * 3 ** n - 1 for n in range(7)]
+    counts = [len(ball) for ball in reference_balls(eng, gens, 6)]
+    assert counts == [2 * 3 ** n - 1 for n in range(7)]
     assert free2_table.counts == [2 * 3 ** n - 1 for n in range(11)]
     est10 = free2_table.estimates()[10]
     assert 3.0 <= est10 <= 3.25
@@ -228,6 +197,11 @@ def test_criterion_5_witness_survey(torus_survey):
             for n in range(1, table.radius + 1):
                 assert table.estimates()[n] >= cert.bound, (
                     f"criterion 5: FAIL (estimate below bound on {{{label}}})")
+    # the generating sets the survey draws, pinned: a change to the
+    # engines or to the reference BFS must not change the selection
+    selection = "\n".join(" | ".join(str(w) for w in words)
+                          for words, _, _ in torus_survey["runs"])
+    assert hashlib.sha256(selection.encode()).hexdigest() == SURVEY_SHA256
     assert torus_survey["elapsed"] < 300.0
     verdict(
         f"criterion 5: PASS (golden bound {golden.bound:.10f}, 50 random "

@@ -18,35 +18,13 @@ from util import (
     nested_bs1_engine,
     nested_torus_engine,
     random_element,
+    reference_balls,
     torus_engine,
 )
 
 
 def gens_of(engine, *texts):
     return [engine.evaluate_word(Word.parse(t)) for t in texts]
-
-
-def brute_ball_counts(engine, gens, radius):
-    """Reference BFS, no chunking, dict keyed by raw elements."""
-    alphabet = []
-    for g in gens:
-        for el in (g, engine.invert(g)):
-            if el != engine.identity and el not in alphabet:
-                alphabet.append(el)
-    seen = {engine.identity}
-    frontier = [engine.identity]
-    counts = [1]
-    for _ in range(radius):
-        nxt = []
-        for el in frontier:
-            for g in alphabet:
-                prod = engine.multiply(el, g)
-                if prod not in seen:
-                    seen.add(prod)
-                    nxt.append(prod)
-        frontier = nxt
-        counts.append(len(seen))
-    return counts
 
 
 # ---------------------------------------------------------------------------
@@ -85,7 +63,8 @@ def test_counts_match_reference_bfs(engine):
     for gens in ([random_element(rng, engine, max_len=2) for _ in range(2)],
                  [engine.generator(n) for n in engine.gen_names]):
         table = ball_sizes(engine, gens, radius)
-        assert table.counts == brute_ball_counts(engine, gens, radius)
+        assert table.counts == [
+            len(ball) for ball in reference_balls(engine, gens, radius)]
 
 
 @pytest.mark.parametrize("budget, counts, truncated", [
@@ -208,7 +187,8 @@ def test_multiplier_memo_belongs_to_one_search():
     set_b = gens_of(eng, "t x", "y^2 t^-1")
     for gens in (set_a, set_b, set_a):
         table = ball_sizes(eng, gens, 5)
-        assert table.counts == brute_ball_counts(eng, gens, 5)
+        assert table.counts == [
+            len(ball) for ball in reference_balls(eng, gens, 5)]
     assert set(vars(eng)) == attrs
 
 

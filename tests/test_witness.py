@@ -27,7 +27,6 @@ from growthlab.witness import (
     WitnessError,
     analyze,
     combined_bound,
-    commutator_candidates,
     pcc_scan,
 )
 from growthlab.words import Word
@@ -109,22 +108,6 @@ def test_combined_bound_rejects():
         combined_bound(3.0, "chain")
     with pytest.raises(WitnessError):
         combined_bound(3.0, "chain", 0)
-
-
-def test_commutator_candidates_shape():
-    cands = commutator_candidates(["x", "y"])
-    assert len(cands) == 4
-    assert all(w.length() == 4 for w in cands)
-    assert str(cands[0]) == "x y x^-1 y^-1"
-    assert len(commutator_candidates(["x", "y", "z"])) == 12
-    assert commutator_candidates(["x"]) == []
-    assert commutator_candidates([]) == []
-
-
-def test_commutator_candidates_accepts_words():
-    cands = commutator_candidates([Word.parse("t"), Word.parse("x y")])
-    assert len(cands) == 4
-    assert str(cands[1]) == "t y^-1 x^-1 t^-1 x y"
 
 
 def test_certificate_json_field_names():

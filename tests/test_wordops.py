@@ -122,7 +122,8 @@ def test_free_key_payload_parity(fast):
 
 
 def test_env_override_selects_pure_kernel():
-    env = dict(os.environ, GROWTHLAB_PURE="1")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(pure.__file__)))
+    env = dict(os.environ, GROWTHLAB_PURE="1", PYTHONPATH=src)
     proc = subprocess.run(
         [sys.executable, "-c",
          "import growthlab.wordops as w; "

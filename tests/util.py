@@ -58,6 +58,31 @@ def family_engines():
     ]
 
 
+def reference_balls(engine, gens, radius):
+    """Reference BFS for the tests, independent of `ball_sizes`: yields
+    the set of elements of the ball of each radius 0..radius (one set,
+    grown in place), keyed by element equality and multiplied with
+    `engine.multiply` only.  Stop iterating to stop the search."""
+    alphabet = []
+    for g in gens:
+        for el in (g, engine.invert(g)):
+            if el != engine.identity and el not in alphabet:
+                alphabet.append(el)
+    seen = {engine.identity}
+    frontier = [engine.identity]
+    yield seen
+    for _ in range(radius):
+        nxt = []
+        for el in frontier:
+            for a in alphabet:
+                prod = engine.multiply(el, a)
+                if prod not in seen:
+                    seen.add(prod)
+                    nxt.append(prod)
+        frontier = nxt
+        yield seen
+
+
 def random_word(rng, names, max_len=5):
     pairs = []
     for _ in range(rng.randrange(max_len + 1)):
