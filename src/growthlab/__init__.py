@@ -11,3 +11,9 @@ checkable growth bounds.
 VERSION_STRING = "growth-lab/1"
 
 __version__ = "0.1.0"
+
+
+class GrowthlabError(Exception):
+    """Base of every error growthlab raises for bad input: catch it to
+    handle any of them.  A subclass that is also a `ValueError`,
+    `KeyError` or `NotImplementedError` keeps that builtin base."""

@@ -7,6 +7,11 @@ periodic-class scans, and kernel rewriting.  Outputs are deterministic
 diff cleanly; errors become a single stderr record `ERR <code>
 <message>` with exit status 2 for bad input and 3 for an exhausted
 search budget.
+
+Each subcommand imports only the library modules it runs, so `rewrite`
+never loads the certificate search and `growth` never loads the exact
+algebra.  Every input error growthlab raises derives from
+`growthlab.GrowthlabError` and ends in `ERR 2`.
 """
 
 from __future__ import annotations
@@ -15,27 +20,8 @@ import argparse
 import json
 import sys
 
-from growthlab import VERSION_STRING
-from growthlab.engines import GroupSpecError, UnknownGeneratorError, UnsupportedFamilyError, build_engine
-from growthlab.growth import DEFAULT_BUDGET, GrowthError, ball_sizes
-from growthlab.laurent import (
-    LaurentError,
-    NOT_FG,
-    abelianize,
-    alexander_polynomial,
-    fg_kernel_obstruction,
-    monic_both_ends,
-    rs_rewrite,
-)
-from growthlab.spectra import (
-    SpectraError,
-    VIRTUALLY_NILPOTENT,
-    IntPoly,
-    classify_abelian_by_cyclic,
-    classify_char_poly,
-)
-from growthlab.witness import WitnessError, analyze, pcc_scan
-from growthlab.words import Word, WordSyntaxError
+from growthlab import VERSION_STRING, GrowthlabError
+from growthlab.growth import DEFAULT_BUDGET
 
 
 class CliError(Exception):
@@ -52,15 +38,19 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _load_engine(path: str):
+    from growthlab.engines import build_engine
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise CliError(2, f"cannot read group file: {exc}") from None
     return build_engine(text)
 
 
 def _parse_words(text: str, sep: str) -> list:
+    from growthlab.words import Word
+
     words = []
     for part in text.split(sep):
         part = part.strip()
@@ -88,8 +78,11 @@ def _parse_matrix(text: str):
 
 def _emit(text: str, out_path):
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise CliError(2, f"cannot write output file: {exc}") from None
     else:
         sys.stdout.write(text)
 
@@ -99,6 +92,9 @@ def _emit(text: str, out_path):
 
 
 def _cmd_growth(args) -> int:
+    from growthlab.engines import UnknownGeneratorError
+    from growthlab.growth import ball_sizes
+
     engine = _load_engine(args.group)
     words = _parse_words(args.gens, ",")
     try:
@@ -113,6 +109,9 @@ def _cmd_growth(args) -> int:
 
 
 def _cmd_alexander(args) -> int:
+    from growthlab.laurent import (
+        NOT_FG, alexander_polynomial, fg_kernel_obstruction, monic_both_ends)
+
     relators = [p.strip() for p in args.relators.split(";") if p.strip()]
     if not relators:
         raise CliError(2, "no relators given")
@@ -127,6 +126,9 @@ def _cmd_alexander(args) -> int:
 
 
 def _cmd_spectra(args) -> int:
+    from growthlab.spectra import (
+        VIRTUALLY_NILPOTENT, IntPoly, classify_abelian_by_cyclic, classify_char_poly)
+
     if (args.matrix is None) == (args.poly is None):
         raise CliError(2, "give exactly one of --matrix or --poly")
     if args.matrix is not None:
@@ -147,6 +149,9 @@ def _cmd_spectra(args) -> int:
 
 
 def _cmd_witness(args) -> int:
+    from growthlab.engines import UnknownGeneratorError
+    from growthlab.witness import analyze
+
     engine = _load_engine(args.group)
     words = _parse_words(args.gens, ",")
     try:
@@ -163,6 +168,8 @@ def _cmd_witness(args) -> int:
 
 
 def _cmd_pcc(args) -> int:
+    from growthlab.witness import pcc_scan
+
     engine = _load_engine(args.group)
     result = pcc_scan(engine, args.max_period, args.max_length)
     payload = {
@@ -176,6 +183,8 @@ def _cmd_pcc(args) -> int:
 
 
 def _cmd_rewrite(args) -> int:
+    from growthlab.laurent import abelianize, rs_rewrite
+
     rewritten = rs_rewrite(args.relator)
     poly = abelianize(rewritten)
     text = f"rewritten = {rewritten.format()}\nabelianized = {poly.format()}\n"
@@ -262,9 +271,7 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"ERR {exc.code} {exc}", file=sys.stderr)
         return exc.code
-    except (GroupSpecError, WordSyntaxError, UnknownGeneratorError,
-            UnsupportedFamilyError, GrowthError, LaurentError, SpectraError,
-            WitnessError) as exc:
+    except GrowthlabError as exc:
         print(f"ERR 2 {exc}", file=sys.stderr)
         return 2
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 import json
 from operator import add, neg
 
-from growthlab import wordops
+from growthlab import GrowthlabError, wordops
 from growthlab.words import Word, WordSyntaxError
 
 TAG_FREE = b"\x01"
@@ -35,15 +35,15 @@ TAG_BS1 = b"\x04"
 TAG_SEMIDIRECT = b"\x05"
 
 
-class GroupSpecError(ValueError):
+class GroupSpecError(GrowthlabError, ValueError):
     """Malformed group description or invalid automorphism."""
 
 
-class UnknownGeneratorError(KeyError):
+class UnknownGeneratorError(GrowthlabError, KeyError):
     pass
 
 
-class UnsupportedFamilyError(NotImplementedError):
+class UnsupportedFamilyError(GrowthlabError, NotImplementedError):
     """The requested operation is not decidable/implemented for this family."""
 
 

@@ -10,10 +10,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from growthlab import GrowthlabError
+
 DEFAULT_BUDGET = 50_000_000
 
 
-class GrowthError(Exception):
+class GrowthError(GrowthlabError):
     pass
 
 
@@ -110,11 +112,6 @@ def ball_sizes(engine, gens, radius: int, budget: int = DEFAULT_BUDGET,
                         gens=list(gens), truncated=truncated, notes=notes)
     table.validate()
     return table
-
-
-def upper_estimates(table: GrowthTable) -> list:
-    """gamma(n)**(1/n) for n = 1..radius; upper bounds on the rate."""
-    return table.estimates()[1:]
 
 
 def rescale_lower_bound(omega: float, length: int) -> float:

@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from growthlab import GrowthlabError
 from growthlab._exact import eliminate, poly_divmod, zx_gcd
 from growthlab.words import Word
 
@@ -26,7 +27,7 @@ NOT_FG = "NotFG"
 POSSIBLY_FG = "PossiblyFG"
 
 
-class LaurentError(Exception):
+class LaurentError(GrowthlabError):
     pass
 
 

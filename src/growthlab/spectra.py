@@ -22,6 +22,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
+from growthlab import GrowthlabError
 from growthlab._exact import (  # cyclotomic, euler_phi: public here too
     cyclotomic,
     eliminate,
@@ -37,7 +38,7 @@ VIRTUALLY_NILPOTENT = "VirtuallyNilpotent"
 EXPONENTIAL = "Exponential"
 
 
-class SpectraError(Exception):
+class SpectraError(GrowthlabError):
     pass
 
 
@@ -258,7 +259,7 @@ def hermite_rows(rows):
 
 
 # ---------------------------------------------------------------------------
-# characteristic polynomial and root-of-unity test
+# characteristic polynomial and cyclotomic factors
 
 def char_poly(m) -> IntPoly:
     """Monic characteristic polynomial det(t*I - M), exact integers.
@@ -287,18 +288,6 @@ def smallest_cyclotomic_order(p: IntPoly) -> int:
     A hit at k means p has a primitive k-th root of unity among its
     roots, so the matrix it came from has a fixed vector at power k."""
     return strip_cyclotomic(p.coeffs)[1]
-
-
-def all_roots_of_unity(p: IntPoly) -> bool:
-    """Exact Kronecker-style test: nothing is left once the cyclotomic
-    factors are divided out."""
-    if not p.is_monic():
-        raise SpectraError("root-of-unity test requires a monic polynomial")
-    if p.degree == 0:
-        return True
-    if p.coeffs[0] == 0:
-        return False  # zero is a root
-    return strip_cyclotomic(p.coeffs)[0] == [1]
 
 
 # ---------------------------------------------------------------------------

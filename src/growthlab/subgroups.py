@@ -3,14 +3,13 @@
 A subgroup of a free group given by finitely many generator words is
 represented by its folded base-pointed labeled graph: vertices are
 interned integers, each vertex has at most one outgoing and one incoming
-edge per label, membership is decided by tracing, and the subgroup rank
-is |E| - |V| + 1.
+edge per label, a reduced word lies in the subgroup iff it traces a loop
+at the base point, and the subgroup rank is |E| - |V| + 1.
 """
 
 from __future__ import annotations
 
-from growthlab import wordops
-from growthlab.engines import UnsupportedFamilyError, cyclic_reduce_units, flat_to_units, units_to_flat
+from growthlab.engines import UnsupportedFamilyError, flat_to_units
 
 
 class StallingsGraph:
@@ -18,24 +17,10 @@ class StallingsGraph:
         self.base = base
         self.vertices = frozenset(vertices)
         self.edges = frozenset(edges)  # (u, label, v) with 1-based labels
-        self._out = {(u, g): v for (u, g, v) in self.edges}
-        self._in = {(v, g): u for (u, g, v) in self.edges}
 
     @property
     def rank(self) -> int:
         return len(self.edges) - len(self.vertices) + 1
-
-    def contains(self, word: tuple) -> bool:
-        """Trace a reduced word from the base point."""
-        c = self.base
-        for u in flat_to_units(word):
-            if u > 0:
-                c = self._out.get((c, u))
-            else:
-                c = self._in.get((c, -u))
-            if c is None:
-                return False
-        return c == self.base
 
 
 def fold(words, rank: int) -> StallingsGraph:
@@ -100,54 +85,6 @@ def fold(words, rank: int) -> StallingsGraph:
         vertices.add(u)
         vertices.add(v)
     return StallingsGraph(find(0), vertices, edges)
-
-
-def subgroup_rank(words, rank: int) -> int:
-    return fold(words, rank).rank
-
-
-# ---------------------------------------------------------------------------
-# free-word roots
-
-
-def primitive_root(word: tuple):
-    """Write a nontrivial reduced word as root**k with k maximal.
-
-    Returns (root, k); the root of p z p^-1 is p z0 p^-1 for the
-    smallest cyclic period z0 of z.
-    """
-    if not word:
-        raise ValueError("identity has no primitive root")
-    units = flat_to_units(word)
-    p, core = cyclic_reduce_units(units)
-    n = len(core)
-    for d in range(1, n + 1):
-        if n % d:
-            continue
-        if core == core[:d] * (n // d):
-            root_units = p + core[:d] + [-u for u in reversed(p)]
-            return units_to_flat(root_units), n // d
-    raise AssertionError("unreachable: every word has period n")
-
-
-def as_power_of(v: tuple, u: tuple):
-    """Integer k with u**k == v, or None."""
-    if not u:
-        return 0 if not v else None
-    if not v:
-        return 0
-    ru, ku = primitive_root(u)
-    rv, kv = primitive_root(v)
-    if rv == ru:
-        num = kv
-    elif rv == wordops.invert_word(ru):
-        num = -kv
-    else:
-        return None
-    if num % ku:
-        return None
-    k = num // ku
-    return k if wordops.pow_word(u, k) == v else None
 
 
 # ---------------------------------------------------------------------------

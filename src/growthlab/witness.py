@@ -19,6 +19,7 @@ import math
 from dataclasses import dataclass, fields
 from fractions import Fraction
 
+from growthlab import GrowthlabError
 from growthlab._exact import solve
 from growthlab.engines import UnsupportedFamilyError, units_to_flat
 from growthlab.laurent import sticking_contradiction
@@ -53,7 +54,7 @@ EXPANSION_MARGIN = Fraction(41, 20)
 _EXPANSION_POWER_CAP = 128
 
 
-class WitnessError(Exception):
+class WitnessError(GrowthlabError):
     pass
 
 

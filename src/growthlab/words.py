@@ -11,10 +11,12 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
+from growthlab import GrowthlabError
+
 _LETTER_RE = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)(?:\^(-?\d+))?$")
 
 
-class WordSyntaxError(ValueError):
+class WordSyntaxError(GrowthlabError, ValueError):
     pass
 
 

@@ -9,6 +9,7 @@ import time
 
 import pytest
 
+from growthlab._exact import strip_cyclotomic
 from growthlab.cli import main as cli_main
 from growthlab.engines import FreeEngine, KleinEngine
 from growthlab.growth import ball_sizes
@@ -23,7 +24,6 @@ from growthlab.laurent import (
 )
 from growthlab.spectra import (
     IntPoly,
-    all_roots_of_unity,
     char_poly,
     fixed_vector_of_power,
     mahler_gap_threshold,
@@ -211,10 +211,10 @@ def test_criterion_5_witness_survey(torus_survey):
 def test_criterion_6_spectra_goldens():
     start = time.monotonic()
     fib = char_poly([[2, 1], [1, 1]])
-    assert not all_roots_of_unity(fib)
+    assert strip_cyclotomic(fib.coeffs)[0] != [1]
     assert abs(spectral_radius(fib) - (3.0 + math.sqrt(5.0)) / 2.0) < 1e-6
     rot = char_poly([[0, -1], [1, 0]])
-    assert all_roots_of_unity(rot)
+    assert strip_cyclotomic(rot.coeffs)[0] == [1]
     assert fixed_vector_of_power([[0, -1], [1, 0]], 4) == (1, 0)
     cert = analyze(rot4_engine(), ["t", "e1"], 3.0, 2)
     assert cert.variant == PERIODIC_CONJUGACY
@@ -231,7 +231,8 @@ def test_criterion_6_spectra_goldens():
                 q //= 9
             poly = IntPoly(tuple(coeffs) + (1,))
             radius = spectral_radius(poly)
-            if 1.0 < radius <= gap and not all_roots_of_unity(poly):
+            if 1.0 < radius <= gap and \
+                    strip_cyclotomic(poly.coeffs)[0] != [1]:
                 offenders.append(poly.format())
     assert offenders == []
     elapsed = time.monotonic() - start

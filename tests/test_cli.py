@@ -1,8 +1,11 @@
 """End-to-end checks of the command-line front end: golden outputs,
 exit codes, stderr records, and output-file handling."""
 
+import importlib
+import inspect
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -10,8 +13,8 @@ from pathlib import Path
 import pytest
 
 import growthlab
-from growthlab import VERSION_STRING
-from growthlab.cli import main
+from growthlab import VERSION_STRING, GrowthlabError
+from growthlab.cli import CliError, main
 
 from util import ROT4_AUTO, TORUS_AUTO
 
@@ -25,6 +28,12 @@ ROT4_SPEC = {
     "family": "semidirect",
     "base": {"family": "abelian", "rank": 2},
     "automorphism": {"forward": ROT4_AUTO[0], "backward": ROT4_AUTO[1]},
+}
+BS1_FLIP = {"a": "a^-1", "t": "a t"}
+NESTED_BS1_SPEC = {
+    "family": "semidirect",
+    "base": {"family": "bs1", "m": 2},
+    "automorphism": {"forward": BS1_FLIP, "backward": BS1_FLIP},
 }
 
 
@@ -108,6 +117,37 @@ def test_growth_missing_group_file(tmp_path, capsys):
     assert err.startswith("ERR 2 cannot read group file")
 
 
+def test_growth_group_file_not_utf8(tmp_path, capsys):
+    group = tmp_path / "latin1.json"
+    group.write_bytes(b'{"family": "free", "rank": 2, "note": "\xe9"}')
+    code, out, err = run(capsys, [
+        "growth", "--group", str(group), "--gens", "x", "--radius", "2"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("ERR 2 cannot read group file: ")
+    assert err.count("\n") == 1
+
+
+def test_growth_out_file_in_missing_directory(tmp_path, capsys):
+    group = spec_file(tmp_path, "free2.json", FREE2_SPEC)
+    target = tmp_path / "absent" / "table.tsv"
+    code, out, err = run(capsys, [
+        "growth", "--group", group, "--gens", "x,y", "--radius", "2",
+        "--out", str(target)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("ERR 2 cannot write output file: ")
+    assert err.count("\n") == 1
+    assert not target.exists()
+
+
+def test_growth_negative_radius(tmp_path, capsys):
+    group = spec_file(tmp_path, "free2.json", FREE2_SPEC)
+    code, out, err = run(capsys, [
+        "growth", "--group", group, "--gens", "x,y", "--radius", "-1"])
+    assert (code, out, err) == (2, "", "ERR 2 radius must be nonnegative\n")
+
+
 def test_growth_bad_family_spec(tmp_path, capsys):
     group = spec_file(tmp_path, "bad.json", {"family": "dihedral"})
     code, out, err = run(capsys, [
@@ -171,6 +211,11 @@ def test_rewrite_output(capsys):
     lines = out.splitlines()
     assert lines[0] == "rewritten = x_1 x_0"
     assert lines[1] == "abelianized = 1 + t"
+
+
+def test_rewrite_unbalanced_relator(capsys):
+    code, out, err = run(capsys, ["rewrite", "--relator", "t x"])
+    assert (code, out, err) == (2, "", "ERR 2 t-exponent sum is 1, not 0\n")
 
 
 # ---------------------------------------------------------------------------
@@ -334,6 +379,15 @@ def test_pcc_rot4_exact(tmp_path, capsys):
     assert payload["certificate"]["n"] == 4
 
 
+def test_pcc_unsupported_base_family(tmp_path, capsys):
+    group = spec_file(tmp_path, "nested_bs1.json", NESTED_BS1_SPEC)
+    code, out, err = run(capsys, [
+        "pcc", "--group", group, "--max-period", "4", "--max-length", "2"])
+    assert (code, out) == (2, "")
+    assert err == ("ERR 2 periodic-class scan unsupported for base family "
+                   "'bs1'\n")
+
+
 # ---------------------------------------------------------------------------
 # top-level behavior
 
@@ -381,6 +435,82 @@ def test_all_subcommands_run_without_numpy(tmp_path):
     assert json.loads(witness)["variant"] == "NonCyclicPair"
     assert json.loads(pcc)["certificate"]["k"] == "x y x^-1 y^-1"
     assert rewrite == "rewritten = x_1 x_0\nabelianized = 1 + t\n"
+
+
+# builtin base each library error class keeps beside GrowthlabError
+_ERROR_BASES = {
+    "GroupSpecError": ValueError,
+    "UnknownGeneratorError": KeyError,
+    "UnsupportedFamilyError": NotImplementedError,
+    "WordSyntaxError": ValueError,
+    "GrowthError": Exception,
+    "LaurentError": Exception,
+    "RewriteError": Exception,
+    "SpectraError": Exception,
+    "WitnessError": Exception,
+}
+
+
+def test_every_library_error_is_a_growthlab_error():
+    found = {}
+    for info in pkgutil.iter_modules(growthlab.__path__):
+        mod = importlib.import_module(f"growthlab.{info.name}")
+        for name, obj in vars(mod).items():
+            if (inspect.isclass(obj) and issubclass(obj, BaseException)
+                    and obj.__module__ == mod.__name__):
+                found[name] = obj
+    assert found.pop("CliError") is CliError
+    assert not issubclass(CliError, GrowthlabError)
+    assert sorted(found) == sorted(_ERROR_BASES)
+    for name, cls in found.items():
+        assert issubclass(cls, GrowthlabError), name
+        assert issubclass(cls, _ERROR_BASES[name]), name
+
+
+_FOOTPRINT_SCRIPT = """
+import contextlib, io, json, sys
+from growthlab import cli
+argv = json.loads(sys.argv[1])
+if argv:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0
+print(json.dumps(sorted(m for m in sys.modules if m.startswith("growthlab."))))
+"""
+
+_BASE_MODULES = ["cli", "growth"]
+_ALL_MODULES = ["_exact", "_purewords", "cli", "engines", "growth", "laurent",
+                "spectra", "subgroups", "witness", "wordops", "words"]
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    ([], _BASE_MODULES),
+    (["growth", "--group", "{free2}", "--gens", "x,y", "--radius", "3"],
+     _BASE_MODULES + ["engines", "words", "wordops", "_purewords"]),
+    (["alexander", "--relators", "t x t^-1 x"],
+     _BASE_MODULES + ["laurent", "_exact", "words"]),
+    (["rewrite", "--relator", "t x t^-1 x"],
+     _BASE_MODULES + ["laurent", "_exact", "words"]),
+    (["spectra", "--matrix", "[[2,1],[1,1]]"],
+     _BASE_MODULES + ["spectra", "_exact"]),
+    (["witness", "--group", "{torus}", "--gens", "t,x", "--u", "3", "--d",
+      "2"], _ALL_MODULES),
+    (["pcc", "--group", "{torus}", "--max-period", "4", "--max-length", "3"],
+     _ALL_MODULES),
+], ids=["import", "growth", "alexander", "rewrite", "spectra", "witness",
+        "pcc"])
+def test_subcommand_import_footprint(tmp_path, argv, loaded):
+    files = {"{free2}": spec_file(tmp_path, "free2.json", FREE2_SPEC),
+             "{torus}": spec_file(tmp_path, "torus.json", TORUS_SPEC)}
+    argv = [files.get(a, a) for a in argv]
+    src = str(Path(growthlab.__file__).resolve().parent.parent)
+    # the pure kernel, so the set does not depend on whether the compiled
+    # one is built
+    env = dict(os.environ, PYTHONPATH=src, GROWTHLAB_PURE="1")
+    proc = subprocess.run(
+        [sys.executable, "-c", _FOOTPRINT_SCRIPT, json.dumps(argv)],
+        capture_output=True, text=True, env=env, timeout=60, check=False)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == sorted(f"growthlab.{m}" for m in loaded)
 
 
 def test_version_flag(capsys):

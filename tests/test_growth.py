@@ -9,7 +9,6 @@ from growthlab.growth import (
     ball_sizes,
     finite_index_lower_bound,
     rescale_lower_bound,
-    upper_estimates,
 )
 from growthlab.words import Word
 
@@ -130,7 +129,6 @@ def test_estimates_and_submultiplicativity():
     assert est[0] is None
     for n in range(1, 9):
         assert abs(est[n] - table.counts[n] ** (1 / n)) < 1e-12
-    assert upper_estimates(table) == est[1:]
     for m in range(9):
         for n in range(9):
             if m + n <= 8:

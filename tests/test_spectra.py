@@ -4,12 +4,12 @@ from fractions import Fraction
 
 import pytest
 
+from growthlab._exact import strip_cyclotomic
 from growthlab.spectra import (
     EXPONENTIAL,
     VIRTUALLY_NILPOTENT,
     IntPoly,
     SpectraError,
-    all_roots_of_unity,
     char_poly,
     classify_abelian_by_cyclic,
     cyclotomic,
@@ -135,12 +135,12 @@ def _poly_mul(a, b):
 
 
 def test_all_roots_of_unity_detection():
-    assert all_roots_of_unity(IntPoly.parse("t^2+1"))
-    assert all_roots_of_unity(IntPoly.parse("t-1"))
-    assert all_roots_of_unity(IntPoly.parse("t^2+t+1"))
-    assert not all_roots_of_unity(IntPoly.parse("t^2-3t+1"))
-    assert not all_roots_of_unity(IntPoly.parse("t^2-t-1"))
-    assert not all_roots_of_unity(IntPoly.parse("t-2"))
+    assert strip_cyclotomic(IntPoly.parse("t^2+1").coeffs)[0] == [1]
+    assert strip_cyclotomic(IntPoly.parse("t-1").coeffs)[0] == [1]
+    assert strip_cyclotomic(IntPoly.parse("t^2+t+1").coeffs)[0] == [1]
+    assert strip_cyclotomic(IntPoly.parse("t^2-3t+1").coeffs)[0] != [1]
+    assert strip_cyclotomic(IntPoly.parse("t^2-t-1").coeffs)[0] != [1]
+    assert strip_cyclotomic(IntPoly.parse("t-2").coeffs)[0] != [1]
 
 
 def test_random_cyclotomic_products_classify_as_unity():
@@ -150,7 +150,7 @@ def test_random_cyclotomic_products_classify_as_unity():
         for _ in range(rng.randrange(1, 4)):
             k = rng.choice([1, 2, 3, 4, 6])
             coeffs = _poly_mul(coeffs, list(cyclotomic(k)))
-        assert all_roots_of_unity(IntPoly.of(coeffs))
+        assert strip_cyclotomic(coeffs)[0] == [1]
 
 
 def test_smallest_cyclotomic_order():
@@ -341,7 +341,7 @@ def test_mahler_gap_desk_check():
             p = IntPoly.of(coeffs + [1])
             r = spectral_radius(p)
             if 1.0 < r <= thr:
-                assert all_roots_of_unity(p), p.format()
+                assert strip_cyclotomic(p.coeffs)[0] == [1], p.format()
 
 
 # ---------------------------------------------------------------------------
