@@ -1,10 +1,9 @@
-"""Pure-Python kernel for reduced words in a free group.
+"""Kernel for reduced words in a free group.
 
 A word is a flat tuple (g0, e0, g1, e1, ...) of generator indices and
 nonzero exponents, with adjacent generator indices distinct.  These
 functions are the hot path of ball enumeration and automorphism
-application; growthlab._fastwords is the compiled twin with the same
-signatures.
+application.
 """
 
 from __future__ import annotations

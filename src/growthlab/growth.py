@@ -120,10 +120,3 @@ def rescale_lower_bound(omega: float, length: int) -> float:
     if length < 1:
         raise GrowthError("length must be positive")
     return omega ** (1.0 / length)
-
-
-def finite_index_lower_bound(omega: float, index: int) -> float:
-    """Growth bound passed from a finite-index subgroup to the group."""
-    if index < 1:
-        raise GrowthError("index must be positive")
-    return omega ** (1.0 / (2 * index - 1))

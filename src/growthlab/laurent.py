@@ -71,11 +71,6 @@ class LaurentPoly:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def is_unit(self) -> bool:
-        if len(self.coeffs) != 1:
-            return False
-        return abs(next(iter(self.coeffs.values()))) == 1
-
     @property
     def min_exp(self) -> int:
         if not self.coeffs:

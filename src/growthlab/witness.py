@@ -22,6 +22,7 @@ from fractions import Fraction
 from growthlab import GrowthlabError
 from growthlab._exact import solve
 from growthlab.engines import UnsupportedFamilyError, units_to_flat
+from growthlab.growth import rescale_lower_bound
 from growthlab.laurent import sticking_contradiction
 from growthlab.spectra import (
     EXPONENTIAL,
@@ -93,21 +94,25 @@ class Certificate:
         return out
 
 
+# witness word length of each fixed-length branch; "chain" uses 2d + 4
+_BRANCH_LENGTHS = {"pair_in_kernel": 4, "conjugate_pair": 6,
+                   "infinite_kernel": 4}
+
+
 def combined_bound(u: float, branch: str, d: int = None) -> float:
-    """Exponent bookkeeping for the certified branches."""
+    """Exponent bookkeeping for the certified branches: u rescaled by the
+    witness word length of the branch."""
     if u <= 1.0:
         raise WitnessError("growth hypothesis u must exceed 1")
-    if branch == "pair_in_kernel":
-        return u ** 0.25
-    if branch == "conjugate_pair":
-        return u ** (1.0 / 6.0)
-    if branch == "infinite_kernel":
-        return u ** 0.25
     if branch == "chain":
         if d is None or d < 1:
             raise WitnessError("chain branch needs the depth cap d")
-        return u ** (1.0 / (2 * d + 4))
-    raise WitnessError(f"unknown branch {branch!r}")
+        length = 2 * d + 4
+    elif branch in _BRANCH_LENGTHS:
+        length = _BRANCH_LENGTHS[branch]
+    else:
+        raise WitnessError(f"unknown branch {branch!r}")
+    return rescale_lower_bound(u, length)
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +324,7 @@ def _abelian_case(engine, a_el, x0, tag):
     if cls.kind == EXPONENTIAL:
         v_coords = _solve_int_combo(basis, v)
         k_pow = _expansion_power(r_mat, v_coords)
-        bound = 2.0 ** (1.0 / (4 + k_pow))
+        bound = rescale_lower_bound(2.0, 4 + k_pow)
         cert = Certificate(
             SPECTRAL_EXPONENTIAL,
             bound=bound,

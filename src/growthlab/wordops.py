@@ -1,31 +1,15 @@
-"""Selects the word kernel: compiled extension if present, else pure Python.
-
-Set GROWTHLAB_PURE=1 to force the pure implementation (used by the
-benchmark and by tests that cross-check the two).
-"""
+"""The word kernel the engines call; it lives in growthlab._purewords."""
 
 from __future__ import annotations
 
-import os
+from growthlab._purewords import (
+    concat_reduce,
+    free_key_payload,
+    invert_word,
+    normalize_pairs,
+    pow_word,
+    substitute,
+    word_length,
+)
 
-if os.environ.get("GROWTHLAB_PURE") == "1":
-    from growthlab import _purewords as _impl
-
-    HAVE_COMPILED = False
-else:
-    try:
-        from growthlab import _fastwords as _impl  # type: ignore[no-redef]
-
-        HAVE_COMPILED = True
-    except ImportError:
-        from growthlab import _purewords as _impl  # type: ignore[no-redef]
-
-        HAVE_COMPILED = False
-
-normalize_pairs = _impl.normalize_pairs
-concat_reduce = _impl.concat_reduce
-invert_word = _impl.invert_word
-pow_word = _impl.pow_word
-substitute = _impl.substitute
-word_length = _impl.word_length
-free_key_payload = _impl.free_key_payload
+HAVE_COMPILED = False

@@ -63,10 +63,6 @@ class Word:
     def inverse(self) -> "Word":
         return Word(tuple((n, -e) for n, e in reversed(self.letters)))
 
-    def conjugate_by(self, c: "Word") -> "Word":
-        """c * self * c^-1."""
-        return c * self * c.inverse()
-
     def length(self) -> int:
         return sum(abs(e) for _, e in self.letters)
 
@@ -80,7 +76,3 @@ class Word:
         if not self.letters:
             return "<identity>"
         return " ".join(n if e == 1 else f"{n}^{e}" for n, e in self.letters)
-
-
-def commutator(a: Word, b: Word) -> Word:
-    return a * b * a.inverse() * b.inverse()

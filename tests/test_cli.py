@@ -503,9 +503,7 @@ def test_subcommand_import_footprint(tmp_path, argv, loaded):
              "{torus}": spec_file(tmp_path, "torus.json", TORUS_SPEC)}
     argv = [files.get(a, a) for a in argv]
     src = str(Path(growthlab.__file__).resolve().parent.parent)
-    # the pure kernel, so the set does not depend on whether the compiled
-    # one is built
-    env = dict(os.environ, PYTHONPATH=src, GROWTHLAB_PURE="1")
+    env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run(
         [sys.executable, "-c", _FOOTPRINT_SCRIPT, json.dumps(argv)],
         capture_output=True, text=True, env=env, timeout=60, check=False)

@@ -7,7 +7,6 @@ from growthlab.growth import (
     GrowthError,
     GrowthTable,
     ball_sizes,
-    finite_index_lower_bound,
     rescale_lower_bound,
 )
 from growthlab.words import Word
@@ -217,10 +216,3 @@ def test_rescale_lower_bound():
     assert rescale_lower_bound(2.0, 1) == 2.0
     with pytest.raises(GrowthError):
         rescale_lower_bound(2.0, 0)
-
-
-def test_finite_index_lower_bound():
-    assert finite_index_lower_bound(2.0, 1) == 2.0
-    assert abs(finite_index_lower_bound(2.0, 3) - 2 ** (1 / 5)) < 1e-15
-    with pytest.raises(GrowthError):
-        finite_index_lower_bound(2.0, 0)

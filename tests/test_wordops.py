@@ -1,31 +1,13 @@
-"""Word-kernel behaviour, plus cross-checks between the compiled kernel
-and the pure fallback.
+"""Word-kernel behaviour.
 
-The behaviour tests run against the pure kernel always and against the
-compiled one when it is built; only the compiled kernel's tests skip
-without it.
+The random-input tests compare each kernel function with an independent
+reference: expand the flat word into signed unit letters and free-reduce
+them with a stack.
 """
 
-import os
 import random
-import subprocess
-import sys
-
-import pytest
 
 from growthlab import _purewords as pure
-
-
-@pytest.fixture
-def fast():
-    return pytest.importorskip("growthlab._fastwords")
-
-
-@pytest.fixture(params=["pure", "fast"])
-def kernel(request):
-    if request.param == "pure":
-        return pure
-    return request.getfixturevalue("fast")
 
 
 def random_word(rng, rank=3, max_runs=6):
@@ -41,102 +23,103 @@ def assert_reduced(w):
             assert w[i] != w[i - 2]
 
 
-def test_normalize_is_shared(fast):
-    # the compiled module reuses the pure normalizer outright
-    assert fast.normalize_pairs is pure.normalize_pairs
+def letters(w):
+    """The flat word as a list of (gen, +1 or -1) unit letters."""
+    out = []
+    for i in range(0, len(w), 2):
+        g, e = w[i], w[i + 1]
+        out += [(g, 1 if e > 0 else -1)] * abs(e)
+    return out
 
 
-def test_concat_parity_on_random_words(fast):
+def inverse_letters(w):
+    return [(g, -s) for g, s in reversed(letters(w))]
+
+
+def reduce_letters(seq):
+    """Free-reduce unit letters with a stack and pack them into a flat word."""
+    stack = []
+    for g, s in seq:
+        if stack and stack[-1] == (g, -s):
+            stack.pop()
+        else:
+            stack.append((g, s))
+    out = []
+    for g, s in stack:
+        if out and out[-2] == g:
+            out[-1] += s
+        else:
+            out += [g, s]
+    return tuple(out)
+
+
+def test_concat_matches_reference_on_random_words():
     rng = random.Random(21)
     for _ in range(800):
         a = random_word(rng)
         b = random_word(rng)
-        got = fast.concat_reduce(a, b)
-        assert got == pure.concat_reduce(a, b)
+        got = pure.concat_reduce(a, b)
+        assert got == reduce_letters(letters(a) + letters(b))
         assert_reduced(got)
 
 
-def test_concat_cancels_inverses_exactly(kernel):
+def test_concat_cancels_inverses_exactly():
     rng = random.Random(22)
     for _ in range(200):
         a = random_word(rng)
         b = random_word(rng)
-        assert kernel.concat_reduce(a, kernel.invert_word(a)) == ()
-        ab = kernel.concat_reduce(a, b)
-        assert kernel.concat_reduce(ab, kernel.invert_word(b)) == a
+        assert pure.concat_reduce(a, pure.invert_word(a)) == ()
+        ab = pure.concat_reduce(a, b)
+        assert pure.concat_reduce(ab, pure.invert_word(b)) == a
 
 
-def test_invert_parity(fast):
+def test_invert_matches_reference():
     rng = random.Random(23)
     for _ in range(300):
         a = random_word(rng)
-        assert fast.invert_word(a) == pure.invert_word(a)
+        assert pure.invert_word(a) == reduce_letters(inverse_letters(a))
 
 
-def test_pow_parity(fast):
+def test_pow_matches_reference():
     rng = random.Random(24)
     for _ in range(150):
         a = random_word(rng, max_runs=4)
         for e in (-6, -2, -1, 0, 1, 2, 3, 9):
-            assert fast.pow_word(a, e) == pure.pow_word(a, e)
+            unit = letters(a) if e > 0 else inverse_letters(a)
+            assert pure.pow_word(a, e) == reduce_letters(unit * abs(e))
 
 
-def test_substitute_parity(fast):
+def test_substitute_matches_reference():
     rng = random.Random(25)
     for _ in range(300):
         a = random_word(rng, rank=3)
         images = [random_word(rng, rank=4) for _ in range(3)]
-        got = fast.substitute(a, images)
-        assert got == pure.substitute(a, images)
+        got = pure.substitute(a, images)
+        seq = []
+        for g, s in letters(a):
+            seq += letters(images[g]) if s > 0 else inverse_letters(images[g])
+        assert got == reduce_letters(seq)
         assert_reduced(got)
 
 
-def test_substitute_can_collapse_everything(kernel):
+def test_substitute_can_collapse_everything():
     a = (0, 1, 1, 1)
     images = [(2, 1), (2, -1)]
-    assert kernel.substitute(a, images) == ()
+    assert pure.substitute(a, images) == ()
 
 
-def test_word_length_parity(fast):
+def test_word_length_matches_reference():
     rng = random.Random(26)
     for _ in range(300):
         a = random_word(rng)
-        assert fast.word_length(a) == pure.word_length(a)
+        assert pure.word_length(a) == len(letters(a))
 
 
-def test_big_exponents_flow_through(kernel):
-    # exponents beyond C integer range must not truncate anywhere
+def test_big_exponents_flow_through():
+    # exponents far beyond machine-word range must not truncate anywhere
     big = 2 ** 80
     a = (0, big)
-    assert kernel.concat_reduce(a, a) == (0, 2 * big)
-    assert kernel.pow_word((0, 1), big) == (0, big)
-    assert kernel.word_length(a) == big
-    assert kernel.free_key_payload(a) == b"1:%d" % big
-
-
-def test_free_key_payload_parity(fast):
-    rng = random.Random(27)
-    for _ in range(300):
-        a = random_word(rng)
-        assert fast.free_key_payload(a) == pure.free_key_payload(a)
-
-
-def test_env_override_selects_pure_kernel():
-    src = os.path.dirname(os.path.dirname(os.path.abspath(pure.__file__)))
-    env = dict(os.environ, GROWTHLAB_PURE="1", PYTHONPATH=src)
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         "import growthlab.wordops as w; "
-         "print(w.HAVE_COMPILED, w.substitute.__module__)"],
-        capture_output=True, text=True, env=env, check=True)
-    assert proc.stdout.split() == ["False", "growthlab._purewords"]
-
-
-def test_default_selection_prefers_compiled_kernel(fast):
-    from growthlab import wordops
-
-    if os.environ.get("GROWTHLAB_PURE") == "1":
-        assert not wordops.HAVE_COMPILED
-    else:
-        assert wordops.HAVE_COMPILED
-        assert wordops.concat_reduce is fast.concat_reduce
+    assert pure.concat_reduce(a, a) == (0, 2 * big)
+    assert pure.pow_word((0, 1), big) == (0, big)
+    assert pure.word_length(a) == big
+    assert pure.free_key_payload(a) == b"1:%d" % big
