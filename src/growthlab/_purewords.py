@@ -3,7 +3,24 @@
 A word is a flat tuple (g0, e0, g1, e1, ...) of generator indices and
 nonzero exponents, with adjacent generator indices distinct.  These
 functions are the hot path of ball enumeration and automorphism
-application.
+application; a free engine's ``multiplier()`` is ``concat_reduce``
+itself.
+
+Cancellation happens only at the seam.  Both factors of a product are
+reduced, so the last pair of the left factor can meet only the first
+pair of the right one; when they cancel completely, the next pair in
+from each side meets, and so on.  ``concat_reduce`` walks that seam by
+index and builds its result with one slice concatenation, in order of
+how often products take each path:
+
+* no merge (the seam generators differ): ``a + b``;
+* one merge whose exponent sum stays nonzero: ``a[:-1] + (s,) + b[2:]``;
+* a cascade of full cancellations, ending either in a partial merge
+  (``a[:i-1] + (s,) + b[j+2:]``) or without one (``a[:i] + b[j:]``);
+* an empty factor: the other factor, unchanged.
+
+``substitute`` applies the same seam rule while it accumulates the image
+pieces into one list.
 """
 
 from __future__ import annotations
@@ -28,34 +45,28 @@ def normalize_pairs(pairs) -> tuple:
 
 
 def concat_reduce(a: tuple, b: tuple) -> tuple:
-    """Product of two reduced words, reduced.
-
-    Both inputs are reduced, so cancellation can only cascade across the
-    seam between them.
-    """
+    """Product of two reduced words, reduced (see the module docstring)."""
     if not a:
         return b
     if not b:
         return a
-    la = list(a)
-    i = len(la)
-    j = 0
+    i = len(a)
+    if a[i - 2] != b[0]:
+        return a + b
+    s = a[i - 1] + b[1]
+    if s:
+        return a[:-1] + (s,) + b[2:]
+    # the seam pairs cancel whole; a[:i] and b[j:] are what is left
+    i -= 2
+    j = 2
     nb = len(b)
-    while j < nb and i > 0:
-        g = b[j]
-        if la[i - 2] == g:
-            s = la[i - 1] + b[j + 1]
-            j += 2
-            if s == 0:
-                del la[i - 2 : i]
-                i -= 2
-            else:
-                la[i - 1] = s
-                break
-        else:
-            break
-    la.extend(b[j:])
-    return tuple(la)
+    while i and j < nb and a[i - 2] == b[j]:
+        s = a[i - 1] + b[j + 1]
+        if s:
+            return a[:i - 1] + (s,) + b[j + 2:]
+        i -= 2
+        j += 2
+    return a[:i] + b[j:]
 
 
 def invert_word(a: tuple) -> tuple:

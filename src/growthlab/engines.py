@@ -66,6 +66,29 @@ def units_to_flat(units) -> tuple:
     return wordops.normalize_pairs((abs(u) - 1, 1 if u > 0 else -1) for u in units)
 
 
+def _cyclic_length(flat: tuple):
+    """Letter count of the cyclic reduction of a reduced flat word.
+
+    Peels end pairs that cancel whole; the first end pair that cancels
+    only in part ends the peeling, since the next pair in on the other
+    end carries a different generator.  Conjugate elements of a free
+    group have cyclic reductions that are rotations of each other, so
+    the count is a conjugacy invariant.
+    """
+    n = wordops.word_length(flat)
+    lo, hi = 0, len(flat) - 2
+    while lo < hi and flat[lo] == flat[hi]:
+        e, f = flat[lo + 1], flat[hi + 1]
+        if (e > 0) == (f > 0):
+            break
+        n -= 2 * min(abs(e), abs(f))
+        if e != -f:
+            break
+        lo += 2
+        hi -= 2
+    return n
+
+
 def cyclic_reduce_units(units):
     """Split units as p * core * p^-1; returns (p_units, core_units)."""
     lo, hi = 0, len(units)
@@ -150,6 +173,13 @@ class FreeEngine(_EngineBase):
     def multiply(self, a, b):
         return wordops.concat_reduce(a, b)
 
+    def multiplier(self):
+        """The kernel's ``concat_reduce`` itself: a free product has
+        nothing to memoise, and a wrapper would only forward the call.
+        It is read from ``wordops`` on each call, so a rebinding of
+        ``wordops.concat_reduce`` reaches the searches started after it."""
+        return wordops.concat_reduce
+
     def invert(self, a):
         return wordops.invert_word(a)
 
@@ -179,14 +209,14 @@ class FreeEngine(_EngineBase):
 
     def conjugacy_test(self, a, b):
         """Conjugator c with c a c^-1 = b, or None."""
+        if _cyclic_length(a) != _cyclic_length(b):
+            return None
         ua, ub = flat_to_units(a), flat_to_units(b)
         pa, core_a = cyclic_reduce_units(ua)
         pb, core_b = cyclic_reduce_units(ub)
-        if len(core_a) != len(core_b):
-            return None
         n = len(core_a)
         if n == 0:
-            return () if a == b == () else None
+            return ()  # cyclic length 0: both are the identity
         for r in range(n):
             if core_a[r:] + core_a[:r] == core_b:
                 # b = q (w2 w1) q^-1 with a = p (w1 w2) p^-1, w1 = core_a[:r]

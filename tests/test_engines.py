@@ -10,6 +10,7 @@ from growthlab.engines import (
     KleinEngine,
     SemidirectEngine,
     UnknownGeneratorError,
+    _cyclic_length,
     build_engine,
     flat_to_units,
     parse_group_spec,
@@ -190,6 +191,95 @@ def test_abelian_commutes():
         a = random_element(rng, eng)
         b = random_element(rng, eng)
         assert eng.multiply(a, b) == eng.multiply(b, a)
+
+
+# ---------------------------------------------------------------------------
+# free conjugacy against a rotation oracle
+
+
+def cyclic_core(units):
+    """Peel inverse end pairs off reduced unit letters."""
+    while len(units) >= 2 and units[0] == -units[-1]:
+        units = units[1:-1]
+    return units
+
+
+def brute_conjugate(a, b) -> bool:
+    """Free words are conjugate iff their cyclically reduced cores are
+    rotations of each other."""
+    ca, cb = cyclic_core(flat_to_units(a)), cyclic_core(flat_to_units(b))
+    if len(ca) != len(cb):
+        return False
+    return not ca or any(ca[r:] + ca[:r] == cb for r in range(len(ca)))
+
+
+def assert_conjugator(eng, d, a, b):
+    assert d is not None
+    assert eng.multiply(eng.multiply(d, a), eng.invert(d)) == b
+
+
+def test_cyclic_length_matches_peeled_units():
+    rng = random.Random(30)
+    eng = FreeEngine(2)
+    for _ in range(500):
+        a, c = random_element(rng, eng), random_element(rng, eng, max_len=2)
+        b = eng.multiply(eng.multiply(c, a), eng.invert(c))
+        for w in (a, b):
+            assert _cyclic_length(w) == len(cyclic_core(flat_to_units(w)))
+
+
+def test_free_conjugacy_finds_a_conjugator():
+    rng = random.Random(31)
+    eng = FreeEngine(3)
+    for _ in range(300):
+        a = random_element(rng, eng)
+        c = random_element(rng, eng)
+        b = eng.multiply(eng.multiply(c, a), eng.invert(c))
+        assert_conjugator(eng, eng.conjugacy_test(a, b), a, b)
+
+
+def test_free_conjugacy_agrees_with_rotation_oracle():
+    rng = random.Random(32)
+    eng = FreeEngine(2)
+    outcomes = set()
+    for _ in range(1500):
+        a, b = (stack_reduce([rng.choice([1, -1, 2, -2])
+                              for _ in range(rng.randrange(7))])
+                for _ in range(2))
+        a, b = units_to_flat(a), units_to_flat(b)
+        d = eng.conjugacy_test(a, b)
+        expected = brute_conjugate(a, b)
+        outcomes.add(expected)
+        assert (d is not None) == expected
+        if expected:
+            assert_conjugator(eng, d, a, b)
+    assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("a, b, conjugate", [
+    ("x y x y", "y x y x", True),
+    ("x y x y", "y^-1 x y x y y", True),
+    ("x^3", "y x^3 y^-1", True),
+    ("x^3", "x^-3", False),
+    ("x y", "x y^-1", False),
+    ("x^2 y", "x y^2", False),
+    ("x y x^-1 y^-1", "y^-1 x y x^-1", True),
+    ("x y x^-1 y^-1", "y x y^-1 x^-1", False),
+    ("x^2 y^2", "x y x y", False),
+    ("x", "x", True),
+    ("", "", True),
+    ("", "x y x^-1", False),
+    ("x y x^-1", "", False),
+])
+def test_free_conjugacy_named_cases(a, b, conjugate):
+    eng = FreeEngine(2)
+    wa, wb = eng.evaluate_word(Word.parse(a)), eng.evaluate_word(Word.parse(b))
+    assert brute_conjugate(wa, wb) == conjugate
+    d = eng.conjugacy_test(wa, wb)
+    if conjugate:
+        assert_conjugator(eng, d, wa, wb)
+    else:
+        assert d is None
 
 
 # ---------------------------------------------------------------------------

@@ -63,6 +63,87 @@ def test_concat_matches_reference_on_random_words():
         assert_reduced(got)
 
 
+def long_word(rng, pairs):
+    """A reduced word of exactly `pairs` pairs over three generators."""
+    out = []
+    for _ in range(pairs):
+        g = rng.choice([h for h in range(3) if not out or h != out[-2]])
+        out += [g, rng.choice([-3, -2, -1, 1, 2, 3])]
+    return tuple(out)
+
+
+def word_after(rng, g, max_runs=4):
+    """A random word, empty or starting with a generator other than g."""
+    w = random_word(rng, max_runs=max_runs)
+    return w if not w or w[0] != g else w[2:]
+
+
+def inverse(w):
+    return reduce_letters(inverse_letters(w))
+
+
+def cascade_cases(rng):
+    """(a, b, a*b) with b = inverse(suffix of a) . w, one per shape:
+    full absorption of a, full absorption of b, a partial merge at depth
+    >= 3, and a single-pair b."""
+    a = long_word(rng, rng.randrange(3, 8))
+    n = len(a) // 2
+    # a is absorbed: b = a^-1 w, w nonempty
+    w = ()
+    while not w:
+        w = word_after(rng, a[0])
+    yield a, inverse(a) + w, w
+    # b is absorbed: b = inverse of the last k pairs of a
+    k = rng.randrange(1, n)
+    yield a, inverse(a[-2 * k:]), a[:-2 * k]
+    # k >= 2 pairs cancel whole, then the pair before them merges in part
+    k = rng.randrange(2, n)
+    g, e = a[-2 * k - 2], a[-2 * k - 1]
+    e2 = rng.choice([x for x in (-3, -2, -1, 1, 2, 3) if x != -e])
+    tail = word_after(rng, g)
+    b = inverse(a[-2 * k:]) + (g, e2) + tail
+    yield a, b, a[:-2 * k - 2] + (g, e + e2) + tail
+    # a single-pair b on the last generator of a
+    e2 = rng.choice((-3, -2, -1, 1, 2, 3, -a[-1]))
+    yield a, (a[-2], e2), a[:-2] + ((a[-2], a[-1] + e2) if a[-1] + e2 else ())
+
+
+def test_concat_matches_reference_on_cascades():
+    rng = random.Random(27)
+    for _ in range(300):
+        for a, b, expected in cascade_cases(rng):
+            assert_reduced(b)
+            got = pure.concat_reduce(a, b)
+            assert got == expected == reduce_letters(letters(a) + letters(b))
+            assert_reduced(got)
+
+
+def test_invert_matches_reference_on_cascades():
+    rng = random.Random(28)
+    for _ in range(300):
+        for a, b, ab in cascade_cases(rng):
+            for w in (a, b, ab):
+                assert pure.invert_word(w) == reduce_letters(inverse_letters(w))
+            assert pure.concat_reduce(ab, pure.invert_word(b)) == a
+
+
+def test_substitute_matches_reference_on_cascades():
+    # generators 0 and 1 map to a and b, so every 0 1 seam cascades
+    rng = random.Random(29)
+    for _ in range(300):
+        for a, b, _ab in cascade_cases(rng):
+            images = [a, b, random_word(rng)]
+            word = pure.normalize_pairs(
+                (rng.randrange(2), rng.choice([-2, -1, 1, 2]))
+                for _ in range(rng.randrange(1, 6)))
+            seq = []
+            for g, s in letters(word):
+                seq += letters(images[g]) if s > 0 else inverse_letters(images[g])
+            got = pure.substitute(word, images)
+            assert got == reduce_letters(seq)
+            assert_reduced(got)
+
+
 def test_concat_cancels_inverses_exactly():
     rng = random.Random(22)
     for _ in range(200):
