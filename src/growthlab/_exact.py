@@ -10,7 +10,8 @@ Three decisions live here and nowhere else:
 * `strip_cyclotomic`: one ascending pass over the orders k that divides
   out every cyclotomic factor and reports the least k that divided.
 
-Polynomials are coefficient lists, low-to-high.
+Polynomials are coefficient lists, low-to-high; `format_terms` is the
+one printed form of a polynomial in t.
 """
 
 from __future__ import annotations
@@ -109,6 +110,27 @@ def poly_divmod(a, b):
         while a and a[-1] == 0:
             a.pop()
     return q, a
+
+
+def format_terms(terms) -> str:
+    """Print ascending (exponent, coefficient) pairs as a polynomial in
+    t, lowest term first ("-2 + t^2", "3*t^-2 - 1 + t"); zero
+    coefficients are skipped and no term at all prints "0"."""
+    parts = []
+    for e, c in terms:
+        if c == 0:
+            continue
+        mag = abs(c)
+        if e == 0:
+            body = str(mag)
+        else:
+            tpart = "t" if e == 1 else f"t^{e}"
+            body = tpart if mag == 1 else f"{mag}*{tpart}"
+        if not parts:
+            parts.append(body if c > 0 else "-" + body)
+        else:
+            parts.append(("+ " if c > 0 else "- ") + body)
+    return " ".join(parts) if parts else "0"
 
 
 def primitive(xs):

@@ -9,9 +9,8 @@ generated forces Delta monic at both ends, and the degree (top exponent
 minus bottom exponent) bounds the first Betti number.
 
 A Laurent polynomial shifted to bottom exponent 0 is an element of
-Z[t] with nonzero constant term, so the gcd, the divisibility test and
-the Betti ranks run on the Z[t] division and the fraction-free
-elimination of `_exact`.
+Z[t] with nonzero constant term, so the gcd and the divisibility test
+run on the Z[t] division of `_exact`.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ import math
 from dataclasses import dataclass
 
 from growthlab import GrowthlabError
-from growthlab._exact import eliminate, poly_divmod, zx_gcd
+from growthlab._exact import format_terms, poly_divmod, zx_gcd
 from growthlab.words import Word
 
 NOT_FG = "NotFG"
@@ -51,18 +50,6 @@ class LaurentPoly:
                 elif e in d:
                     del d[e]
         self.coeffs = d
-
-    @classmethod
-    def zero(cls) -> "LaurentPoly":
-        return cls()
-
-    @classmethod
-    def one(cls) -> "LaurentPoly":
-        return cls({0: 1})
-
-    @classmethod
-    def term(cls, exponent: int, coefficient: int = 1) -> "LaurentPoly":
-        return cls({exponent: coefficient})
 
     @classmethod
     def of_list(cls, low_to_high) -> "LaurentPoly":
@@ -100,59 +87,14 @@ class LaurentPoly:
             p = -p
         return p
 
-    def terms(self):
-        return sorted(self.coeffs.items())
-
-    def __add__(self, other):
-        d = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            c = d.get(e, 0) + c
-            if c:
-                d[e] = c
-            elif e in d:
-                del d[e]
-        return LaurentPoly(d)
-
-    def __sub__(self, other):
-        return self + (-other)
-
     def __neg__(self):
         return LaurentPoly({e: -c for e, c in self.coeffs.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return LaurentPoly({e: c * other for e, c in self.coeffs.items()})
-        d = {}
-        for e1, c1 in self.coeffs.items():
-            for e2, c2 in other.coeffs.items():
-                e = e1 + e2
-                d[e] = d.get(e, 0) + c1 * c2
-        return LaurentPoly(d)
-
-    __rmul__ = __mul__
 
     def __eq__(self, other):
         return isinstance(other, LaurentPoly) and self.coeffs == other.coeffs
 
-    def __hash__(self):
-        return hash(frozenset(self.coeffs.items()))
-
     def format(self) -> str:
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for e, c in self.terms():
-            mag = abs(c)
-            if e == 0:
-                body = str(mag)
-            else:
-                tpart = "t" if e == 1 else f"t^{e}"
-                body = tpart if mag == 1 else f"{mag}*{tpart}"
-            if not parts:
-                parts.append(body if c > 0 else "-" + body)
-            else:
-                parts.append(("+ " if c > 0 else "- ") + body)
-        return " ".join(parts)
+        return format_terms(sorted(self.coeffs.items()))
 
     def __repr__(self):
         return f"LaurentPoly({self.format()})"
@@ -271,8 +213,7 @@ class StickingVerdict:
     detail: str
 
 
-def sticking_contradiction(alpha: int, beta: int,
-                           delta: LaurentPoly = None) -> StickingVerdict:
+def sticking_contradiction(alpha: int, beta: int) -> StickingVerdict:
     """Resolve a chain that sticks with the relation x0^alpha x1^beta = e.
 
     The polynomial invariant of the pair must divide beta*t + alpha and
@@ -283,50 +224,13 @@ def sticking_contradiction(alpha: int, beta: int,
         raise LaurentError("degenerate relation: alpha and beta must be nonzero")
     if math.gcd(alpha, beta) != 1:
         raise LaurentError("alpha and beta must be coprime")
-    constraint = LaurentPoly({1: beta, 0: alpha})
-    if delta is not None:
-        if delta.is_zero():
-            raise LaurentError("zero invariant")
-        if not divides(delta, constraint):
-            raise LaurentError(
-                f"invariant {delta.format()} does not divide {constraint.format()}")
-        if not monic_both_ends(delta):
-            raise LaurentError("invariant must be monic at both ends")
     if abs(beta) == 1:
         return StickingVerdict(
             False, "beta_unit",
             "leading coefficient is a unit, so the chain stabilizes at the first step")
+    constraint = format_terms(((0, alpha), (1, beta)))
     return StickingVerdict(
         True, "delta_unit_forced",
-        f"every monic-both-ends divisor of {constraint.format()} is a unit, "
+        f"every monic-both-ends divisor of {constraint} is a unit, "
         "forcing first Betti number 0 against a strictly ascending chain")
 
-
-# ---------------------------------------------------------------------------
-# Betti bounds along the subgroup chain
-
-
-def betti_chain(relator_polys, depth: int) -> list:
-    """Upper bounds b_0..b_depth on the first Betti numbers of the
-    chain subgroups: i+1 generators minus the rank spanned by every
-    shift of each relation that fits in the exponent window [0, i]."""
-    if depth < 0:
-        raise LaurentError("depth must be nonnegative")
-    rels = []
-    for p in relator_polys:
-        if p is None or p.is_zero():
-            continue
-        q = p.normalized()
-        rels.append([q.coeffs.get(e, 0) for e in range(q.max_exp + 1)])
-    out = []
-    for i in range(depth + 1):
-        rows = []
-        for coeffs in rels:
-            span = len(coeffs) - 1
-            for s in range(i - span + 1):
-                row = [0] * (i + 1)
-                for j, c in enumerate(coeffs):
-                    row[s + j] = c
-                rows.append(row)
-        out.append((i + 1) - len(eliminate(rows)[1]))
-    return out

@@ -27,6 +27,7 @@ from growthlab._exact import (  # cyclotomic, euler_phi: public here too
     cyclotomic,
     eliminate,
     euler_phi,
+    format_terms,
     poly_divmod,
     strip_cyclotomic,
     zx_gcd,
@@ -97,12 +98,6 @@ class IntPoly:
     def is_monic(self) -> bool:
         return self.coeffs[-1] == 1
 
-    def __call__(self, x):
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
     def at_matrix(self, m):
         n = len(m)
         acc = mat_scale(mat_identity(n), self.coeffs[-1])
@@ -111,21 +106,7 @@ class IntPoly:
         return acc
 
     def format(self) -> str:
-        parts = []
-        for e, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            mag = abs(c)
-            if e == 0:
-                body = str(mag)
-            else:
-                tpart = "t" if e == 1 else f"t^{e}"
-                body = tpart if mag == 1 else f"{mag}*{tpart}"
-            if not parts:
-                parts.append(body if c > 0 else "-" + body)
-            else:
-                parts.append(("+ " if c > 0 else "- ") + body)
-        return " ".join(parts) if parts else "0"
+        return format_terms(enumerate(self.coeffs))
 
     def __repr__(self):
         return f"IntPoly({self.format()})"
@@ -372,7 +353,11 @@ def _aberth_roots(xs):
     raise SpectraError("root iteration did not converge")
 
 
-def max_root_modulus(coeffs, tol: float = 1e-9) -> float:
+# absolute slack of the radius estimate over the Cauchy bound
+_CAUCHY_SLACK = 1e-9
+
+
+def max_root_modulus(coeffs) -> float:
     """Largest root modulus of an integer coefficient list (low-to-high),
     as a float.
 
@@ -393,12 +378,12 @@ def max_root_modulus(coeffs, tol: float = 1e-9) -> float:
         xs, rem = poly_divmod(xs, g)
         assert not rem, "gcd(p, p') must divide p"
     r = max(abs(z) for z in _aberth_roots(xs))
-    if r > cauchy + tol:
+    if r > cauchy + _CAUCHY_SLACK:
         raise SpectraError("radius estimate exceeds the Cauchy bound")
     return r
 
 
-def spectral_radius(p: IntPoly, tol: float = 1e-9) -> float:
+def spectral_radius(p: IntPoly) -> float:
     """Largest root modulus of a monic polynomial.
 
     Cyclotomic factors are removed exactly first, so polynomials whose
@@ -410,7 +395,7 @@ def spectral_radius(p: IntPoly, tol: float = 1e-9) -> float:
     rest, least = strip_cyclotomic(p.coeffs)
     if len(rest) == 1:
         return 1.0
-    r = max_root_modulus(rest, tol)
+    r = max_root_modulus(rest)
     if least is not None:
         r = max(r, 1.0)
     return r

@@ -32,7 +32,6 @@ from growthlab.spectra import (
     fixed_vector_of_power,
     hermite_rows,
     matrix_rank,
-    mat_det,
     mat_pow,
     mat_vec,
     roots_inside,
@@ -99,11 +98,16 @@ _BRANCH_LENGTHS = {"pair_in_kernel": 4, "conjugate_pair": 6,
                    "infinite_kernel": 4}
 
 
+def _check_hypothesis(u: float) -> None:
+    # NaN fails both comparisons; inf would print as non-JSON "Infinity"
+    if not 1.0 < u < math.inf:
+        raise WitnessError("growth hypothesis u must be finite and exceed 1")
+
+
 def combined_bound(u: float, branch: str, d: int = None) -> float:
     """Exponent bookkeeping for the certified branches: u rescaled by the
     witness word length of the branch."""
-    if u <= 1.0:
-        raise WitnessError("growth hypothesis u must exceed 1")
+    _check_hypothesis(u)
     if branch == "chain":
         if d is None or d < 1:
             raise WitnessError("chain branch needs the depth cap d")
@@ -309,9 +313,9 @@ def _expansion_power(r_mat, v_coords) -> int:
 def _abelian_case(engine, a_el, x0, tag):
     base = engine.base
     p = engine.shift(a_el)
+    # the engine checked backward . forward = id on every generator, so
+    # B M = I over Z and det M = +-1: no determinant check is needed
     m_mat = _abelian_matrix(engine)
-    if abs(mat_det(m_mat)) != 1:
-        return None, f"{tag}: base action determinant is not a unit"
     n_mat = mat_pow(m_mat, p)
     n_inv = mat_pow(m_mat, -p)
     v = list(engine.kernel_part(x0))
@@ -336,21 +340,13 @@ def _abelian_case(engine, a_el, x0, tag):
             reverified=True,
         )
         return cert, None
-    # quasi-unipotent action: produce the explicit periodic class
+    # quasi-unipotent action: produce the explicit periodic class.  R is
+    # N on an N- and N^-1-invariant lattice, so char(R) divides char(N)
+    # (Gauss's lemma, both monic) and the cyclotomic factors of char(R)
+    # are factors of char(N): d_full is never None here
     d_full = smallest_cyclotomic_order(char_poly(n_mat))
-    if d_full is not None:
-        k_vec = fixed_vector_of_power(n_mat, d_full)
-        k_el = tuple(k_vec)
-        n_cert = d_full * abs(p)
-    else:
-        d_res = smallest_cyclotomic_order(char_poly(r_mat))
-        if d_res is None:
-            return None, f"{tag}: quasi-unipotent action with no cyclotomic order"
-        coords = fixed_vector_of_power(r_mat, d_res)
-        k_el = tuple(sum(coords[j] * basis[j][i] for j in range(len(basis)))
-                     for i in range(len(v)))
-        n_cert = d_res * abs(p)
-    cert = _pcc_certificate(engine, k_el, n_cert, base.identity,
+    k_el = tuple(fixed_vector_of_power(n_mat, d_full))
+    cert = _pcc_certificate(engine, k_el, d_full * abs(p), base.identity,
                             diagnostics=f"{tag}: root-of-unity action")
     return cert, None
 
@@ -476,8 +472,7 @@ def analyze(engine, gens, u: float, d: int, threads: int = 1) -> Certificate:
     accepted for compatibility and has no effect."""
     if engine.family != "semidirect":
         raise WitnessError("analysis requires a split-extension engine")
-    if u <= 1.0:
-        raise WitnessError("growth hypothesis u must exceed 1")
+    _check_hypothesis(u)
     if d < 1:
         raise WitnessError("abelian cap d must be at least 1")
     words = [Word.parse(w) if isinstance(w, str) else w for w in gens]

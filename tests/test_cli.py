@@ -348,6 +348,17 @@ def test_witness_bad_hypothesis(tmp_path, capsys):
     assert err.startswith("ERR 2 growth hypothesis")
 
 
+@pytest.mark.parametrize("u", ["nan", "inf", "1e400"])
+def test_witness_non_finite_hypothesis(tmp_path, capsys, u):
+    # a bound of NaN or Infinity would not be valid JSON
+    group = spec_file(tmp_path, "torus.json", TORUS_SPEC)
+    code, out, err = run(capsys, [
+        "witness", "--group", group, "--gens", "t,x", "--u", u, "--d", "2",
+        "--json"])
+    assert (code, out) == (2, "")
+    assert err == "ERR 2 growth hypothesis u must be finite and exceed 1\n"
+
+
 def test_witness_non_semidirect_group(tmp_path, capsys):
     group = spec_file(tmp_path, "free2.json", FREE2_SPEC)
     code, out, err = run(capsys, [

@@ -7,7 +7,7 @@ import math
 import random
 from fractions import Fraction
 
-from growthlab._exact import eliminate, solve, strip_cyclotomic
+from growthlab._exact import eliminate, format_terms, solve, strip_cyclotomic
 from growthlab.laurent import LaurentPoly, divides, laurent_gcd
 from growthlab.spectra import (
     IntPoly,
@@ -266,3 +266,27 @@ def test_laurent_gcd_of_known_common_factor():
         got = laurent_gcd([p, q])
         assert got == want
         assert divides(got, p) and divides(got, q)
+
+
+# ---------------------------------------------------------------------------
+# printing
+
+
+def test_format_terms_goldens():
+    assert format_terms([]) == "0"
+    assert format_terms([(0, 0), (3, 0)]) == "0"
+    assert format_terms([(0, -1), (1, 1)]) == "-1 + t"
+    assert format_terms([(1, -1), (2, 1)]) == "-t + t^2"
+    assert format_terms([(1, 3), (4, -2)]) == "3*t - 2*t^4"
+    assert format_terms([(0, 2), (1, 0), (2, -1)]) == "2 - t^2"
+    # the abelianized line of `rewrite` for t^-2 x^3 t^2 x^-1 t x t^-1
+    assert format_terms([(-2, 3), (0, -1), (1, 1)]) == "3*t^-2 - 1 + t"
+    assert format_terms([(-1, -5)]) == "-5*t^-1"
+
+
+def test_both_polynomial_types_print_alike():
+    rng = random.Random(69)
+    for _ in range(300):
+        coeffs = [rng.randint(-3, 3) for _ in range(rng.randint(0, 5))]
+        coeffs.append(rng.choice([-3, -2, -1, 1, 2, 3]))
+        assert IntPoly.of(coeffs).format() == LaurentPoly.of_list(coeffs).format()

@@ -10,7 +10,6 @@ from growthlab.laurent import (
     RewriteError,
     abelianize,
     alexander_polynomial,
-    betti_chain,
     fg_kernel_obstruction,
     laurent_gcd,
     monic_both_ends,
@@ -29,14 +28,14 @@ def P(*pairs):
 
 def test_constructor_merges_and_drops_zeros():
     assert P((0, 1), (0, 1)) == P((0, 2))
-    assert P((2, 5), (2, -5)) == LaurentPoly.zero()
-    assert LaurentPoly.zero().is_zero()
+    assert P((2, 5), (2, -5)) == LaurentPoly()
+    assert LaurentPoly().is_zero()
 
 
 def test_of_list_and_term():
     assert LaurentPoly.of_list([1, 0, 3]) == P((0, 1), (2, 3))
-    assert LaurentPoly.term(-2, 4) == P((-2, 4))
-    assert LaurentPoly.one() == P((0, 1))
+    assert LaurentPoly({-2: 4}) == P((-2, 4))
+    assert LaurentPoly({0: 1}) == P((0, 1))
 
 
 def test_degree_is_exponent_span():
@@ -44,7 +43,7 @@ def test_degree_is_exponent_span():
     assert P((-3, 2), (2, 1)).degree == 5
     assert P((7, 9)).degree == 0
     with pytest.raises(LaurentError):
-        LaurentPoly.zero().min_exp
+        LaurentPoly().min_exp
 
 
 def test_normalized_anchors_bottom_and_sign():
@@ -53,6 +52,7 @@ def test_normalized_anchors_bottom_and_sign():
     assert q.min_exp == 0
     assert q.coeffs[q.max_exp] > 0
     assert q == P((0, 2), (2, 1))
+    assert p.shift(3).shift(-3) == p
 
 
 def test_format_layouts():
@@ -61,25 +61,7 @@ def test_format_layouts():
     assert P((0, -2), (1, 1)).format() == "-2 + t"
     assert P((2, 1)).format() == "t^2"
     assert P((1, 3)).format() == "3*t"
-    assert LaurentPoly.zero().format() == "0"
-
-
-def test_ring_laws_random():
-    rng = random.Random(41)
-
-    def rand_poly():
-        return LaurentPoly([(rng.randrange(-4, 5), rng.randrange(-5, 6))
-                            for _ in range(rng.randrange(5))])
-
-    one = LaurentPoly.one()
-    for _ in range(300):
-        a, b, c = rand_poly(), rand_poly(), rand_poly()
-        assert (a + b) * c == a * c + b * c
-        assert a * b == b * a
-        assert (a * b) * c == a * (b * c)
-        assert a * one == a
-        assert a + (-a) == LaurentPoly.zero()
-        assert a.shift(3).shift(-3) == a
+    assert LaurentPoly().format() == "0"
 
 
 # ---------------------------------------------------------------------------
@@ -123,13 +105,13 @@ def test_gcd_divides_inputs_random():
 
 def test_gcd_rejects_all_zero():
     with pytest.raises(LaurentError):
-        laurent_gcd([LaurentPoly.zero(), LaurentPoly.zero()])
+        laurent_gcd([LaurentPoly(), LaurentPoly()])
     with pytest.raises(LaurentError):
         laurent_gcd([])
 
 
 def test_gcd_ignores_zero_members():
-    assert laurent_gcd([LaurentPoly.zero(), P((0, -1), (1, 1))]) == \
+    assert laurent_gcd([LaurentPoly(), P((0, -1), (1, 1))]) == \
         P((0, -1), (1, 1))
 
 
@@ -204,7 +186,7 @@ def test_monic_both_ends():
     assert not monic_both_ends(P((0, 1), (1, 2)))
     assert monic_both_ends(P((0, 1)))
     with pytest.raises(LaurentError):
-        monic_both_ends(LaurentPoly.zero())
+        monic_both_ends(LaurentPoly())
 
 
 def test_fg_obstruction():
@@ -223,7 +205,7 @@ def test_sticking_contradiction_basic():
 
 
 def test_sticking_beta_unit_no_contradiction():
-    v = sticking_contradiction(1, 1, delta=P((0, 1), (1, 1)))
+    v = sticking_contradiction(1, 1)
     assert not v.contradiction
     assert v.case == "beta_unit"
 
@@ -244,22 +226,3 @@ def test_sticking_rejects_degenerate():
         sticking_contradiction(2, 0)
     with pytest.raises(LaurentError):
         sticking_contradiction(2, 4)
-    with pytest.raises(LaurentError):
-        # delta must divide beta*t + alpha
-        sticking_contradiction(1, 1, delta=P((0, 5), (1, 7)))
-
-
-# ---------------------------------------------------------------------------
-# Betti chains
-
-
-def test_betti_chain_no_relations_grows():
-    assert betti_chain([], 3) == [1, 2, 3, 4]
-
-
-def test_betti_chain_degree_one_pins_rank():
-    assert betti_chain([P((0, -1), (1, 1))], 3) == [1, 1, 1, 1]
-
-
-def test_betti_chain_degree_two_stabilizes_at_two():
-    assert betti_chain([P((0, -1), (1, -1), (2, 1))], 3) == [1, 2, 2, 2]

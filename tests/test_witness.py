@@ -78,6 +78,12 @@ def unipotent_free_engine():
         {"x": "x", "y": "y x^-1"})
 
 
+def flip_free_engine():
+    # x -> x^-1, y -> y^-1 is an involution of F2
+    flip = {"x": "x^-1", "y": "y^-1"}
+    return SemidirectEngine(FreeEngine(2), dict(flip), dict(flip))
+
+
 def suspect_host_engine():
     # G = K x| Z with trivial outer action over K = Z^2 x|_{-I} Z; the
     # kernel K contains Klein-bottle pairs reachable by conjugation
@@ -108,6 +114,15 @@ def test_combined_bound_rejects():
         combined_bound(3.0, "chain")
     with pytest.raises(WitnessError):
         combined_bound(3.0, "chain", 0)
+
+
+@pytest.mark.parametrize("u", [math.nan, math.inf, float("1e400")])
+def test_non_finite_hypothesis_rejected(u):
+    # NaN passed "u <= 1" and infinity made a bound that is not JSON
+    with pytest.raises(WitnessError):
+        combined_bound(u, "conjugate_pair")
+    with pytest.raises(WitnessError):
+        analyze(torus_engine(), ["t", "x"], u, 2)
 
 
 def test_certificate_json_field_names():
@@ -199,6 +214,26 @@ def test_unipotent_free_base_periodic_class():
     assert cert.k_word == "y x y^-1"
     assert cert.n == 1
     assert cert.c_word == "<identity>"
+
+
+def _pcc_payload(k, n, diagnostics):
+    return {"variant": PERIODIC_CONJUGACY, "k": k, "n": n, "c": "<identity>",
+            "diagnostics": f"(i=0, [a0,a1]): {diagnostics}",
+            "reverified": True}
+
+
+@pytest.mark.parametrize("engine, gens, payload", [
+    # conjugation inverts x0, from either side of the stable letter
+    (flip_free_engine, ["t", "x"],
+     _pcc_payload("x^-2", 2, "conjugation inverts x0")),
+    (flip_free_engine, ["t^-1", "x"],
+     _pcc_payload("x^-2", 2, "conjugation inverts x0")),
+    # conjugation fixes x0 with the stable letter inverted
+    (unipotent_free_engine, ["t^-1", "y"],
+     _pcc_payload("y x^-1 y^-1", 1, "conjugation fixes x0")),
+], ids=["inverts-t", "inverts-t-inverse", "fixes-t-inverse"])
+def test_periodic_class_from_stable_conjugation(engine, gens, payload):
+    assert analyze(engine(), gens, 3.0, 2).to_json() == payload
 
 
 def test_abelian_generators_diagnosed():
