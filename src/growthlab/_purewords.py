@@ -3,8 +3,8 @@
 A word is a flat tuple (g0, e0, g1, e1, ...) of generator indices and
 nonzero exponents, with adjacent generator indices distinct.  These
 functions are the hot path of ball enumeration and automorphism
-application; a free engine's ``multiplier()`` is ``concat_reduce``
-itself.
+application; a free engine's ``products`` calls ``concat_reduce``
+directly for every product of a sphere.
 
 Cancellation happens only at the seam.  Both factors of a product are
 reduced, so the last pair of the left factor can meet only the first

@@ -23,7 +23,9 @@ followed by a decimal payload (semidirect keys embed the base key, a
 from __future__ import annotations
 
 import json
-from operator import add, neg
+from collections import defaultdict
+from itertools import chain, repeat
+from operator import add, itemgetter, neg, sub
 
 from growthlab import GrowthlabError, wordops
 from growthlab.words import Word, WordSyntaxError
@@ -107,15 +109,33 @@ def _free_names(rank: int):
     return tuple(f"x{i + 1}" for i in range(rank))
 
 
+def _columns(elements, width):
+    """The coordinate columns of same-width tuples, each a list in the
+    iteration order of ``elements``."""
+    return [list(map(itemgetter(i), elements)) for i in range(width)]
+
+
+def _offset(column, x, op=add):
+    """``column`` with op(., x) applied to each entry (op is add or sub);
+    a zero x leaves the column itself, which zip reads without a copy."""
+    if x == 0:
+        return column
+    return map(op, column, repeat(x))
+
+
 class _EngineBase:
     family = ""
 
-    def multiplier(self):
-        """The multiply function for one search, such as one ball
-        enumeration: a callable (a, b) -> a * b.  Engines with nothing
-        worth memoising across the products of a search return the bound
-        ``multiply``."""
-        return self.multiply
+    def products(self, elements, letters):
+        """Every product x * a for x in ``elements`` and a in ``letters``,
+        as one iterable in no particular order; a ball enumeration builds
+        each sphere from it.  ``elements`` is a collection and ``letters``
+        a sequence.  Abelian and klein engines compute the products a
+        letter at a time over coordinate columns, split extensions make
+        one base call per pair of shifts, and the others run ``multiply``
+        element by element."""
+        mul = self.multiply
+        return (mul(x, a) for x in elements for a in letters)
 
     def power(self, a, k):
         """a**k by binary powering."""
@@ -173,12 +193,15 @@ class FreeEngine(_EngineBase):
     def multiply(self, a, b):
         return wordops.concat_reduce(a, b)
 
-    def multiplier(self):
-        """The kernel's ``concat_reduce`` itself: a free product has
-        nothing to memoise, and a wrapper would only forward the call.
-        It is read from ``wordops`` on each call, so a rebinding of
-        ``wordops.concat_reduce`` reaches the searches started after it."""
-        return wordops.concat_reduce
+    def products(self, elements, letters):
+        """The kernel's ``concat_reduce`` element by element, with no
+        method call in between.  It is read from ``wordops`` on each
+        call, so a rebinding of ``wordops.concat_reduce`` reaches the
+        searches started after it.  The order stays element-major: a
+        letter-major pass over a large sphere revisits every word once
+        per letter and loses more to cache misses than it saves."""
+        mul = wordops.concat_reduce
+        return (mul(x, a) for x in elements for a in letters)
 
     def invert(self, a):
         return wordops.invert_word(a)
@@ -246,6 +269,11 @@ class AbelianEngine(_EngineBase):
     def multiply(self, a, b):
         return tuple(map(add, a, b))
 
+    def products(self, elements, letters):
+        cols = _columns(elements, self.rank)
+        return chain.from_iterable(
+            zip(*[_offset(col, x) for col, x in zip(cols, a)]) for a in letters)
+
     def invert(self, a):
         return tuple(map(neg, a))
 
@@ -285,6 +313,17 @@ class KleinEngine(_EngineBase):
         i, j = a
         k, l = b
         return (i + k if j % 2 == 0 else i - k, j + l)
+
+    def products(self, elements, letters):
+        """The elements are split once by the parity of j: at even j the
+        letter's a-exponent is added, at odd j subtracted."""
+        even, odd = [], []
+        for x in elements:
+            (odd if x[1] & 1 else even).append(x)
+        halves = [(*_columns(half, 2), op) for half, op in ((even, add), (odd, sub))]
+        return chain.from_iterable(
+            zip(_offset(i_col, k, op), _offset(j_col, l))
+            for k, l in letters for i_col, j_col, op in halves)
 
     def invert(self, a):
         i, j = a
@@ -348,14 +387,32 @@ class BS1Engine(_EngineBase):
         raise UnknownGeneratorError(name)
 
     def multiply(self, a, b):
+        # The product is (num / m^ee, s1 + s2) with ee = max(e1, d2, 0)
+        # for d2 = e2 - s1.  Both factors are normalised, so m divides
+        # n1 only if e1 == 0 and n2 only if e2 == 0.  If e1 > d2, then
+        # ee = e1 and num = n1 + (a multiple of m): m cannot divide it
+        # while e1 > 0, and at e1 == 0 there is no exponent to lower.
+        # If d2 > e1 and e2 > 0, then ee = d2 and num = n2 + (a multiple
+        # of m), which m cannot divide either.  Only e1 == d2, or d2 > e1
+        # with e2 == 0, can leave factors m to cancel; in both ee = d2.
         n1, e1, s1 = a
         n2, e2, s2 = b
         m = self.m
-        d1, d2 = e1, e2 - s1
-        ee = max(d1, d2, 0)
-        num = n1 * m ** (ee - d1) + n2 * m ** (ee - d2)
-        num, ee = self._norm(num, ee)
-        return (num, ee, s1 + s2)
+        d2 = e2 - s1
+        if e1 > d2:
+            return (n1 + n2 * m ** (e1 - d2), e1, s1 + s2)
+        if d2 > e1:
+            num = n1 * m ** (d2 - e1) + n2
+            if e2:
+                return (num, d2, s1 + s2)
+        else:
+            num = n1 + n2
+        if num == 0:
+            return (0, 0, s1 + s2)
+        while d2 and num % m == 0:
+            num //= m
+            d2 -= 1
+        return (num, d2, s1 + s2)
 
     def invert(self, a):
         n, e, s = a
@@ -389,11 +446,10 @@ class SemidirectEngine(_EngineBase):
     Powers of the automorphism are applied through a per-generator,
     per-exponent memo of generator images, filled on first use.
 
-    ``multiplier()`` adds a per-search memo of alpha^k1(w2) keyed by
-    (w2, k1).  In a ball enumeration w2 runs over the alphabet's letters
-    and k1 over the shifts visited, so the memo grows to at most
-    letters x shifts entries.  It lives in the returned closure;
-    nothing of it stays on the engine.
+    ``products`` needs alpha^k(w2) once per shift k of the elements and
+    letter (w2, k2), so it keeps no memo of these images: a sphere has
+    far fewer (shift, letter) pairs than products, and each image comes
+    from the level cache above.
     """
 
     family = "semidirect"
@@ -480,25 +536,21 @@ class SemidirectEngine(_EngineBase):
         w2, k2 = b
         return (self.base.multiply(w1, self.auto_power(w2, k1)), k1 + k2)
 
-    def multiplier(self):
-        """A multiply that memoises alpha^k1(w2) per (w2, k1) for the
-        life of the returned closure (see the class docstring).  Base
-        products go through the base engine's own multiplier, so nested
-        extensions memoise at every level."""
-        base_mul = self.base.multiplier()
-        auto_power = self.auto_power
-        images = {}
-
-        def multiply(a, b):
-            w1, k1 = a
-            w2, k2 = b
-            try:
-                img = images[w2, k1]
-            except KeyError:
-                img = images[w2, k1] = auto_power(w2, k1)
-            return (base_mul(w1, img), k1 + k2)
-
-        return multiply
+    def products(self, elements, letters):
+        """(w1, k1)(w2, k2) = (w1 * alpha^k1(w2), k1 + k2): the elements
+        are grouped by shift k1 and the letters by shift k2, and each
+        pair of groups is one call of the base engine's ``products``, so
+        nested extensions and lattice bases take their bulk path too."""
+        kernels = defaultdict(list)
+        for w1, k1 in elements:
+            kernels[k1].append(w1)
+        steps = defaultdict(list)
+        for w2, k2 in letters:
+            steps[k2].append(w2)
+        base_products, auto_power = self.base.products, self.auto_power
+        return chain.from_iterable(
+            zip(base_products(ws, [auto_power(w2, k1) for w2 in w2s]), repeat(k1 + k2))
+            for k1, ws in kernels.items() for k2, w2s in steps.items())
 
     def invert(self, a):
         w, k = a

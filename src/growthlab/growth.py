@@ -83,9 +83,11 @@ def ball_sizes(engine, gens, radius: int, budget: int = DEFAULT_BUDGET,
     inverses, so for x in the sphere S_n and a letter a the product x a
     has length n - 1, n or n + 1.  The products of S_n that lie in
     neither S_{n-1} nor S_n therefore form exactly S_{n+1}, and only
-    those two spheres are kept.  Products go through
-    ``engine.multiplier()``, one multiply function for this search, so
-    split extensions memoise the automorphism powers of the alphabet.
+    those two spheres are kept.  Each sphere's products come from one
+    ``engine.products(sphere, alphabet)`` call, so a family can compute
+    them in bulk: integer-tuple families a letter at a time over
+    coordinate columns, split extensions one base call per pair of
+    shifts.
 
     `budget` caps the elements counted: radius n completes iff
     gamma(n) <= budget (or S_n is empty).  Otherwise exploration stops
@@ -95,12 +97,11 @@ def ball_sizes(engine, gens, radius: int, budget: int = DEFAULT_BUDGET,
     if radius < 0:
         raise GrowthError("radius must be nonnegative")
     alphabet, notes = _closed_alphabet(engine, gens)
-    multiply = engine.multiplier()
     previous, sphere = set(), {engine.identity}
     counts = [1]
     truncated = False
     for _ in range(radius):
-        nxt = {multiply(el, a) for el in sphere for a in alphabet}
+        nxt = set(engine.products(sphere, alphabet))
         nxt -= sphere
         nxt -= previous
         if nxt and counts[-1] + len(nxt) > budget:

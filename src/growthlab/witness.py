@@ -11,6 +11,9 @@ reported as inconclusive with diagnostics, never guessed.
 Every certificate carries the growth bound implied by its branch,
 rescaled by the word length of the witnesses in the A alphabet, and is
 re-verified by an independent computation before it is returned.
+
+``spectra`` and ``laurent`` are imported inside the functions that use
+them, so a search over a free base loads neither.
 """
 
 from __future__ import annotations
@@ -23,20 +26,6 @@ from growthlab import GrowthlabError
 from growthlab._exact import solve
 from growthlab.engines import UnsupportedFamilyError, units_to_flat
 from growthlab.growth import rescale_lower_bound
-from growthlab.laurent import sticking_contradiction
-from growthlab.spectra import (
-    EXPONENTIAL,
-    SpectraError,
-    char_poly,
-    classify_abelian_by_cyclic,
-    fixed_vector_of_power,
-    hermite_rows,
-    matrix_rank,
-    mat_pow,
-    mat_vec,
-    roots_inside,
-    smallest_cyclotomic_order,
-)
 from growthlab.subgroups import fold, is_cyclic_pair
 from growthlab.words import Word
 
@@ -141,6 +130,7 @@ def _reverify_noncyclic(engine, uel, vel) -> bool:
         cu, cv = cur.kernel_part(cu), cur.kernel_part(cv)
         cur = cur.base
     if cur.family == "abelian":
+        from growthlab.spectra import matrix_rank
         return matrix_rank([list(cu), list(cv)]) >= 2
     if cur.family == "free":
         return fold([cu, cv], cur.rank).rank >= 2
@@ -150,6 +140,7 @@ def _reverify_noncyclic(engine, uel, vel) -> bool:
         return rel != cur.identity
     if cur.family == "klein":
         if cu[1] % 2 == 0 and cv[1] % 2 == 0:
+            from growthlab.spectra import matrix_rank
             return matrix_rank([[cu[0], cu[1]], [cv[0], cv[1]]]) >= 2
         p, q = cu[1], cv[1]
         rel = cur.multiply(cur.power(cu, q), cur.power(cv, -p))
@@ -255,6 +246,7 @@ def _solve_int_combo(basis_rows, target):
 
 
 def _invariant_lattice(n_mat, n_inv, v):
+    from growthlab.spectra import hermite_rows, mat_vec
     rows = hermite_rows([list(v)])
     while True:
         ext = [list(b) for b in rows]
@@ -268,6 +260,7 @@ def _invariant_lattice(n_mat, n_inv, v):
 
 
 def _restricted_matrix(n_mat, basis_rows):
+    from growthlab.spectra import mat_vec
     cols = []
     for b in basis_rows:
         cols.append(_solve_int_combo(basis_rows, mat_vec(n_mat, b)))
@@ -278,6 +271,7 @@ def _restricted_matrix(n_mat, basis_rows):
 def _krylov_annihilator(t_mat, v):
     """Primitive integer coefficients (low-to-high) of the minimal
     polynomial of v under t_mat."""
+    from growthlab.spectra import mat_vec
     vs = [list(v)]
     for _ in range(len(v)):
         vs.append(list(mat_vec(t_mat, vs[-1])))
@@ -302,6 +296,7 @@ def _expansion_power(r_mat, v_coords) -> int:
     monic up to sign and its roots are algebraic integers.  A root z
     with |z| = 41/20 would make z * conj(z) = 1681/400 an algebraic
     integer, and a rational algebraic integer is an integer."""
+    from growthlab.spectra import mat_pow, roots_inside
     for k in range(1, _EXPANSION_POWER_CAP + 1):
         anni = _krylov_annihilator(mat_pow(r_mat, k), v_coords)
         assert abs(anni[-1]) == 1, "annihilator must be monic up to sign"
@@ -311,6 +306,15 @@ def _expansion_power(r_mat, v_coords) -> int:
 
 
 def _abelian_case(engine, a_el, x0, tag):
+    from growthlab.spectra import (
+        EXPONENTIAL,
+        SpectraError,
+        char_poly,
+        classify_abelian_by_cyclic,
+        fixed_vector_of_power,
+        mat_pow,
+        smallest_cyclotomic_order,
+    )
     base = engine.base
     p = engine.shift(a_el)
     # the engine checked backward . forward = id on every generator, so
@@ -415,6 +419,7 @@ def _chain_case(engine, a_el, x0, u, d, tag):
                   f"t - {-a} is not monic at both ends, kernel not finitely "
                   "generated")
     else:
+        from growthlab.laurent import sticking_contradiction
         verdict = sticking_contradiction(a, b)
         if not verdict.contradiction:
             return None, f"{tag}: sticking relation resolved without contradiction"
@@ -565,6 +570,11 @@ def pcc_scan(engine, max_period: int, max_length: int) -> PccResult:
         raise WitnessError("scan bounds must be positive")
     base = engine.base
     if base.family == "abelian":
+        from growthlab.spectra import (
+            char_poly,
+            fixed_vector_of_power,
+            smallest_cyclotomic_order,
+        )
         m_mat = _abelian_matrix(engine)
         d = smallest_cyclotomic_order(char_poly(m_mat))
         if d is None or d > max_period:

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -20,6 +21,8 @@ from growthlab.words import Word
 
 from util import (
     TORUS_AUTO,
+    bs1_multiply_reference,
+    bs1_normal_form,
     family_engines,
     insert_trivial_pair,
     nested_bs1_engine,
@@ -146,16 +149,20 @@ def shifted_element(rng, engine):
 @pytest.mark.parametrize(
     "engine", family_engines() + [nested_bs1_engine(), nested_torus_engine()],
     ids=lambda e: e.spec_id())
-def test_multiplier_agrees_with_multiply(engine):
-    # 4 right factors against few shifts: the memo of a split extension
-    # misses on the first (letter, shift) pairs and hits afterwards
+def test_products_agree_with_multiply(engine):
+    # the letters mix the generators (several per shift in a split
+    # extension, zero coordinates in a lattice) with random elements
     rng = random.Random(13)
-    mul = engine.multiplier()
-    right = [shifted_element(rng, engine) for _ in range(4)]
-    for _ in range(300):
-        a = shifted_element(rng, engine)
-        for b in right:
-            assert mul(a, b) == engine.multiply(a, b)
+    letters = [engine.generator(n) for n in engine.gen_names]
+    letters += [shifted_element(rng, engine) for _ in range(4)]
+    many = {shifted_element(rng, engine) for _ in range(60)}
+    if engine.family == "klein":
+        assert {j % 2 for _, j in many} == {0, 1}
+    if engine.family == "semidirect":
+        assert len({engine.shift(x) for x in many}) >= 3
+    for elements in (set(), {shifted_element(rng, engine)}, many):
+        expected = [engine.multiply(x, a) for x in elements for a in letters]
+        assert Counter(engine.products(elements, letters)) == Counter(expected)
 
 
 # ---------------------------------------------------------------------------
@@ -177,6 +184,39 @@ def test_bs1_defining_relation(m):
     t = eng.generator("t")
     lhs = eng.multiply(eng.multiply(t, a), eng.invert(t))
     assert lhs == eng.power(a, m)
+
+
+def bs1_branch(m, a, b):
+    """Which case of the product formula BS1Engine.multiply takes."""
+    n1, e1, s1 = a
+    n2, e2, s2 = b
+    d2 = e2 - s1
+    if e1 > d2:
+        return "e1 > d2, e1 = 0" if e1 == 0 else "e1 > d2, e1 > 0"
+    if d2 > e1:
+        if e2:
+            return "d2 > e1, e2 > 0"
+        return "d2 > e1, e2 = 0, m | n2 != 0" if n2 and n2 % m == 0 else "d2 > e1, e2 = 0"
+    return "e1 = d2, sum 0" if n1 + n2 == 0 else "e1 = d2"
+
+
+@pytest.mark.parametrize("m", [2, -2, 3, -3, 5, -7])
+def test_bs1_multiply_matches_reference(m):
+    rng = random.Random(14 + m)
+    eng = BS1Engine(m)
+    elements = [bs1_normal_form(m, rng.randint(-2 * m * m, 2 * m * m),
+                                rng.randint(0, 3), rng.randint(-3, 3))
+                for _ in range(40)]
+    # x * (x^-1 t^s) = t^s: numerators that cancel to 0
+    partners = [eng.multiply(eng.invert(x), (0, 0, rng.randint(-2, 2)))
+                for x in elements]
+    pairs = [(x, y) for x in elements for y in elements] + list(zip(elements, partners))
+    seen = set()
+    for a, b in pairs:
+        seen.add(bs1_branch(m, a, b))
+        assert eng.multiply(a, b) == bs1_multiply_reference(m, a, b), (a, b)
+    assert seen >= {"e1 > d2, e1 = 0", "e1 > d2, e1 > 0", "e1 = d2, sum 0",
+                    "e1 = d2", "d2 > e1, e2 > 0", "d2 > e1, e2 = 0, m | n2 != 0"}
 
 
 def test_bs1_rejects_unit_multiplier():

@@ -13,6 +13,7 @@ from growthlab.words import Word
 
 from util import (
     family_engines,
+    fib_engine,
     nested_bs1_engine,
     nested_torus_engine,
     random_element,
@@ -48,6 +49,30 @@ def test_klein_counts_at_twenty():
     assert table.counts[20] == 841
     est = table.estimates()
     assert abs(est[20] - 841 ** (1 / 20)) < 1e-12
+
+
+def test_klein_matches_closed_form_at_depth():
+    eng = KleinEngine()
+    table = ball_sizes(eng, gens_of(eng, "a", "t"), 60)
+    assert table.counts == [2 * n * n + 2 * n + 1 for n in range(61)]
+
+
+def test_abelian3_matches_closed_form_at_depth():
+    eng = AbelianEngine(3)
+    table = ball_sizes(eng, gens_of(eng, "e1", "e2", "e3"), 12)
+    assert table.counts == [
+        (2 * n + 1) * (2 * n * n + 2 * n + 3) // 3 for n in range(13)]
+
+
+def test_anosov_extension_seeded_gens_match_reference():
+    # fib_engine's matrix is [[2, 1], [1, 1]]; the seeded generators
+    # carry shifts, so each sphere spans several shift groups
+    eng = fib_engine()
+    rng = random.Random(41)
+    gens = [random_element(rng, eng, max_len=3) for _ in range(2)]
+    assert any(eng.shift(g) for g in gens)
+    table = ball_sizes(eng, gens, 6)
+    assert table.counts == [len(ball) for ball in reference_balls(eng, gens, 6)]
 
 
 @pytest.mark.parametrize(
@@ -175,7 +200,7 @@ def test_thread_counts_agree():
     assert t1.to_tsv() == t2.to_tsv() == t8.to_tsv()
 
 
-def test_multiplier_memo_belongs_to_one_search():
+def test_searches_leave_engine_attributes_and_match_reference():
     # alphabet B shares no letter with A, and A's second run must not
     # see anything left over from the searches before it
     eng = torus_engine()

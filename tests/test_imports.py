@@ -1,8 +1,12 @@
 """Every name a growthlab module imports is used in that module, apart
 from the deliberate re-exports below.  No linter is assumed installed,
-so the check reads the syntax trees itself."""
+so the check reads the syntax trees itself.  Modules that load others
+lazily are pinned by what a bare import leaves in ``sys.modules``."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import growthlab
@@ -38,3 +42,16 @@ def test_no_unused_imports_in_src():
         if names:
             found[path.stem] = names
     assert found == RE_EXPORTS
+
+
+def test_witness_import_loads_no_polynomial_modules():
+    # spectra and laurent are imported inside the witness functions that
+    # use them, so a free-base search never compiles either module
+    script = ("import sys, growthlab.witness; "
+              "print(sorted(m for m in ('growthlab.spectra', 'growthlab.laurent') "
+              "if m in sys.modules))")
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env, timeout=60, check=False)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

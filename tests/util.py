@@ -59,6 +59,31 @@ def family_engines():
     ]
 
 
+def bs1_normal_form(m, num, e, shift):
+    """The BS(1, m) element num / m^e at shift, in normal form: e >= 0,
+    and e = 0 or m does not divide num."""
+    if num == 0:
+        return (0, 0, shift)
+    if e < 0:
+        num *= m ** (-e)
+        e = 0
+    while e > 0 and num % m == 0:
+        num //= m
+        e -= 1
+    return (num, e, shift)
+
+
+def bs1_multiply_reference(m, a, b):
+    """BS(1, m) product by the general formula: bring both numerators to
+    the exponent max(e1, e2 - s1, 0), add them and normalise."""
+    n1, e1, s1 = a
+    n2, e2, s2 = b
+    d1, d2 = e1, e2 - s1
+    ee = max(d1, d2, 0)
+    num = n1 * m ** (ee - d1) + n2 * m ** (ee - d2)
+    return bs1_normal_form(m, num, ee, s1 + s2)
+
+
 def reference_balls(engine, gens, radius):
     """Reference BFS for the tests, independent of `ball_sizes`: yields
     the set of elements of the ball of each radius 0..radius (one set,
