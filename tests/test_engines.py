@@ -149,6 +149,22 @@ def shifted_element(rng, engine):
 @pytest.mark.parametrize(
     "engine", family_engines() + [nested_bs1_engine(), nested_torus_engine()],
     ids=lambda e: e.spec_id())
+def test_multiplier_agrees_with_multiply(engine):
+    # pair by pair: products((a,), (b,)) is exactly [a*b], which a Counter
+    # over a whole E x L cannot pin to its pair; 4 right factors against
+    # shifts +-1..3 put every (shift, letter) group of a split extension
+    # through the single-element path
+    rng = random.Random(13)
+    right = [shifted_element(rng, engine) for _ in range(4)]
+    for _ in range(300):
+        a = shifted_element(rng, engine)
+        for b in right:
+            assert list(engine.products((a,), (b,))) == [engine.multiply(a, b)]
+
+
+@pytest.mark.parametrize(
+    "engine", family_engines() + [nested_bs1_engine(), nested_torus_engine()],
+    ids=lambda e: e.spec_id())
 def test_products_agree_with_multiply(engine):
     # the letters mix the generators (several per shift in a split
     # extension, zero coordinates in a lattice) with random elements
