@@ -8,10 +8,12 @@ diff cleanly; errors become a single stderr record `ERR <code>
 <message>` with exit status 2 for bad input and 3 for an exhausted
 search budget.
 
-Each subcommand imports only the library modules it runs, so `rewrite`
-never loads the certificate search and `growth` never loads the exact
-algebra.  Every input error growthlab raises derives from
-`growthlab.GrowthlabError` and ends in `ERR 2`.
+This module imports no library module at its top, and each subcommand
+imports only the library modules it runs: `alexander`, `rewrite` and
+`spectra` never load the engines or the BFS, `rewrite` never loads the
+certificate search and `growth` never loads the exact algebra.  Every
+input error growthlab raises derives from `growthlab.GrowthlabError`
+and ends in `ERR 2`.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ import json
 import sys
 
 from growthlab import VERSION_STRING, GrowthlabError
-from growthlab.growth import DEFAULT_BUDGET
 
 
 class CliError(Exception):
@@ -93,7 +94,7 @@ def _emit(text: str, out_path):
 
 def _cmd_growth(args) -> int:
     from growthlab.engines import UnknownGeneratorError
-    from growthlab.growth import ball_sizes
+    from growthlab.growth import DEFAULT_BUDGET, ball_sizes
 
     engine = _load_engine(args.group)
     words = _parse_words(args.gens, ",")
@@ -101,7 +102,8 @@ def _cmd_growth(args) -> int:
         elems = [engine.evaluate_word(w) for w in words]
     except UnknownGeneratorError as exc:
         raise CliError(2, f"unknown generator {exc}") from None
-    table = ball_sizes(engine, elems, args.radius, budget=args.budget)
+    budget = DEFAULT_BUDGET if args.budget is None else args.budget
+    table = ball_sizes(engine, elems, args.radius, budget=budget)
     _emit(table.to_tsv(), args.out)
     if table.truncated:
         raise CliError(3, f"budget exhausted after radius {table.radius}")
@@ -212,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--group", required=True, help="group description file (JSON)")
     p.add_argument("--gens", required=True, help="comma-separated generator words")
     p.add_argument("--radius", type=int, required=True)
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+    p.add_argument("--budget", type=int, default=None,
                    help="cap on elements counted: radius n is emitted iff "
                         "gamma(n) <= budget (exit 3 when exhausted)")
     p.add_argument("--threads", type=int, default=1,

@@ -8,7 +8,7 @@ gamma(n)**(1/n) bound the growth rate of the group from above.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from growthlab import GrowthlabError
 
@@ -19,25 +19,26 @@ class GrowthError(GrowthlabError):
     pass
 
 
-@dataclass
-class GrowthTable:
-    radius: int
-    counts: list  # counts[n] = gamma(n), n = 0..radius
-    gens: list = field(default_factory=list)
-    truncated: bool = False
-    notes: list = field(default_factory=list)
+class GrowthTable(namedtuple("GrowthTable", "radius counts gens truncated notes",
+                             defaults=((), False, ()))):
+    """counts[n] = gamma(n), n = 0..radius."""
+
+    __slots__ = ()
 
     def validate(self) -> None:
-        if len(self.counts) != self.radius + 1:
+        # fields read once: a namedtuple field is a descriptor, and the
+        # submultiplicativity loop reads counts O(radius^2) times
+        counts, radius = self.counts, self.radius
+        if len(counts) != radius + 1:
             raise GrowthError("count vector length does not match radius")
-        if self.counts[0] != 1:
+        if counts[0] != 1:
             raise GrowthError("gamma(0) must be 1")
-        for n in range(1, self.radius + 1):
-            if self.counts[n] < self.counts[n - 1]:
+        for n in range(1, radius + 1):
+            if counts[n] < counts[n - 1]:
                 raise GrowthError(f"gamma({n}) decreased")
-        for m in range(self.radius + 1):
-            for n in range(self.radius + 1 - m):
-                if self.counts[m + n] > self.counts[m] * self.counts[n]:
+        for m in range(radius + 1):
+            for n in range(radius + 1 - m):
+                if counts[m + n] > counts[m] * counts[n]:
                     raise GrowthError(
                         f"submultiplicativity fails at ({m}, {n})"
                     )

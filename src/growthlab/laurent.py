@@ -16,7 +16,7 @@ run on the Z[t] division of `_exact`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from growthlab import GrowthlabError
 from growthlab._exact import format_terms, poly_divmod, zx_gcd
@@ -145,9 +145,10 @@ def laurent_gcd(ps) -> LaurentPoly:
 # rewriting
 
 
-@dataclass(frozen=True)
-class RewrittenRelator:
-    terms: tuple  # ordered (subscript, +1 or -1)
+class RewrittenRelator(namedtuple("RewrittenRelator", "terms")):
+    """terms: ordered (subscript, +1 or -1)."""
+
+    __slots__ = ()
 
     def format(self) -> str:
         if not self.terms:
@@ -206,11 +207,8 @@ def fg_kernel_obstruction(p: LaurentPoly) -> str:
     return POSSIBLY_FG if monic_both_ends(p) else NOT_FG
 
 
-@dataclass(frozen=True)
-class StickingVerdict:
-    contradiction: bool
-    case: str
-    detail: str
+class StickingVerdict(namedtuple("StickingVerdict", "contradiction case detail")):
+    __slots__ = ()
 
 
 def sticking_contradiction(alpha: int, beta: int) -> StickingVerdict:

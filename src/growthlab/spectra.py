@@ -19,7 +19,7 @@ from __future__ import annotations
 import cmath
 import math
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from growthlab import GrowthlabError
@@ -49,15 +49,21 @@ class SpectraError(GrowthlabError):
 _TERM_RE = re.compile(r"([+-]?)(\d*)(t(?:\^(\d+))?)?$")
 
 
-@dataclass(frozen=True)
 class IntPoly:
     """Integer polynomial, coefficients low-to-high, leading nonzero."""
 
-    coeffs: tuple
+    __slots__ = ("coeffs",)
 
-    def __post_init__(self):
-        if not self.coeffs or self.coeffs[-1] == 0:
+    def __init__(self, coeffs: tuple):
+        if not coeffs or coeffs[-1] == 0:
             raise SpectraError("leading coefficient must be nonzero")
+        self.coeffs = coeffs
+
+    def __eq__(self, other):
+        return isinstance(other, IntPoly) and self.coeffs == other.coeffs
+
+    def __hash__(self):
+        return hash(self.coeffs)
 
     @classmethod
     def of(cls, low_to_high) -> "IntPoly":
@@ -411,13 +417,12 @@ def mahler_gap_threshold(d: int) -> float:
 # ---------------------------------------------------------------------------
 # classification
 
-@dataclass(frozen=True)
-class SpectralClassification:
-    kind: str  # VIRTUALLY_NILPOTENT or EXPONENTIAL
-    char: IntPoly
-    m: float = None
-    threshold: float = None
-    log_base: str = LOG_BASE
+class SpectralClassification(namedtuple(
+        "SpectralClassification", "kind char m threshold log_base",
+        defaults=(None, None, LOG_BASE))):
+    """kind is VIRTUALLY_NILPOTENT or EXPONENTIAL; char is an IntPoly."""
+
+    __slots__ = ()
 
 
 def classify_char_poly(p: IntPoly) -> SpectralClassification:

@@ -19,7 +19,7 @@ them, so a search over a free base loads neither.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from collections import namedtuple
 from fractions import Fraction
 
 from growthlab import GrowthlabError
@@ -51,34 +51,23 @@ class WitnessError(GrowthlabError):
 _JSON_KEYS = {"u_word": "u", "v_word": "v", "k_word": "k", "c_word": "c"}
 
 
-@dataclass
-class Certificate:
-    variant: str
-    bound: float = None
-    u_word: str = None
-    v_word: str = None
-    max_A_length: int = None
-    depth: int = None
-    matrix: tuple = None
-    m: float = None
-    k_word: str = None
-    n: int = None
-    c_word: str = None
-    reason: str = None
-    diagnostics: str = None
-    reverified: bool = None
+class Certificate(namedtuple(
+        "Certificate",
+        "variant bound u_word v_word max_A_length depth matrix m k_word n "
+        "c_word reason diagnostics reverified",
+        defaults=(None,) * 13)):
+    __slots__ = ()
 
     def to_json(self) -> dict:
         """The set fields in declaration order; the word fields print
         under their one-letter names."""
         out = {}
-        for f in fields(self):
-            value = getattr(self, f.name)
+        for name, value in zip(self._fields, self):
             if value is None:
                 continue
-            if f.name == "matrix":
+            if name == "matrix":
                 value = [list(row) for row in value]
-            out[_JSON_KEYS.get(f.name, f.name)] = value
+            out[_JSON_KEYS.get(name, name)] = value
         return out
 
 
@@ -524,11 +513,8 @@ def analyze(engine, gens, u: float, d: int, threads: int = 1) -> Certificate:
 # periodic-conjugacy scan
 
 
-@dataclass
-class PccResult:
-    certificate: Certificate
-    exact: bool
-    note: str
+class PccResult(namedtuple("PccResult", "certificate exact note")):
+    __slots__ = ()
 
 
 def _cyclically_reduced_words(rank: int, max_length: int):

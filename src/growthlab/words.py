@@ -9,7 +9,6 @@ group-specific simplification happens in the engines.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from growthlab import GrowthlabError
 
@@ -36,9 +35,20 @@ def _merge(pairs) -> tuple:
     return tuple(out)
 
 
-@dataclass(frozen=True)
 class Word:
-    letters: tuple = ()
+    __slots__ = ("letters",)
+
+    def __init__(self, letters: tuple = ()):
+        self.letters = letters
+
+    def __eq__(self, other):
+        return isinstance(other, Word) and self.letters == other.letters
+
+    def __hash__(self):
+        return hash(self.letters)
+
+    def __repr__(self):
+        return f"Word(letters={self.letters!r})"
 
     @staticmethod
     def of(pairs) -> "Word":

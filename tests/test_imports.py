@@ -1,13 +1,18 @@
 """Every name a growthlab module imports is used in that module, apart
 from the deliberate re-exports below.  No linter is assumed installed,
 so the check reads the syntax trees itself.  Modules that load others
-lazily are pinned by what a bare import leaves in ``sys.modules``."""
+lazily are pinned by what a bare import leaves in ``sys.modules``.
+No module imports ``dataclasses``: it loads ``inspect``, which costs a
+short CLI run a tenth of its wall time."""
 
 import ast
+import functools
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import growthlab
 
@@ -35,23 +40,54 @@ def unused_imports(tree) -> set:
     return imported - used
 
 
+def imported_modules(tree) -> set:
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            out.update(a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            out.add(node.module.split(".")[0])
+    return out
+
+
 def test_no_unused_imports_in_src():
     found = {}
+    dataclass_users = []
     for path in sorted(SRC.glob("*.py")):
-        names = unused_imports(ast.parse(path.read_text(encoding="utf-8")))
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        names = unused_imports(tree)
         if names:
             found[path.stem] = names
+        if "dataclasses" in imported_modules(tree):
+            dataclass_users.append(path.stem)
     assert found == RE_EXPORTS
+    assert dataclass_users == []
+
+
+@functools.cache
+def loaded_modules(statement: str = "") -> frozenset:
+    """``sys.modules`` after `statement` runs in a fresh interpreter."""
+    script = f"{statement}\nimport sys\nprint(' '.join(sys.modules))"
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env, timeout=60, check=False)
+    assert proc.returncode == 0, proc.stderr
+    return frozenset(proc.stdout.split())
 
 
 def test_witness_import_loads_no_polynomial_modules():
     # spectra and laurent are imported inside the witness functions that
     # use them, so a free-base search never compiles either module
-    script = ("import sys, growthlab.witness; "
-              "print(sorted(m for m in ('growthlab.spectra', 'growthlab.laurent') "
-              "if m in sys.modules))")
-    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
-                          text=True, env=env, timeout=60, check=False)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    loaded = loaded_modules("import growthlab.witness")
+    assert not loaded & {"growthlab.spectra", "growthlab.laurent"}
+
+
+@pytest.mark.parametrize("module", ["cli", "growth", "witness", "spectra",
+                                    "laurent"])
+def test_bare_import_loads_neither_dataclasses_nor_inspect(module):
+    added = loaded_modules(f"import growthlab.{module}") - loaded_modules()
+    assert not added & {"dataclasses", "inspect"}
+    if module == "cli":
+        # every library module is imported inside the subcommand that runs it
+        assert {m for m in added if m.startswith("growthlab")} == {
+            "growthlab", "growthlab.cli"}

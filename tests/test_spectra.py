@@ -57,6 +57,11 @@ def test_parse_rejects_garbage():
         IntPoly.parse("t^-1")
     with pytest.raises(SpectraError):
         IntPoly.parse("q^2")
+    # the constructor itself insists on a nonzero leading coefficient
+    with pytest.raises(SpectraError):
+        IntPoly(())
+    with pytest.raises(SpectraError):
+        IntPoly((1, 0))
 
 
 def test_poly_eval_and_format():

@@ -145,6 +145,15 @@ def test_certificate_json_field_names():
     }
     small = Certificate(INCONCLUSIVE, diagnostics="d").to_json()
     assert small == {"variant": INCONCLUSIVE, "diagnostics": "d"}
+    # `witness` without --json prints the keys in this order
+    full = Certificate(
+        reverified=False, diagnostics="g", reason="f", c_word="e", n=3,
+        k_word="d", m=1.5, matrix=((1,),), depth=2, max_A_length=4,
+        v_word="b", u_word="a", bound=1.1, variant=PERIODIC_CONJUGACY,
+    ).to_json()
+    assert list(full) == ["variant", "bound", "u", "v", "max_A_length",
+                          "depth", "matrix", "m", "k", "n", "c", "reason",
+                          "diagnostics", "reverified"]
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,12 @@ def test_parse_and_str_round_trip():
     w = Word.parse("x^2 y^-1 x")
     assert str(w) == "x^2 y^-1 x"
     assert Word.parse(str(w)) == w
+    # a value type, not a tuple: equal words hash equal, a word never
+    # equals its letter tuple, and the repr names the field
+    assert hash(Word.parse(str(w))) == hash(w)
+    assert len({w, Word.parse("x^2 y^-1 x")}) == 1
+    assert Word.parse("x") != (("x", 1),)
+    assert repr(Word.parse("x")) == "Word(letters=(('x', 1),))"
 
 
 def test_parse_merges_adjacent_runs():
