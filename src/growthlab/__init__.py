@@ -2,7 +2,7 @@
 
 Normal-form engines for free, free-abelian, Klein-bottle, solvable
 Baumslag-Solitar, and K x| Z groups; ball-size tables with growth-rate
-estimates; subgroup folding; Alexander polynomials over the integer
+estimates; cyclic-pair decisions; Alexander polynomials over the integer
 Laurent ring; spectral classification of integer matrices; and a
 certificate search that turns the short-subgroup analysis into
 checkable growth bounds.

@@ -50,7 +50,7 @@ class UnsupportedFamilyError(GrowthlabError, NotImplementedError):
 
 
 # ---------------------------------------------------------------------------
-# free-word helpers shared with the subgroup machinery
+# free-word helpers shared with the conjugacy test and the periodic-class scan
 
 
 def flat_to_units(flat: tuple) -> list:
@@ -223,9 +223,6 @@ class FreeEngine(_EngineBase):
 
     def canonical_key(self, a) -> bytes:
         return TAG_FREE + wordops.free_key_payload(a)
-
-    def length(self, a):
-        return wordops.word_length(a)
 
     def spec_dict(self) -> dict:
         return {"family": "free", "rank": self.rank}

@@ -93,10 +93,13 @@ def ball_sizes(engine, gens, radius: int, budget: int = DEFAULT_BUDGET,
     `budget` caps the elements counted: radius n completes iff
     gamma(n) <= budget (or S_n is empty).  Otherwise exploration stops
     with truncated=True and the table covers only the completed radii.
+    A budget below 1 is rejected, since gamma(0) = 1 would exceed it.
     `threads` is accepted for compatibility and has no effect.
     """
     if radius < 0:
         raise GrowthError("radius must be nonnegative")
+    if budget < 1:
+        raise GrowthError("budget must be positive")
     alphabet, notes = _closed_alphabet(engine, gens)
     previous, sphere = set(), {engine.identity}
     counts = [1]

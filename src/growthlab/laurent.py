@@ -146,23 +146,26 @@ def laurent_gcd(ps) -> LaurentPoly:
 
 
 class RewrittenRelator(namedtuple("RewrittenRelator", "terms")):
-    """terms: ordered (subscript, +1 or -1)."""
+    """terms: ordered (subscript, exponent) runs; the run (i, e) stands
+    for x_i^e, that is |e| letters x_i or x_i^-1."""
 
     __slots__ = ()
 
     def format(self) -> str:
+        """The runs spelled out letter by letter."""
         if not self.terms:
             return "<empty>"
         out = []
-        for i, s in self.terms:
-            out.append(f"x_{i}" if s > 0 else f"x_{i}^-1")
+        for i, e in self.terms:
+            out.extend([f"x_{i}" if e > 0 else f"x_{i}^-1"] * abs(e))
         return " ".join(out)
 
 
 def rs_rewrite(relator) -> RewrittenRelator:
     """Rewrite a zero-t-exponent relator over {t, x} in the shifted
     kernel letters: scanning left to right with running t-exponent h,
-    each x or x^-1 emits (h, +1) or (h, -1)."""
+    each x^e emits the run (h, e), so the terms grow with the number of
+    letters and not with their exponents."""
     w = Word.parse(relator) if isinstance(relator, str) else relator
     for name, _ in w.letters:
         if name not in ("t", "x"):
@@ -176,9 +179,7 @@ def rs_rewrite(relator) -> RewrittenRelator:
         if name == "t":
             h += e
         else:
-            step = 1 if e > 0 else -1
-            for _ in range(abs(e)):
-                terms.append((h, step))
+            terms.append((h, e))
     return RewrittenRelator(tuple(terms))
 
 

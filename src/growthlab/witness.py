@@ -26,7 +26,7 @@ from growthlab import GrowthlabError
 from growthlab._exact import solve
 from growthlab.engines import UnsupportedFamilyError, units_to_flat
 from growthlab.growth import rescale_lower_bound
-from growthlab.subgroups import fold, is_cyclic_pair
+from growthlab.subgroups import is_cyclic_pair
 from growthlab.words import Word
 
 NON_CYCLIC_PAIR = "NonCyclicPair"
@@ -110,7 +110,18 @@ def _conj(engine, a, x):
 
 
 def _reverify_noncyclic(engine, uel, vel) -> bool:
-    """Independent confirmation that <u, v> is not cyclic."""
+    """Independent confirmation that <u, v> is not cyclic.
+
+    It runs only after ``is_cyclic_pair(engine, u, v)`` returned False,
+    and returns True at once when u and v do not commute.  Otherwise it
+    descends through the shift-0 semidirect layers exactly as
+    ``is_cyclic_pair`` does.  Shift-0 elements multiply as their kernel
+    parts, (w1, 0)(w2, 0) = (w1 w2, 0), so the kernel parts commute at
+    every level of the descent as well.  A free level is never reached:
+    there ``is_cyclic_pair`` answers by ``commute`` and would have
+    returned True.  Such a level falls through to False, so the caller
+    fails loudly instead of certifying.
+    """
     if not engine.commute(uel, vel):
         return True
     cur, cu, cv = engine, uel, vel
@@ -121,8 +132,6 @@ def _reverify_noncyclic(engine, uel, vel) -> bool:
     if cur.family == "abelian":
         from growthlab.spectra import matrix_rank
         return matrix_rank([list(cu), list(cv)]) >= 2
-    if cur.family == "free":
-        return fold([cu, cv], cur.rank).rank >= 2
     if cur.family == "semidirect":
         p, q = cur.shift(cu), cur.shift(cv)
         rel = cur.multiply(cur.power(cu, q), cur.power(cv, -p))
@@ -348,6 +357,10 @@ def _abelian_case(engine, a_el, x0, tag):
 # the conjugation chain track
 
 
+_KLEIN_SUSPECT = ("KleinBottleSuspect: one-step subgroup is non-abelian "
+                  "with x0^2 = x1^2")
+
+
 def _klein_suspect(engine, x0, x1) -> bool:
     return (not engine.commute(x0, x1)
             and engine.power(x0, 2) == engine.power(x1, 2))
@@ -362,9 +375,7 @@ def _chain_case(engine, a_el, x0, u, d, tag):
                 # a Klein-bottle shaped pair grows polynomially, so it
                 # must not be certified as a growth witness
                 if _klein_suspect(engine, x0, other):
-                    return None, (
-                        f"{tag}: KleinBottleSuspect: one-step subgroup is "
-                        "non-abelian with x0^2 = x1^2")
+                    return None, f"{tag}: {_KLEIN_SUSPECT}"
                 return _noncyclic_certificate(
                     engine, x0, other, 6,
                     combined_bound(u, "conjugate_pair")), None
@@ -453,10 +464,8 @@ def _case(engine, elems, u, d, i, cand):
     if base_fam in ("free", "semidirect"):
         return _chain_case(engine, a_el, c_el, u, d, tag)
     # klein or bs1 base: detection only
-    x1 = _conj(engine, a_el, c_el)
-    if _klein_suspect(engine, c_el, x1):
-        return None, (f"{tag}: KleinBottleSuspect: one-step subgroup is "
-                      "non-abelian with x0^2 = x1^2")
+    if _klein_suspect(engine, c_el, _conj(engine, a_el, c_el)):
+        return None, f"{tag}: {_KLEIN_SUSPECT}"
     return None, f"{tag}: no decision procedure for {base_fam} base"
 
 
@@ -497,12 +506,7 @@ def analyze(engine, gens, u: float, d: int, threads: int = 1) -> Certificate:
                 return cert
             if diag:
                 diags.append(diag)
-    seen = set()
-    uniq = []
-    for s in diags:
-        if s not in seen:
-            seen.add(s)
-            uniq.append(s)
+    uniq = list(dict.fromkeys(diags))
     return Certificate(
         INCONCLUSIVE,
         diagnostics="; ".join(uniq) if uniq else

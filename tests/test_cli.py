@@ -15,6 +15,7 @@ import pytest
 import growthlab
 from growthlab import VERSION_STRING, GrowthlabError
 from growthlab.cli import CliError, main
+from growthlab.engines import GroupSpecError, build_engine
 
 from util import ROT4_AUTO, TORUS_AUTO
 
@@ -75,6 +76,15 @@ def test_growth_budget_exhaustion_still_writes_prefix(tmp_path, capsys):
     assert err.startswith("ERR 3 budget exhausted after radius")
     counts = [int(line.split("\t")[1]) for line in out.splitlines()[1:]]
     assert counts == [1, 5, 17]
+
+
+@pytest.mark.parametrize("budget", ["0", "-5"])
+def test_growth_budget_below_one(tmp_path, capsys, budget):
+    group = spec_file(tmp_path, "free2.json", FREE2_SPEC)
+    code, out, err = run(capsys, [
+        "growth", "--group", group, "--gens", "x,y", "--radius", "2",
+        "--budget", budget])
+    assert (code, out, err) == (2, "", "ERR 2 budget must be positive\n")
 
 
 def test_growth_out_file(tmp_path, capsys):
@@ -397,6 +407,65 @@ def test_pcc_unsupported_base_family(tmp_path, capsys):
     assert (code, out) == (2, "")
     assert err == ("ERR 2 periodic-class scan unsupported for base family "
                    "'bs1'\n")
+
+
+# ---------------------------------------------------------------------------
+# input errors: every one ends in one ERR 2 record and no stdout
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["growth", "--gens", " , ", "--radius", "2"], "no words given"),
+    (["witness", "--gens", ",", "--u", "3", "--d", "2"], "no words given"),
+    (["spectra", "--matrix", "[[1,"],
+     "bad matrix literal: Expecting value: line 1 column 5 (char 4)"),
+    (["spectra", "--matrix", "[[1.5]]"], "matrix entries must be integers"),
+    (["spectra", "--matrix", "[[true]]"], "matrix entries must be integers"),
+    (["witness", "--gens", "t,q", "--u", "3", "--d", "2"],
+     "unknown generator 'q'"),
+])
+def test_cli_input_errors(tmp_path, capsys, argv, message):
+    if "--gens" in argv:
+        group = spec_file(tmp_path, "torus.json", TORUS_SPEC)
+        argv = argv[:1] + ["--group", group] + argv[1:]
+    code, out, err = run(capsys, argv)
+    assert (code, out, err) == (2, "", f"ERR 2 {message}\n")
+
+
+def _semidirect_spec(base, forward, backward):
+    return {"family": "semidirect", "base": base,
+            "automorphism": {"forward": forward, "backward": backward}}
+
+
+@pytest.mark.parametrize("spec, message", [
+    ([FREE2_SPEC], "group spec must be a JSON object"),
+    ({"family": "semidirect", "automorphism": TORUS_SPEC["automorphism"]},
+     "semidirect spec needs a base"),
+    ({"family": "semidirect", "base": FREE2_SPEC,
+      "automorphism": {"forward": TORUS_AUTO[0]}},
+     "automorphism must have exactly forward and backward maps"),
+    (_semidirect_spec(FREE2_SPEC, {"x": 1, "y": "x"}, TORUS_AUTO[1]),
+     "automorphism forward map must be a dict of words"),
+    (_semidirect_spec(FREE2_SPEC, {"x": "y"}, TORUS_AUTO[1]),
+     "automorphism forward map must cover exactly the base generators "
+     "['x', 'y'], got ['x']"),
+    # not a homomorphism of the klein group, so backward . forward = id
+    # on the generators does not force forward . backward = id
+    (_semidirect_spec({"family": "klein"}, {"a": "t", "t": "a"},
+                      {"a": "a", "t": "a"}),
+     "forward(backward(a)) != a: maps are not inverse"),
+    (_semidirect_spec(FREE2_SPEC, {"x": "q", "y": "x"}, TORUS_AUTO[1]),
+     "automorphism references unknown generator 'q'"),
+    (_semidirect_spec(FREE2_SPEC, {"x": "y^", "y": "x y"}, TORUS_AUTO[1]),
+     "bad automorphism word: bad letter 'y^'"),
+])
+def test_group_spec_errors(tmp_path, capsys, spec, message):
+    with pytest.raises(GroupSpecError) as info:
+        build_engine(spec)
+    assert str(info.value) == message
+    group = spec_file(tmp_path, "bad.json", spec)
+    code, out, err = run(capsys, [
+        "growth", "--group", group, "--gens", "x", "--radius", "1"])
+    assert (code, out, err) == (2, "", f"ERR 2 {message}\n")
 
 
 # ---------------------------------------------------------------------------

@@ -105,6 +105,15 @@ def test_budget_boundaries(budget, counts, truncated):
     assert table.truncated is truncated
 
 
+@pytest.mark.parametrize("budget", [0, -5])
+@pytest.mark.parametrize("radius", [0, 3])
+def test_budget_below_one_is_rejected(budget, radius):
+    # gamma(0) = 1 exceeds such a budget, so not even radius 0 completes
+    eng = FreeEngine(2)
+    with pytest.raises(GrowthError, match="^budget must be positive$"):
+        ball_sizes(eng, gens_of(eng, "x", "y"), radius, budget=budget)
+
+
 def test_notes_for_identity_and_coincident_generators():
     eng = FreeEngine(2)
     assert ball_sizes(eng, gens_of(eng, "x", "y"), 2).notes == []

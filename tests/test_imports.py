@@ -1,7 +1,9 @@
 """Every name a growthlab module imports is used in that module, apart
-from the deliberate re-exports below.  No linter is assumed installed,
-so the check reads the syntax trees itself.  Modules that load others
-lazily are pinned by what a bare import leaves in ``sys.modules``.
+from the deliberate re-exports below, and every module-level private
+function or class is referenced somewhere in the package.  No linter
+is assumed installed, so the check reads the syntax trees itself.
+Modules that load others lazily are pinned by what a bare import
+leaves in ``sys.modules``.
 No module imports ``dataclasses``: it loads ``inspect``, which costs a
 short CLI run a tenth of its wall time."""
 
@@ -40,6 +42,26 @@ def unused_imports(tree) -> set:
     return imported - used
 
 
+def private_definitions(tree) -> set:
+    """Module-level functions and classes named _private (not dunder)."""
+    return {node.name for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and node.name.startswith("_") and not node.name.startswith("__")}
+
+
+def referenced_names(tree) -> set:
+    """Names read, attributes accessed and names imported in a module."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.alias):
+            out.add(node.name)
+    return out
+
+
 def imported_modules(tree) -> set:
     out = set()
     for node in ast.walk(tree):
@@ -53,6 +75,8 @@ def imported_modules(tree) -> set:
 def test_no_unused_imports_in_src():
     found = {}
     dataclass_users = []
+    private = {}
+    referenced = set()
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         names = unused_imports(tree)
@@ -60,8 +84,13 @@ def test_no_unused_imports_in_src():
             found[path.stem] = names
         if "dataclasses" in imported_modules(tree):
             dataclass_users.append(path.stem)
+        for name in private_definitions(tree):
+            private[name] = path.stem
+        referenced |= referenced_names(tree)
     assert found == RE_EXPORTS
     assert dataclass_users == []
+    # a private helper nothing in the package names is dead code
+    assert {n: m for n, m in private.items() if n not in referenced} == {}
 
 
 @functools.cache

@@ -136,6 +136,15 @@ def test_rewrite_expands_exponents():
     assert abelianize(r) == P((0, -2), (1, 1))
 
 
+def test_rewrite_keeps_exponents_as_runs():
+    # one run per x-letter: the terms do not grow with the exponent
+    r = rs_rewrite("t x^1000000 t^-1 x^-1000000")
+    assert len(r.terms) <= 4
+    assert abelianize(r) == P((0, -1000000), (1, 1000000))
+    assert rs_rewrite("t x^2 t^-1 x^-3").format() == (
+        "x_1 x_1 x_0^-1 x_0^-1 x_0^-1")
+
+
 def test_rewrite_requires_balanced_t():
     with pytest.raises(RewriteError):
         rs_rewrite("t x")

@@ -9,10 +9,10 @@ from growthlab.engines import (
     KleinEngine,
     UnsupportedFamilyError,
 )
-from growthlab.subgroups import fold, is_cyclic_pair
+from growthlab.subgroups import is_cyclic_pair
 from growthlab.words import Word
 
-from util import in_folded_subgroup, random_element, rot4_engine, torus_engine
+from util import random_element, rot4_engine, torus_engine
 
 
 def ev(eng, text):
@@ -20,66 +20,6 @@ def ev(eng, text):
 
 
 FREE2 = FreeEngine(2)
-
-
-# ---------------------------------------------------------------------------
-# folding
-
-
-def test_rank_of_power_pair_is_one():
-    words = [ev(FREE2, "x^2"), ev(FREE2, "x^3")]
-    assert fold(words, 2).rank == 1
-
-
-def test_rank_of_conjugate_pair_is_two():
-    words = [ev(FREE2, "x"), ev(FREE2, "y x y^-1")]
-    assert fold(words, 2).rank == 2
-
-
-def test_rank_of_empty_family_is_zero():
-    assert fold([], 2).rank == 0
-
-
-def test_rank_never_exceeds_generator_count():
-    rng = random.Random(21)
-    for _ in range(100):
-        words = [random_element(rng, FREE2) for _ in range(rng.randrange(1, 5))]
-        assert 0 <= fold(words, 2).rank <= len(words)
-
-
-def test_powers_collapse_membership():
-    graph = fold([ev(FREE2, "x^2"), ev(FREE2, "x^3")], 2)
-    assert in_folded_subgroup(graph, ev(FREE2, "x"))
-    assert in_folded_subgroup(graph, ev(FREE2, "x^-7"))
-    assert not in_folded_subgroup(graph, ev(FREE2, "y"))
-
-
-def test_membership_in_folded_basis():
-    graph = fold([ev(FREE2, "x"), ev(FREE2, "y x y^-1")], 2)
-    assert in_folded_subgroup(graph, ev(FREE2, "x y x y^-1 x"))
-    assert not in_folded_subgroup(graph, ev(FREE2, "y"))
-
-
-def test_folding_is_idempotent_on_generated_words():
-    rng = random.Random(22)
-    for _ in range(50):
-        gens = [random_element(rng, FREE2, max_len=4) for _ in range(2)]
-        gens = [g for g in gens if g != FREE2.identity]
-        if not gens:
-            continue
-        graph = fold(gens, 2)
-        # random products of the generators must trace
-        acc = FREE2.identity
-        for _ in range(4):
-            g = rng.choice(gens)
-            if rng.random() < 0.5:
-                g = FREE2.invert(g)
-            acc = FREE2.multiply(acc, g)
-        assert in_folded_subgroup(graph, acc)
-
-
-def test_identity_generators_are_harmless():
-    assert fold([FREE2.identity, ev(FREE2, "x")], 2).rank == 1
 
 
 # ---------------------------------------------------------------------------

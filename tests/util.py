@@ -7,7 +7,6 @@ from growthlab.engines import (
     FreeEngine,
     KleinEngine,
     SemidirectEngine,
-    flat_to_units,
 )
 from growthlab.words import Word
 
@@ -107,23 +106,6 @@ def reference_balls(engine, gens, radius):
                     nxt.append(prod)
         frontier = nxt
         yield seen
-
-
-def in_folded_subgroup(graph, word):
-    """Membership oracle for a folded subgroup graph: trace the reduced
-    word from the base point, walking an edge backwards for an inverse
-    letter, and check that it ends at the base point.  Folding leaves at
-    most one edge per (vertex, signed label), so the walk is unique."""
-    step = {}
-    for (u, g, v) in graph.edges:
-        step[(u, g)] = v
-        step[(v, -g)] = u
-    c = graph.base
-    for letter in flat_to_units(word):
-        c = step.get((c, letter))
-        if c is None:
-            return False
-    return c == graph.base
 
 
 def random_word(rng, names, max_len=5):
