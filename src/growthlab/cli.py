@@ -65,7 +65,7 @@ def _parse_words(text: str, sep: str) -> list:
 def _parse_matrix(text: str):
     try:
         rows = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise CliError(2, f"bad matrix literal: {exc}") from None
     if (not isinstance(rows, list) or not rows
             or not all(isinstance(r, list) and len(r) == len(rows) for r in rows)):

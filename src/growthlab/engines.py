@@ -162,7 +162,11 @@ class _EngineBase:
         return out
 
     def generator(self, name: str):
-        raise NotImplementedError
+        """The element named ``name``, from the table ``__init__`` fills."""
+        try:
+            return self._gens[name]
+        except KeyError:
+            raise UnknownGeneratorError(name) from None
 
     def spec_id(self) -> str:
         return json.dumps(self.spec_dict(), sort_keys=True, separators=(",", ":"))
@@ -181,14 +185,8 @@ class FreeEngine(_EngineBase):
             raise GroupSpecError("free rank must be >= 1")
         self.rank = rank
         self.gen_names = _free_names(rank)
-        self._index = {n: i for i, n in enumerate(self.gen_names)}
+        self._gens = {n: (i, 1) for i, n in enumerate(self.gen_names)}
         self.identity: tuple = ()
-
-    def generator(self, name: str) -> tuple:
-        try:
-            return (self._index[name], 1)
-        except KeyError:
-            raise UnknownGeneratorError(name) from None
 
     def multiply(self, a, b):
         return wordops.concat_reduce(a, b)
@@ -205,18 +203,6 @@ class FreeEngine(_EngineBase):
 
     def invert(self, a):
         return wordops.invert_word(a)
-
-    def power(self, a, k):
-        return wordops.pow_word(a, k)
-
-    def evaluate_word(self, word: Word):
-        pairs = []
-        for name, exp in word.letters:
-            try:
-                pairs.append((self._index[name], exp))
-            except KeyError:
-                raise UnknownGeneratorError(name) from None
-        return wordops.normalize_pairs(pairs)
 
     def element_to_word(self, a) -> Word:
         return Word(tuple((self.gen_names[a[i]], a[i + 1]) for i in range(0, len(a), 2)))
@@ -246,6 +232,9 @@ class FreeEngine(_EngineBase):
 
 
 class AbelianEngine(_EngineBase):
+    """``generator`` builds each unit vector when asked: a table would
+    hold rank^2 integers, 10^10 for rank 10^5, just to build the engine."""
+
     family = "abelian"
 
     def __init__(self, rank: int):
@@ -296,15 +285,9 @@ class KleinEngine(_EngineBase):
     family = "klein"
 
     def __init__(self):
-        self.gen_names = ("a", "t")
+        self._gens = {"a": (1, 0), "t": (0, 1)}
+        self.gen_names = tuple(self._gens)
         self.identity = (0, 0)
-
-    def generator(self, name: str):
-        if name == "a":
-            return (1, 0)
-        if name == "t":
-            return (0, 1)
-        raise UnknownGeneratorError(name)
 
     def multiply(self, a, b):
         i, j = a
@@ -361,7 +344,8 @@ class BS1Engine(_EngineBase):
         if abs(m) < 2:
             raise GroupSpecError("bs1 multiplier must satisfy |m| >= 2")
         self.m = m
-        self.gen_names = ("a", "t")
+        self._gens = {"a": (1, 0, 0), "t": (0, 0, 1)}
+        self.gen_names = tuple(self._gens)
         self.identity = (0, 0, 0)
 
     def _norm(self, num, e):
@@ -375,13 +359,6 @@ class BS1Engine(_EngineBase):
             num //= m
             e -= 1
         return (num, e)
-
-    def generator(self, name: str):
-        if name == "a":
-            return (1, 0, 0)
-        if name == "t":
-            return (0, 0, 1)
-        raise UnknownGeneratorError(name)
 
     def multiply(self, a, b):
         # The product is (num / m^ee, s1 + s2) with ee = max(e1, d2, 0)
@@ -471,7 +448,8 @@ class SemidirectEngine(_EngineBase):
             if self._apply_images(fwd, bwd[g]) != gen:
                 raise GroupSpecError(f"forward(backward({g})) != {g}: maps are not inverse")
 
-        self._levels = {0: {g: base.generator(g) for g in base.gen_names}, 1: fwd, -1: bwd}
+        # no level 0: auto_power returns early at k = 0
+        self._levels = {1: fwd, -1: bwd}
 
         rename = {n: _bump_stable_name(n) for n in base.gen_names}
         if len(set(rename.values())) != len(rename):
@@ -479,8 +457,9 @@ class SemidirectEngine(_EngineBase):
         if "t" in rename.values():
             raise GroupSpecError("renamed base generators may not shadow the stable letter")
         self._base_to_outer = rename
-        self._outer_to_base = {v: k for k, v in rename.items()}
-        self.gen_names = ("t",) + tuple(rename[n] for n in base.gen_names)
+        self._gens = {"t": (base.identity, 1),
+                      **{rename[g]: (base.generator(g), 0) for g in base.gen_names}}
+        self.gen_names = tuple(self._gens)
         self.identity = (base.identity, 0)
 
     # -- automorphism ------------------------------------------------------
@@ -518,15 +497,6 @@ class SemidirectEngine(_EngineBase):
         return self._apply_images(self._images_at(k), el)
 
     # -- group operations --------------------------------------------------
-
-    def generator(self, name: str):
-        if name == "t":
-            return (self.base.identity, 1)
-        try:
-            inner = self._outer_to_base[name]
-        except KeyError:
-            raise UnknownGeneratorError(name) from None
-        return (self.base.generator(inner), 0)
 
     def multiply(self, a, b):
         w1, k1 = a
@@ -598,7 +568,7 @@ def parse_group_spec(source):
     if isinstance(source, (str, bytes)):
         try:
             obj = json.loads(source)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise GroupSpecError(f"invalid JSON: {exc}") from None
     else:
         obj = source

@@ -166,16 +166,16 @@ def mat_det(m) -> int:
 
 
 def mat_pow(m, k: int):
-    n = len(m)
     if k < 0:
         return mat_pow(mat_inv_unimodular(m), -k)
-    acc = mat_identity(n)
-    base = [row[:] for row in m]
+    acc = mat_identity(len(m))
+    base = m
     while k:
         if k & 1:
             acc = mat_mul(acc, base)
-        base = mat_mul(base, base)
         k >>= 1
+        if k:
+            base = mat_mul(base, base)
     return acc
 
 

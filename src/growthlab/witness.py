@@ -226,11 +226,8 @@ def _find_relation(engine, x0, x1):
 def _abelian_matrix(engine):
     """Matrix of the automorphism on the abelian base, columns = images."""
     base = engine.base
-    r = base.rank
-    cols = []
-    for name in base.gen_names:
-        cols.append(engine.auto_power(base.generator(name), 1))
-    return [[cols[j][i] for j in range(r)] for i in range(r)]
+    cols = [engine.auto_power(base.generator(g), 1) for g in base.gen_names]
+    return [list(row) for row in zip(*cols)]
 
 
 def _solve_int_combo(basis_rows, target):
@@ -243,27 +240,24 @@ def _solve_int_combo(basis_rows, target):
     return [int(f) for f in coords]
 
 
-def _invariant_lattice(n_mat, n_inv, v):
+def _invariant_lattice(n_mat, v):
+    """Hermite basis of Z[N, N^-1] v, the least lattice holding v that N
+    and N^-1 map into itself: the span L of v, Nv, ..., N^(n-1) v.  By
+    Cayley-Hamilton N^n, and N^-1 too since det N = +-1, are integer
+    combinations of I, ..., N^(n-1), so N and N^-1 map L into L.  The
+    Hermite form of a lattice is unique, so the basis is the one a
+    saturation under N and N^-1 reaches."""
     from growthlab.spectra import hermite_rows, mat_vec
-    rows = hermite_rows([list(v)])
-    while True:
-        ext = [list(b) for b in rows]
-        for b in rows:
-            ext.append(list(mat_vec(n_mat, b)))
-            ext.append(list(mat_vec(n_inv, b)))
-        new = hermite_rows(ext)
-        if new == rows:
-            return rows
-        rows = new
+    vs = [v]
+    for _ in range(len(v) - 1):
+        vs.append(mat_vec(n_mat, vs[-1]))
+    return hermite_rows(vs)
 
 
 def _restricted_matrix(n_mat, basis_rows):
     from growthlab.spectra import mat_vec
-    cols = []
-    for b in basis_rows:
-        cols.append(_solve_int_combo(basis_rows, mat_vec(n_mat, b)))
-    k = len(basis_rows)
-    return [[cols[j][i] for j in range(k)] for i in range(k)]
+    cols = [_solve_int_combo(basis_rows, mat_vec(n_mat, b)) for b in basis_rows]
+    return [list(row) for row in zip(*cols)]
 
 
 def _krylov_annihilator(t_mat, v):
@@ -294,12 +288,14 @@ def _expansion_power(r_mat, v_coords) -> int:
     monic up to sign and its roots are algebraic integers.  A root z
     with |z| = 41/20 would make z * conj(z) = 1681/400 an algebraic
     integer, and a rational algebraic integer is an integer."""
-    from growthlab.spectra import mat_pow, roots_inside
+    from growthlab.spectra import mat_mul, roots_inside
+    r_pow = r_mat
     for k in range(1, _EXPANSION_POWER_CAP + 1):
-        anni = _krylov_annihilator(mat_pow(r_mat, k), v_coords)
+        anni = _krylov_annihilator(r_pow, v_coords)
         assert abs(anni[-1]) == 1, "annihilator must be monic up to sign"
         if not roots_inside(anni, EXPANSION_MARGIN):
             return k
+        r_pow = mat_mul(r_pow, r_mat)
     raise AssertionError("expanding action failed to clear the margin")
 
 
@@ -319,9 +315,8 @@ def _abelian_case(engine, a_el, x0, tag):
     # B M = I over Z and det M = +-1: no determinant check is needed
     m_mat = _abelian_matrix(engine)
     n_mat = mat_pow(m_mat, p)
-    n_inv = mat_pow(m_mat, -p)
     v = list(engine.kernel_part(x0))
-    basis = _invariant_lattice(n_mat, n_inv, v)
+    basis = _invariant_lattice(n_mat, v)
     r_mat = _restricted_matrix(n_mat, basis)
     try:
         cls = classify_abelian_by_cyclic(r_mat)
@@ -413,17 +408,17 @@ def _chain_case(engine, a_el, x0, u, d, tag):
             f"relation was found with exponents up to {RELATION_SEARCH_BOUND}")
     a, b = rel
     if b == 1:
-        if abs(a) == 1:
-            return None, f"{tag}: unexpected unit relation between x0 and x1"
+        # |a| >= 2: |a| = 1 would mean x1 = x0^-+1, and both of those
+        # cases returned a PeriodicConjugacy above
         detail = (f"conjugation relation x1 = x0^{-a}: polynomial invariant "
                   f"t - {-a} is not monic at both ends, kernel not finitely "
                   "generated")
     else:
+        # b >= 2 and gcd(|a|, b) = 1, and sticking_contradiction finds a
+        # contradiction for every coprime pair with |beta| >= 2
         from growthlab.laurent import sticking_contradiction
-        verdict = sticking_contradiction(a, b)
-        if not verdict.contradiction:
-            return None, f"{tag}: sticking relation resolved without contradiction"
-        detail = f"sticking relation x0^{a} x1^{b} = e: {verdict.detail}"
+        detail = (f"sticking relation x0^{a} x1^{b} = e: "
+                  f"{sticking_contradiction(a, b).detail}")
     cert = Certificate(
         KERNEL_CHAIN_ESCAPE,
         bound=combined_bound(2.0 ** 0.25, "infinite_kernel"),

@@ -431,6 +431,29 @@ def test_cli_input_errors(tmp_path, capsys, argv, message):
     assert (code, out, err) == (2, "", f"ERR 2 {message}\n")
 
 
+# deeper than the JSON decoder's recursion limit
+DEEP_JSON = "[" * 5000 + "]" * 5000
+
+
+def assert_single_err2(code, out, err, prefix):
+    assert (code, out) == (2, "")
+    assert err.startswith(f"ERR 2 {prefix}")
+    assert err.count("\n") == 1 and err.endswith("\n")
+
+
+def test_deeply_nested_group_file(tmp_path, capsys):
+    group = tmp_path / "deep.json"
+    group.write_text(DEEP_JSON, encoding="utf-8")
+    assert_single_err2(*run(capsys, [
+        "growth", "--group", str(group), "--gens", "x", "--radius", "1"]),
+        "invalid JSON: ")
+
+
+def test_deeply_nested_matrix_literal(capsys):
+    assert_single_err2(*run(capsys, ["spectra", "--matrix", DEEP_JSON]),
+                       "bad matrix literal: ")
+
+
 def _semidirect_spec(base, forward, backward):
     return {"family": "semidirect", "base": base,
             "automorphism": {"forward": forward, "backward": backward}}

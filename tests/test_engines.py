@@ -338,6 +338,28 @@ def test_free_conjugacy_named_cases(a, b, conjugate):
         assert d is None
 
 
+def test_klein_conjugacy_agrees_with_brute_search():
+    """Every element is a^p t^q and t^2 is central, so a^p t^q conjugates
+    (i, j) to (+-i, j) at even j and to (+-i + 2p, j) at odd j.  For
+    |i|, |k| <= 4 a conjugator with |p| <= 4 and q in {0, 1} exists
+    whenever any does, so the search below is complete."""
+    eng = KleinEngine()
+    box = [(i, j) for i in range(-4, 5) for j in range(-3, 4)]
+    conjugators = [(p, q) for p in range(-4, 5) for q in (0, 1)]
+    seen = set()
+    for a in box:
+        for b in box:
+            d = eng.conjugacy_test(a, b)
+            expected = any(eng.multiply(eng.multiply(c, a), eng.invert(c)) == b
+                           for c in conjugators)
+            assert (d is not None) == expected
+            if expected:
+                assert_conjugator(eng, d, a, b)
+                seen.add((a[1] % 2, d == eng.identity))
+    # (0, False) is the k == -i branch, (1, False) an odd j with k != i
+    assert seen == {(0, True), (0, False), (1, True), (1, False)}
+
+
 # ---------------------------------------------------------------------------
 # split extensions
 

@@ -1,6 +1,7 @@
 """Every name a growthlab module imports is used in that module, apart
-from the deliberate re-exports below, and every module-level private
-function or class is referenced somewhere in the package.  No linter
+from the deliberate re-exports below, and every private module-level
+function, class or constant and every private method is referenced
+somewhere in the package.  No linter
 is assumed installed, so the check reads the syntax trees itself.
 Modules that load others lazily are pinned by what a bare import
 leaves in ``sys.modules``.
@@ -43,17 +44,28 @@ def unused_imports(tree) -> set:
 
 
 def private_definitions(tree) -> set:
-    """Module-level functions and classes named _private (not dunder)."""
-    return {node.name for node in tree.body
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-            and node.name.startswith("_") and not node.name.startswith("__")}
+    """Module-level functions, classes and constants, and the methods of
+    module-level classes, named _private (not dunder)."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        if isinstance(node, ast.ClassDef):
+            names.update(item.name for item in node.body
+                         if isinstance(item, ast.FunctionDef))
+        elif isinstance(node, ast.Assign):
+            names.update(t.id for t in node.targets if isinstance(t, ast.Name))
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names.add(node.target.id)
+    return {n for n in names if n.startswith("_") and not n.startswith("__")}
 
 
 def referenced_names(tree) -> set:
-    """Names read, attributes accessed and names imported in a module."""
+    """Names read, attributes accessed and names imported in a module;
+    a name that is only assigned is not referenced."""
     out = set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             out.add(node.id)
         elif isinstance(node, ast.Attribute):
             out.add(node.attr)
@@ -91,6 +103,25 @@ def test_no_unused_imports_in_src():
     assert dataclass_users == []
     # a private helper nothing in the package names is dead code
     assert {n: m for n, m in private.items() if n not in referenced} == {}
+
+
+def test_private_definition_finder():
+    tree = ast.parse(
+        "_LIMIT = 1\n"
+        "_DEAD: int = 2\n"
+        "class A:\n"
+        "    def __init__(self):\n"
+        "        self._x = self._used(_LIMIT)\n"
+        "    def _used(self, n):\n"
+        "        return n\n"
+        "    def _dead_method(self):\n"
+        "        return 0\n"
+        "def _helper():\n"
+        "    pass\n")
+    private = private_definitions(tree)
+    assert private == {"_LIMIT", "_DEAD", "_used", "_dead_method", "_helper"}
+    # assigning _DEAD and self._x does not count as a reference
+    assert private - referenced_names(tree) == {"_DEAD", "_dead_method", "_helper"}
 
 
 @functools.cache

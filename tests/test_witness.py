@@ -31,7 +31,7 @@ from growthlab.witness import (
 )
 from growthlab.words import Word
 
-from util import fib_engine, rot4_engine, torus_engine
+from util import fib_engine, nested_bs1_engine, rot4_engine, torus_engine
 
 ALL_VARIANTS = {
     NON_CYCLIC_PAIR,
@@ -223,6 +223,38 @@ def test_unipotent_free_base_periodic_class():
     assert cert.k_word == "y x y^-1"
     assert cert.n == 1
     assert cert.c_word == "<identity>"
+
+
+def nested_identity_engine():
+    # the nested bs1 extension times Z: letters t, t1, a, t2
+    nested = nested_bs1_engine()
+    ident = {g: g for g in nested.gen_names}
+    return SemidirectEngine(nested, ident, dict(ident))
+
+
+@pytest.mark.parametrize("gens, i, detail, relation", [
+    (["a", "t2 t^2"], 1,
+     "conjugation relation x1 = x0^2: polynomial invariant t - 2 is not "
+     "monic at both ends, kernel not finitely generated", (-2, 1)),
+    (["t t2^-1", "a^2"], 0,
+     "sticking relation x0^-1 x1^2 = e: every monic-both-ends divisor of "
+     "-1 + 2*t is a unit, forcing first Betti number 0 against a strictly "
+     "ascending chain", (-1, 2)),
+], ids=["conjugation", "sticking"])
+def test_kernel_chain_relation_goldens(gens, i, detail, relation):
+    eng = nested_identity_engine()
+    assert analyze(eng, gens, 3.0, 2).to_json() == {
+        "variant": KERNEL_CHAIN_ESCAPE, "bound": 1.0442737824274138,
+        "max_A_length": 4, "depth": 3,
+        "diagnostics": f"(i={i}, [a0,a1]): {detail}", "reverified": True}
+    # the relation x0^a x1^b = e holds for x0 = [a0, a1], x1 = ai x0 ai^-1
+    a0, a1 = (eng.evaluate_word(Word.parse(g)) for g in gens)
+    x0 = eng.multiply(eng.multiply(a0, a1),
+                      eng.multiply(eng.invert(a0), eng.invert(a1)))
+    ai = (a0, a1)[i]
+    x1 = eng.multiply(eng.multiply(ai, x0), eng.invert(ai))
+    a, b = relation
+    assert eng.multiply(eng.power(x0, a), eng.power(x1, b)) == eng.identity
 
 
 def _pcc_payload(k, n, diagnostics):
