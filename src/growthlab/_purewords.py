@@ -20,7 +20,10 @@ how often products take each path:
 * an empty factor: the other factor, unchanged.
 
 ``substitute`` applies the same seam rule while it accumulates the image
-pieces into one list.
+pieces into one list.  It takes the inverse of every image along with
+the image, so a letter with a negative exponent reads a stored word and
+inverts nothing: a split extension over a free base keeps both lists per
+automorphism level and applies that level to many words.
 """
 
 from __future__ import annotations
@@ -97,23 +100,26 @@ def pow_word(a: tuple, e) -> tuple:
         base = concat_reduce(base, base)
 
 
-def substitute(a: tuple, images) -> tuple:
+def substitute(a: tuple, images, inverses) -> tuple:
     """Apply a generator-indexed substitution to a word.
 
-    images[g] is the (reduced, flat) image word of generator g; the image
-    of a letter g^e is images[g]**e.  Accumulates into one list so the
+    images[g] is the (reduced, flat) image word of generator g and
+    inverses[g] its inverse; the image of a letter g^e is images[g]**e,
+    read from inverses[g] when e < 0.  Accumulates into one list so the
     cost is linear in the output length, not quadratic.
     """
     out: list = []
     for i in range(0, len(a), 2):
+        g = a[i]
         e = a[i + 1]
-        img = images[a[i]]
         if e == 1:
-            seq = img
+            seq = images[g]
         elif e == -1:
-            seq = invert_word(img)
+            seq = inverses[g]
+        elif e > 0:
+            seq = pow_word(images[g], e)
         else:
-            seq = pow_word(img, e)
+            seq = pow_word(inverses[g], -e)
         j = 0
         nb = len(seq)
         while j < nb and out:

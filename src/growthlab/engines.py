@@ -25,7 +25,7 @@ from __future__ import annotations
 import json
 from collections import defaultdict
 from itertools import chain, repeat
-from operator import add, itemgetter, neg, sub
+from operator import add, itemgetter, mul, neg, sub
 
 from growthlab import GrowthlabError, wordops
 from growthlab.words import Word, WordSyntaxError
@@ -417,8 +417,18 @@ class SemidirectEngine(_EngineBase):
 
     The automorphism comes with generator images in both directions; the
     two maps are checked inverse on every generator at construction.
-    Powers of the automorphism are applied through a per-generator,
-    per-exponent memo of generator images, filled on first use.
+    Powers of the automorphism are applied through ``_levels``, a memo
+    of one level per exponent k != 0, filled on first use by composing
+    with level +-1.  Each level is stored in the form its base applies:
+
+    * free base: the images of the generators and their inverses, both
+      lists in generator order, for ``wordops.substitute``, so no letter
+      of a word is inverted when the level is applied;
+    * abelian base: the rows of the matrix of alpha^k, so applying a
+      level is one matrix-vector product;
+    * klein, bs1 and nested bases: images by generator name, applied
+      along the element's word with the base's ``power`` and
+      ``multiply``.
 
     ``products`` needs alpha^k(w2) once per shift k of the elements and
     letter (w2, k2), so it keeps no memo of these images: a sphere has
@@ -441,15 +451,15 @@ class SemidirectEngine(_EngineBase):
         self._bwd_words = {g: w if isinstance(w, Word) else Word.parse(w) for g, w in backward.items()}
         fwd = {g: base.evaluate_word(w) for g, w in self._fwd_words.items()}
         bwd = {g: base.evaluate_word(w) for g, w in self._bwd_words.items()}
+        # no level 0: auto_power returns early at k = 0
+        self._levels = {1: self._level([fwd[g] for g in base.gen_names]),
+                        -1: self._level([bwd[g] for g in base.gen_names])}
         for g in base.gen_names:
             gen = base.generator(g)
-            if self._apply_images(bwd, fwd[g]) != gen:
+            if self._apply_images(self._levels[-1], fwd[g]) != gen:
                 raise GroupSpecError(f"backward(forward({g})) != {g}: maps are not inverse")
-            if self._apply_images(fwd, bwd[g]) != gen:
+            if self._apply_images(self._levels[1], bwd[g]) != gen:
                 raise GroupSpecError(f"forward(backward({g})) != {g}: maps are not inverse")
-
-        # no level 0: auto_power returns early at k = 0
-        self._levels = {1: fwd, -1: bwd}
 
         rename = {n: _bump_stable_name(n) for n in base.gen_names}
         if len(set(rename.values())) != len(rename):
@@ -464,17 +474,30 @@ class SemidirectEngine(_EngineBase):
 
     # -- automorphism ------------------------------------------------------
 
-    def _apply_images(self, images: dict, el):
+    def _level(self, images):
+        """The stored form of one level (see the class docstring) from the
+        images of the base generators, listed in ``base.gen_names`` order."""
         base = self.base
         if base.family == "free":
-            imgs = [images[n] for n in base.gen_names]
-            return wordops.substitute(el, imgs)
+            return images, [wordops.invert_word(w) for w in images]
+        if base.family == "abelian":
+            return list(zip(*images))  # the images are the matrix columns
+        return dict(zip(base.gen_names, images))
+
+    def _apply_images(self, level, el):
+        base = self.base
+        if base.family == "free":
+            return wordops.substitute(el, *level)
+        if base.family == "abelian":
+            return tuple([sum(map(mul, row, el)) for row in level])
         out = base.identity
         for name, exp in base.element_to_word(el).letters:
-            out = base.multiply(out, base.power(images[name], exp))
+            out = base.multiply(out, base.power(level[name], exp))
         return out
 
-    def _images_at(self, k: int) -> dict:
+    def _level_at(self, k: int):
+        """Level k, built from the nearest stored level towards 0 by
+        alpha^j = alpha^(j - step) o alpha^step, one step at a time."""
         levels = self._levels
         hit = levels.get(k)
         if hit is not None:
@@ -483,18 +506,20 @@ class SemidirectEngine(_EngineBase):
         j = k - step
         while levels.get(j) is None:
             j -= step
-        one = levels[step]
+        base = self.base
+        apply = self._apply_images
+        one = [apply(levels[step], base.generator(g)) for g in base.gen_names]
         while j != k:
             prev = levels[j]
             j += step
-            levels[j] = {g: self._apply_images(one, prev[g]) for g in self.base.gen_names}
+            levels[j] = self._level([apply(prev, w) for w in one])
         return levels[k]
 
     def auto_power(self, el, k: int):
         """alpha^k applied to a base element."""
         if k == 0 or el == self.base.identity:
             return el
-        return self._apply_images(self._images_at(k), el)
+        return self._apply_images(self._level_at(k), el)
 
     # -- group operations --------------------------------------------------
 

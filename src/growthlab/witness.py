@@ -24,7 +24,7 @@ from fractions import Fraction
 
 from growthlab import GrowthlabError
 from growthlab._exact import solve
-from growthlab.engines import UnsupportedFamilyError, units_to_flat
+from growthlab.engines import UnsupportedFamilyError, flat_to_units, units_to_flat
 from growthlab.growth import rescale_lower_bound
 from growthlab.subgroups import is_cyclic_pair
 from growthlab.words import Word
@@ -545,10 +545,55 @@ def _cyclically_reduced_words(rank: int, max_length: int):
             yield units_to_flat(list(units))
 
 
+def _first_of_orbit(flat) -> bool:
+    """True iff the cyclically reduced word ``flat`` comes first in the
+    stream among its orbit: the rotations of itself and of its inverse.
+    Such a word is below each of its other rotations in the unit order,
+    which also rules out proper powers, since r^m equals its rotation by
+    the length of r.  It is below every rotation of its inverse too;
+    these never tie with it, because no element of a free group other
+    than e is conjugate to its inverse."""
+    # unit order x, x^-1, y, y^-1, ... as ranks 0, 1, 2, 3, ...; the
+    # inverse of a unit flips the low bit of its rank
+    key = [2 * u - 2 if u > 0 else -2 * u - 1 for u in flat_to_units(flat)]
+    inv = [r ^ 1 for r in reversed(key)]
+    n = len(key)
+    for r in range(1, n):
+        if key[r:] + key[:r] <= key:
+            return False
+    for r in range(n):
+        if inv[r:] + inv[:r] < key:
+            return False
+    return True
+
+
 def pcc_scan(engine, max_period: int, max_length: int) -> PccResult:
     """Look for k != e and n <= max_period with alpha^n(k) conjugate to
     k in the base.  Exact for an abelian base; elsewhere a bounded scan
-    whose empty answer only means none within bounds."""
+    whose empty answer only means none within bounds.
+
+    On a free base the scan walks the cyclically reduced words in the
+    stream order of ``_cyclically_reduced_words`` and returns the first
+    k, with its least n, that passes: alpha^n(k) is conjugate to k.  It
+    tests only the first word of each orbit (``_first_of_orbit``), and
+    the result (k, n, c, exact, note) is that of testing every word:
+
+    * a rotation k' = g k g^-1 of k passes at every n where k does, since
+      alpha^n(k') = alpha^n(g) alpha^n(k) alpha^n(g)^-1 is conjugate to
+      alpha^n(k), hence to k, hence to k';
+    * so does k^-1, since alpha^n commutes with inversion;
+    * if k = r^m with m >= 2, then r is cyclically reduced and shorter,
+      so it comes earlier in the stream, and r passes at the same n:
+      alpha^n(r)^m = alpha^n(k) = c k c^-1 = (c r c^-1)^m, and roots in
+      a free group are unique, so alpha^n(r) = c r c^-1.
+
+    So the first word of the full stream that passes is not a proper
+    power, and no rotation of it or of its inverse (all of the same
+    length, all in the stream) is lex-smaller: it is the first word of
+    its orbit.  The filtered scan reaches it at the same place among the
+    words it keeps, tests it with the same n, and asks the same
+    ``conjugacy_test``, so c is the same too; when no word passes, both
+    scans end with the same note."""
     if engine.family != "semidirect":
         raise WitnessError("periodic-class scan requires a split-extension engine")
     if max_period < 1 or max_length < 1:
@@ -572,7 +617,7 @@ def pcc_scan(engine, max_period: int, max_length: int) -> PccResult:
         cert = _pcc_certificate(engine, tuple(k_vec), d, base.identity)
         return PccResult(cert, True, "exact cyclotomic test")
     if base.family == "free":
-        candidates = _cyclically_reduced_words(base.rank, max_length)
+        candidates = filter(_first_of_orbit, _cyclically_reduced_words(base.rank, max_length))
     elif base.family == "klein":
         candidates = (
             (i, j)

@@ -20,6 +20,8 @@ from growthlab.engines import (
 from growthlab.words import Word
 
 from util import (
+    FIB_AUTO,
+    ROT4_AUTO,
     TORUS_AUTO,
     bs1_multiply_reference,
     bs1_normal_form,
@@ -29,6 +31,7 @@ from util import (
     nested_torus_engine,
     random_element,
     random_word,
+    reference_auto_power,
     torus_engine,
 )
 
@@ -382,6 +385,38 @@ def test_semidirect_auto_power_inverse_law():
         el = random_element(rng, base)
         k = rng.randrange(-8, 9)
         assert eng.auto_power(eng.auto_power(el, k), -k) == el
+
+
+# automorphisms whose level tables are checked against the word path:
+# free bases (torus, unipotent) and abelian ranks 1-3, periodic and Anosov
+LEVEL_AUTOS = [
+    (FreeEngine(2), TORUS_AUTO),
+    (FreeEngine(2), ({"x": "x", "y": "y x"}, {"x": "x", "y": "y x^-1"})),
+    (AbelianEngine(1), ({"e1": "e1^-1"}, {"e1": "e1^-1"})),
+    (AbelianEngine(2), ROT4_AUTO),
+    (AbelianEngine(2), FIB_AUTO),
+    (AbelianEngine(3), ({"e1": "e2", "e2": "e3", "e3": "e1"},
+                        {"e1": "e3", "e2": "e1", "e3": "e2"})),
+    (AbelianEngine(3), ({"e1": "e2", "e2": "e3", "e3": "e1 e2"},
+                        {"e1": "e1^-1 e3", "e2": "e1", "e3": "e2"})),
+]
+
+
+@pytest.mark.parametrize("base, auto", LEVEL_AUTOS,
+                         ids=[f"{b.spec_id()}-{i}" for i, (b, _) in enumerate(LEVEL_AUTOS)])
+def test_auto_power_levels_match_word_path(base, auto):
+    # a fresh engine, queried in shuffled order, so levels are built
+    # from either side and from gaps of several steps
+    eng = SemidirectEngine(base, *auto)
+    rng = random.Random(16)
+    ks = list(range(-7, 8))
+    rng.shuffle(ks)
+    elements = [random_element(rng, base, 4) for _ in range(12)]
+    for k in ks:
+        for el in elements:
+            got = eng.auto_power(el, k)
+            assert got == reference_auto_power(eng, el, k), (k, el)
+            assert eng.auto_power(got, -k) == el
 
 
 def test_semidirect_auto_power_is_automorphic():

@@ -13,9 +13,10 @@ from growthlab.engines import (
     KleinEngine,
     SemidirectEngine,
     UnsupportedFamilyError,
+    flat_to_units,
 )
 from growthlab.subgroups import is_cyclic_pair
-from growthlab import witness
+from growthlab import witness, wordops
 from growthlab.witness import (
     INCONCLUSIVE,
     KERNEL_CHAIN_ESCAPE,
@@ -31,7 +32,14 @@ from growthlab.witness import (
 )
 from growthlab.words import Word
 
-from util import fib_engine, nested_bs1_engine, rot4_engine, torus_engine
+from util import (
+    TORUS_AUTO,
+    fib_engine,
+    nested_bs1_engine,
+    reference_pcc_scans,
+    rot4_engine,
+    torus_engine,
+)
 
 ALL_VARIANTS = {
     NON_CYCLIC_PAIR,
@@ -446,3 +454,105 @@ def test_cyclically_reduced_word_stream():
         assert all(a != b for a, b in zip(letters, letters[1:]))
         assert all(e != 0 for e in exps)
         assert sum(abs(e) for e in exps) <= 2
+
+
+def test_pcc_scan_torus_auto_power_guard():
+    # one auto_power per kept word and period: the torus scan keeps 17
+    # of the 128 cyclically reduced words of length <= 4
+    eng = torus_engine()
+    calls = []
+    auto_power = eng.auto_power
+
+    def counting(el, k):
+        calls.append(k)
+        return auto_power(el, k)
+
+    eng.auto_power = counting
+    res = pcc_scan(eng, 8, 4)
+    assert res.certificate.k_word == "x y x^-1 y^-1"
+    assert len(calls) <= 17 * 8
+
+
+def _unit_rank(u):
+    return 2 * u - 2 if u > 0 else -2 * u - 1
+
+
+@pytest.mark.parametrize("rank", [2, 3])
+def test_cyclically_reduced_stream_is_ordered_and_closed(rank):
+    # the orbit argument in pcc_scan rests on these two properties
+    stream = [flat_to_units(w) for w in witness._cyclically_reduced_words(rank, 5)]
+    keys = [(len(u), [_unit_rank(x) for x in u]) for u in stream]
+    assert keys == sorted(keys)
+    assert len(set(map(tuple, stream))) == len(stream)
+    seen = set(map(tuple, stream))
+    for u in stream:
+        inv = [-x for x in reversed(u)]
+        for r in range(len(u)):
+            assert tuple(u[r:] + u[:r]) in seen
+            assert tuple(inv[r:] + inv[:r]) in seen
+
+
+def _compose(f, g):
+    """Images of f o g from the image lists of f and g."""
+    f_inv = [wordops.invert_word(w) for w in f]
+    return [wordops.substitute(w, f, f_inv) for w in g]
+
+
+def _nielsen_products(rank):
+    """Forward and backward maps of three seeded products of five
+    Nielsen moves on F_rank."""
+    rng = random.Random(15)
+    free = FreeEngine(rank)
+    ident = [(i, 1) for i in range(rank)]
+    out = []
+    for _ in range(3):
+        fwd, bwd = ident, ident
+        for _ in range(5):
+            i, j = rng.sample(range(rank), 2)
+            kind = rng.randrange(4)
+            step, back = list(ident), list(ident)
+            if kind == 0:
+                step[i], back[i] = (i, 1, j, 1), (i, 1, j, -1)
+            elif kind == 1:
+                step[i], back[i] = (j, 1, i, 1), (j, -1, i, 1)
+            elif kind == 2:
+                step[i] = back[i] = (i, -1)
+            else:
+                step[i], step[j] = (j, 1), (i, 1)
+                back = step
+            fwd, bwd = _compose(fwd, step), _compose(back, bwd)
+        out.append(tuple({n: str(free.element_to_word(w)) for n, w in zip(free.gen_names, imgs)}
+                         for imgs in (fwd, bwd)))
+    return out
+
+
+def _scan_engines():
+    """Automorphisms of F2 and F3: torus (tribonacci on F3), unipotent,
+    inner by a short word, a swap with inversion, and seeded products of
+    Nielsen moves."""
+    f2 = [
+        TORUS_AUTO,
+        ({"x": "x", "y": "y x"}, {"x": "x", "y": "y x^-1"}),
+        ({"x": "x y^-1 x y x^-1", "y": "x y x^-1"},
+         {"x": "y x^-1 x x y^-1", "y": "y x^-1 y x y^-1"}),
+        ({"x": "y^-1", "y": "x^-1"}, {"x": "y^-1", "y": "x^-1"}),
+    ] + _nielsen_products(2)
+    f3 = [
+        ({"x": "y", "y": "z", "z": "x y"}, {"x": "z x^-1", "y": "x", "z": "y"}),
+        ({"x": "x", "y": "y x", "z": "z y"},
+         {"x": "x", "y": "y x^-1", "z": "z x y^-1"}),
+        ({"x": "x z x z^-1 x^-1", "y": "x z y z^-1 x^-1", "z": "x z x^-1"},
+         {"x": "z^-1 x z", "y": "z^-1 x^-1 y x z", "z": "z^-1 x^-1 z x z"}),
+        ({"x": "y^-1", "y": "x^-1", "z": "z^-1"},
+         {"x": "y^-1", "y": "x^-1", "z": "z^-1"}),
+    ] + _nielsen_products(3)
+    return ([SemidirectEngine(FreeEngine(2), *a) for a in f2]
+            + [SemidirectEngine(FreeEngine(3), *a) for a in f3])
+
+
+def test_orbit_scan_matches_full_scan():
+    for eng in _scan_engines():
+        full = reference_pcc_scans(eng, 6, 5)
+        for (max_period, max_length), want in full.items():
+            assert pcc_scan(eng, max_period, max_length) == want, (
+                eng.spec_id(), max_period, max_length)

@@ -139,7 +139,7 @@ def test_substitute_matches_reference_on_cascades():
             seq = []
             for g, s in letters(word):
                 seq += letters(images[g]) if s > 0 else inverse_letters(images[g])
-            got = pure.substitute(word, images)
+            got = pure.substitute(word, images, [pure.invert_word(w) for w in images])
             assert got == reduce_letters(seq)
             assert_reduced(got)
 
@@ -175,7 +175,7 @@ def test_substitute_matches_reference():
     for _ in range(300):
         a = random_word(rng, rank=3)
         images = [random_word(rng, rank=4) for _ in range(3)]
-        got = pure.substitute(a, images)
+        got = pure.substitute(a, images, [pure.invert_word(w) for w in images])
         seq = []
         for g, s in letters(a):
             seq += letters(images[g]) if s > 0 else inverse_letters(images[g])
@@ -186,7 +186,7 @@ def test_substitute_matches_reference():
 def test_substitute_can_collapse_everything():
     a = (0, 1, 1, 1)
     images = [(2, 1), (2, -1)]
-    assert pure.substitute(a, images) == ()
+    assert pure.substitute(a, images, [pure.invert_word(w) for w in images]) == ()
 
 
 def test_word_length_matches_reference():

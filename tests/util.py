@@ -1,6 +1,7 @@
 """Shared builders for the test suite: engines under test and seeded
 random words/elements."""
 
+from growthlab import wordops
 from growthlab.engines import (
     AbelianEngine,
     BS1Engine,
@@ -8,6 +9,7 @@ from growthlab.engines import (
     KleinEngine,
     SemidirectEngine,
 )
+from growthlab.witness import PccResult, _cyclically_reduced_words, _pcc_certificate
 from growthlab.words import Word
 
 TORUS_AUTO = ({"x": "y", "y": "x y"}, {"x": "y x^-1", "y": "x"})
@@ -129,3 +131,49 @@ def insert_trivial_pair(rng, word, names):
     pos = rng.randrange(len(pairs) + 1)
     noisy = pairs[:pos] + [(name, exp), (name, -exp)] + pairs[pos:]
     return Word.of(noisy)
+
+
+def reference_pcc_scans(engine, max_period, max_length):
+    """The periodic-class scan on a free base over every word of the
+    unfiltered `_cyclically_reduced_words` stream, for every pair of
+    bounds at once: maps (p, l) with p <= max_period and l <= max_length
+    to the `PccResult` naming the first word k of length <= l, with its
+    least n <= p, for which alpha^n(k) is conjugate to k.  One pass finds
+    each word's least n; it stops once no open pair of bounds admits
+    the next word's length."""
+    base = engine.base
+    bounds = [(p, l) for p in range(1, max_period + 1) for l in range(1, max_length + 1)]
+    results = dict.fromkeys(bounds, PccResult(None, False, "none within bounds (semi-decision)"))
+    open_bounds = set(bounds)
+    for k_el in _cyclically_reduced_words(base.rank, max_length):
+        length = wordops.word_length(k_el)
+        open_bounds = {(p, l) for p, l in open_bounds if l >= length}
+        if not open_bounds:
+            break
+        for n in range(1, max_period + 1):
+            c = base.conjugacy_test(k_el, engine.auto_power(k_el, n))
+            if c is not None:
+                found = PccResult(_pcc_certificate(engine, k_el, n, c), False,
+                                  "found within bounds")
+                for b in [b for b in open_bounds if b[0] >= n]:
+                    results[b] = found
+                    open_bounds.discard(b)
+                break
+    return results
+
+
+def reference_auto_power(engine, el, k):
+    """alpha^k(el) by applying the declared forward (k > 0) or backward
+    (k < 0) images |k| times, each time spelling the element as a word
+    with `element_to_word`, substituting the image words letter by letter
+    and evaluating the result with `evaluate_word`; no level table."""
+    base = engine.base
+    side = "forward" if k > 0 else "backward"
+    images = {g: Word.parse(w) for g, w in engine.spec_dict()["automorphism"][side].items()}
+    for _ in range(abs(k)):
+        pieces = []
+        for name, exp in base.element_to_word(el).letters:
+            img = images[name] if exp > 0 else images[name].inverse()
+            pieces.extend(img.letters * abs(exp))
+        el = base.evaluate_word(Word.of(pieces))
+    return el
