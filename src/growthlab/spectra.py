@@ -104,13 +104,6 @@ class IntPoly:
     def is_monic(self) -> bool:
         return self.coeffs[-1] == 1
 
-    def at_matrix(self, m):
-        n = len(m)
-        acc = mat_scale(mat_identity(n), self.coeffs[-1])
-        for c in reversed(self.coeffs[:-1]):
-            acc = mat_add(mat_mul(acc, m), mat_scale(mat_identity(n), c))
-        return acc
-
     def format(self) -> str:
         return format_terms(enumerate(self.coeffs))
 

@@ -24,7 +24,7 @@ from fractions import Fraction
 
 from growthlab import GrowthlabError
 from growthlab._exact import solve
-from growthlab.engines import UnsupportedFamilyError, flat_to_units, units_to_flat
+from growthlab.engines import UnsupportedFamilyError, units_to_flat
 from growthlab.growth import rescale_lower_bound
 from growthlab.subgroups import is_cyclic_pair
 from growthlab.words import Word
@@ -464,10 +464,35 @@ def _case(engine, elems, u, d, i, cand):
     return None, f"{tag}: no decision procedure for {base_fam} base"
 
 
+def _commutators(engine, elems):
+    """The candidates (j, k, sj, sk, c) of the search, c = [a_j^sj, a_k^sk]
+    for j < k and c != e, in search order, each built when asked for."""
+    identity, invert, multiply = engine.identity, engine.invert, engine.multiply
+    for j in range(len(elems)):
+        for k in range(j + 1, len(elems)):
+            for sj, sk in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
+                aj = elems[j] if sj > 0 else invert(elems[j])
+                ak = elems[k] if sk > 0 else invert(elems[k])
+                c_el = multiply(multiply(aj, ak), multiply(invert(aj), invert(ak)))
+                if c_el != identity:
+                    yield (j, k, sj, sk, c_el)
+
+
 def analyze(engine, gens, u: float, d: int, threads: int = 1) -> Certificate:
     """Search the candidate subgroups lexicographically and return the
     first certificate; deterministic for fixed inputs.  `threads` is
-    accepted for compatibility and has no effect."""
+    accepted for compatibility and has no effect.
+
+    Row i pairs a_i with every candidate commutator in turn.  A
+    commutator is built only when a row first reads it, and kept for
+    the rows after it, so a search that certifies early builds few.
+    On a klein, bs1 or abelian base a row whose a_i has shift 0 never
+    certifies: ``_case`` runs no test there, since a pair of kernel
+    elements in a base of polynomial growth (abelian, klein) spans no
+    free subgroup, and bs1 has no pair test.  Its one diagnostic per
+    candidate names only the candidate's tag.  So such a row only marks
+    its place, and is spelled out, in the same order, when the search
+    ends Inconclusive."""
     if engine.family != "semidirect":
         raise WitnessError("analysis requires a split-extension engine")
     _check_hypothesis(u)
@@ -477,31 +502,40 @@ def analyze(engine, gens, u: float, d: int, threads: int = 1) -> Certificate:
     if not words:
         raise WitnessError("generating set is empty")
     elems = [engine.evaluate_word(w) for w in words]
-    cands = []
-    for j in range(len(elems)):
-        for k in range(j + 1, len(elems)):
-            for sj, sk in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
-                aj = elems[j] if sj > 0 else engine.invert(elems[j])
-                ak = elems[k] if sk > 0 else engine.invert(elems[k])
-                c_el = engine.multiply(
-                    engine.multiply(aj, ak),
-                    engine.multiply(engine.invert(aj), engine.invert(ak)))
-                if c_el != engine.identity:
-                    cands.append((j, k, sj, sk, c_el))
-    if not cands:
+    fresh = _commutators(engine, elems)
+    first = next(fresh, None)
+    if first is None:
         return Certificate(
             VIRTUALLY_NILPOTENT_DIAGNOSIS,
             reason="every generator commutator vanishes; the generated "
                    "group is abelian")
+    built = [first]
+
+    def cands():
+        yield from built
+        for cand in fresh:
+            built.append(cand)
+            yield cand
+
+    skip_rows = engine.base.family not in ("free", "semidirect")
     diags = []
-    for i in range(len(elems)):
-        for cand in cands:
+    for i, a_el in enumerate(elems):
+        if skip_rows and engine.shift(a_el) == 0:
+            diags.append(i)
+            continue
+        for cand in cands():
             cert, diag = _case(engine, elems, u, d, i, cand)
             if cert is not None:
                 return cert
             if diag:
                 diags.append(diag)
-    uniq = list(dict.fromkeys(diags))
+    lines = []
+    for entry in diags:
+        if isinstance(entry, int):
+            lines.extend(_case(engine, elems, u, d, entry, cand)[1] for cand in cands())
+        else:
+            lines.append(entry)
+    uniq = list(dict.fromkeys(lines))
     return Certificate(
         INCONCLUSIVE,
         diagnostics="; ".join(uniq) if uniq else
@@ -516,55 +550,47 @@ class PccResult(namedtuple("PccResult", "certificate exact note")):
     __slots__ = ()
 
 
-def _cyclically_reduced_words(rank: int, max_length: int):
-    """Flat free words, cyclically reduced, ordered by (length, lex) in
-    the unit order x, x^-1, y, y^-1, ..."""
-    order = []
-    for g in range(1, rank + 1):
-        order.extend((g, -g))
+def _orbit_words(rank: int, max_length: int):
+    """One flat word per orbit of the nontrivial cyclically reduced
+    words of length <= max_length under rotation and inversion: the
+    orbit's least word in (length, lex) order over the unit order x,
+    x^-1, y, y^-1, ..., yielded in that order.
 
-    def emit(length):
-        seq = []
-
-        def rec():
-            if len(seq) == length:
-                if length == 1 or seq[-1] != -seq[0]:
-                    yield tuple(seq)
-                return
-            for unit in order:
-                if seq and unit == -seq[-1]:
-                    continue
-                seq.append(unit)
-                yield from rec()
-                seq.pop()
-
-        yield from rec()
-
-    for length in range(1, max_length + 1):
-        for units in emit(length):
-            yield units_to_flat(list(units))
-
-
-def _first_of_orbit(flat) -> bool:
-    """True iff the cyclically reduced word ``flat`` comes first in the
-    stream among its orbit: the rotations of itself and of its inverse.
-    Such a word is below each of its other rotations in the unit order,
-    which also rules out proper powers, since r^m equals its rotation by
-    the length of r.  It is below every rotation of its inverse too;
-    these never tie with it, because no element of a free group other
-    than e is conjugate to its inverse."""
+    Such a word is below each of its other rotations, so it is a Lyndon
+    word, which also rules out proper powers (r^m equals its rotation by
+    the length of r).  It has no adjacent inverse pair, cyclically, and
+    it is below every rotation of its inverse; these never tie with it,
+    because no element of a free group other than e is conjugate to its
+    inverse.  For each length n the Fredricksen-Kessler-Maiorana
+    recursion visits the prenecklaces of length n in lex order, each
+    through its prefixes, and the Lyndon words among them are those with
+    period p == n.  A prefix of a prenecklace is a prenecklace, so a
+    prefix that ends in an inverse pair is pruned with all it extends;
+    the leaf checks the wrap-around pair and the inverse."""
     # unit order x, x^-1, y, y^-1, ... as ranks 0, 1, 2, 3, ...; the
     # inverse of a unit flips the low bit of its rank
-    key = [2 * u - 2 if u > 0 else -2 * u - 1 for u in flat_to_units(flat)]
-    inv = [r ^ 1 for r in reversed(key)]
-    n = len(key)
-    for r in range(1, n):
-        if key[r:] + key[:r] <= key:
-            return False
-    for r in range(n):
-        if inv[r:] + inv[:r] < key:
-            return False
-    return True
+    units = [u for g in range(1, rank + 1) for u in (g, -g)]
+    size = len(units)
+    for n in range(1, max_length + 1):
+        a = [0] * (n + 1)  # a[0] seeds the range of the first letter
+
+        def rec(t, p):
+            if t > n:
+                key = a[1:]
+                if p == n and key[-1] ^ 1 != key[0]:
+                    inv = [r ^ 1 for r in reversed(key)]
+                    if all(inv[r:] + inv[:r] >= key for r in range(n)):
+                        yield key
+                return
+            lo = a[t - p]
+            bad = a[t - 1] ^ 1 if t > 1 else -1
+            for v in range(lo, size):
+                if v != bad:
+                    a[t] = v
+                    yield from rec(t + 1, p if v == lo else t)
+
+        for key in rec(1, 1):
+            yield units_to_flat([units[r] for r in key])
 
 
 def pcc_scan(engine, max_period: int, max_length: int) -> PccResult:
@@ -572,11 +598,13 @@ def pcc_scan(engine, max_period: int, max_length: int) -> PccResult:
     k in the base.  Exact for an abelian base; elsewhere a bounded scan
     whose empty answer only means none within bounds.
 
-    On a free base the scan walks the cyclically reduced words in the
-    stream order of ``_cyclically_reduced_words`` and returns the first
-    k, with its least n, that passes: alpha^n(k) is conjugate to k.  It
-    tests only the first word of each orbit (``_first_of_orbit``), and
-    the result (k, n, c, exact, note) is that of testing every word:
+    On a free base the scan is over the cyclically reduced words, ordered
+    by length, then lex in the unit order x, x^-1, y, y^-1, ..., and
+    returns the first k, with its least n, that passes: alpha^n(k) is
+    conjugate to k.  It tests only the first word of each orbit of
+    rotation and inversion, which ``_orbit_words`` yields directly, in
+    the same order, and the result (k, n, c, exact, note) is that of
+    testing every word:
 
     * a rotation k' = g k g^-1 of k passes at every n where k does, since
       alpha^n(k') = alpha^n(g) alpha^n(k) alpha^n(g)^-1 is conjugate to
@@ -617,7 +645,7 @@ def pcc_scan(engine, max_period: int, max_length: int) -> PccResult:
         cert = _pcc_certificate(engine, tuple(k_vec), d, base.identity)
         return PccResult(cert, True, "exact cyclotomic test")
     if base.family == "free":
-        candidates = filter(_first_of_orbit, _cyclically_reduced_words(base.rank, max_length))
+        candidates = _orbit_words(base.rank, max_length)
     elif base.family == "klein":
         candidates = (
             (i, j)

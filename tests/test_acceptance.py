@@ -41,6 +41,7 @@ from growthlab.witness import (
 from growthlab.words import Word
 
 from util import (
+    at_matrix,
     family_engines,
     fib_engine,
     random_element,
@@ -306,7 +307,7 @@ def test_criterion_7_property_suites(free2_table, klein_table, torus_survey):
         size = rng.randrange(1, 4)
         mat = [[rng.randint(-5, 5) for _ in range(size)] for _ in range(size)]
         zero = [[0] * size for _ in range(size)]
-        assert char_poly(mat).at_matrix(mat) == zero
+        assert at_matrix(char_poly(mat), mat) == zero
     verdict("criterion 7: PASS (axioms, tables, gcds, certificates, "
             "Cayley-Hamilton)")
 

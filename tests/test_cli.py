@@ -409,6 +409,17 @@ def test_pcc_unsupported_base_family(tmp_path, capsys):
                    "'bs1'\n")
 
 
+def test_pcc_level_cache_is_bounded(tmp_path, capsys):
+    # torus levels grow by phi per step: level 26 would take the cache
+    # past 4 M stored entries, so the scan stops there with an error
+    group = spec_file(tmp_path, "torus.json", TORUS_SPEC)
+    code, out, err = run(capsys, [
+        "pcc", "--group", group, "--max-period", "40", "--max-length", "2"])
+    assert (code, out) == (2, "")
+    assert err == ("ERR 2 automorphism level 26 takes the level cache past "
+                   "4000000 stored entries\n")
+
+
 # ---------------------------------------------------------------------------
 # input errors: every one ends in one ERR 2 record and no stdout
 
@@ -545,6 +556,7 @@ _ERROR_BASES = {
     "GroupSpecError": ValueError,
     "UnknownGeneratorError": KeyError,
     "UnsupportedFamilyError": NotImplementedError,
+    "LevelCacheError": Exception,
     "WordSyntaxError": ValueError,
     "GrowthError": Exception,
     "LaurentError": Exception,

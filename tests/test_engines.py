@@ -9,6 +9,7 @@ from growthlab.engines import (
     FreeEngine,
     GroupSpecError,
     KleinEngine,
+    LevelCacheError,
     SemidirectEngine,
     UnknownGeneratorError,
     _cyclic_length,
@@ -17,6 +18,7 @@ from growthlab.engines import (
     parse_group_spec,
     units_to_flat,
 )
+from growthlab import engines
 from growthlab.words import Word
 
 from util import (
@@ -32,6 +34,7 @@ from util import (
     random_element,
     random_word,
     reference_auto_power,
+    spec_id,
     torus_engine,
 )
 
@@ -73,7 +76,7 @@ def test_units_flat_round_trip():
 # group axioms, one seeded suite per engine
 
 
-@pytest.mark.parametrize("engine", family_engines(), ids=lambda e: e.spec_id())
+@pytest.mark.parametrize("engine", family_engines(), ids=spec_id)
 def test_group_axioms_random_triples(engine):
     rng = random.Random(7)
     e = engine.identity
@@ -89,7 +92,7 @@ def test_group_axioms_random_triples(engine):
         assert engine.multiply(engine.invert(a), a) == e
 
 
-@pytest.mark.parametrize("engine", family_engines(), ids=lambda e: e.spec_id())
+@pytest.mark.parametrize("engine", family_engines(), ids=spec_id)
 def test_power_matches_repeated_multiplication(engine):
     rng = random.Random(8)
     for _ in range(100):
@@ -102,7 +105,7 @@ def test_power_matches_repeated_multiplication(engine):
         assert engine.power(a, k) == acc
 
 
-@pytest.mark.parametrize("engine", family_engines(), ids=lambda e: e.spec_id())
+@pytest.mark.parametrize("engine", family_engines(), ids=spec_id)
 def test_canonical_key_separates_and_identifies(engine):
     rng = random.Random(9)
     names = list(engine.gen_names)
@@ -118,7 +121,7 @@ def test_canonical_key_separates_and_identifies(engine):
             assert engine.canonical_key(a) != engine.canonical_key(b)
 
 
-@pytest.mark.parametrize("engine", family_engines(), ids=lambda e: e.spec_id())
+@pytest.mark.parametrize("engine", family_engines(), ids=spec_id)
 def test_evaluate_word_is_homomorphic(engine):
     rng = random.Random(10)
     names = list(engine.gen_names)
@@ -131,7 +134,7 @@ def test_evaluate_word_is_homomorphic(engine):
             engine.invert(engine.evaluate_word(w1))
 
 
-@pytest.mark.parametrize("engine", family_engines(), ids=lambda e: e.spec_id())
+@pytest.mark.parametrize("engine", family_engines(), ids=spec_id)
 def test_element_to_word_round_trips(engine):
     rng = random.Random(12)
     for _ in range(200):
@@ -151,7 +154,7 @@ def shifted_element(rng, engine):
 
 @pytest.mark.parametrize(
     "engine", family_engines() + [nested_bs1_engine(), nested_torus_engine()],
-    ids=lambda e: e.spec_id())
+    ids=spec_id)
 def test_multiplier_agrees_with_multiply(engine):
     # pair by pair: products((a,), (b,)) is exactly [a*b], which a Counter
     # over a whole E x L cannot pin to its pair; 4 right factors against
@@ -167,7 +170,7 @@ def test_multiplier_agrees_with_multiply(engine):
 
 @pytest.mark.parametrize(
     "engine", family_engines() + [nested_bs1_engine(), nested_torus_engine()],
-    ids=lambda e: e.spec_id())
+    ids=spec_id)
 def test_products_agree_with_multiply(engine):
     # the letters mix the generators (several per shift in a split
     # extension, zero coordinates in a lattice) with random elements
@@ -403,7 +406,7 @@ LEVEL_AUTOS = [
 
 
 @pytest.mark.parametrize("base, auto", LEVEL_AUTOS,
-                         ids=[f"{b.spec_id()}-{i}" for i, (b, _) in enumerate(LEVEL_AUTOS)])
+                         ids=[f"{spec_id(b)}-{i}" for i, (b, _) in enumerate(LEVEL_AUTOS)])
 def test_auto_power_levels_match_word_path(base, auto):
     # a fresh engine, queried in shuffled order, so levels are built
     # from either side and from gaps of several steps
@@ -417,6 +420,20 @@ def test_auto_power_levels_match_word_path(base, auto):
             got = eng.auto_power(el, k)
             assert got == reference_auto_power(eng, el, k), (k, el)
             assert eng.auto_power(got, -k) == el
+
+
+def test_free_level_cache_is_bounded(monkeypatch):
+    # torus levels 2..7 hold 20 + 28 + 44 + 68 + 108 + 172 entries
+    # (images and their inverses): level 7 takes the count past 300
+    monkeypatch.setattr(engines, "LEVEL_CACHE_ENTRIES", 300)
+    eng = torus_engine()
+    x = eng.base.generator("x")
+    want = eng.auto_power(x, 6)
+    with pytest.raises(LevelCacheError, match="level 7 takes the level cache past 300"):
+        eng.auto_power(x, 7)
+    # the levels stored before the error still answer
+    assert eng.auto_power(x, 6) == want == reference_auto_power(eng, x, 6)
+    assert eng.auto_power(x, -1) == reference_auto_power(eng, x, -1)
 
 
 def test_semidirect_auto_power_is_automorphic():
@@ -461,7 +478,7 @@ def test_spec_round_trip_through_build():
     for engine in family_engines():
         again = build_engine(engine.spec_dict())
         assert again.spec_dict() == engine.spec_dict()
-        assert again.spec_id() == engine.spec_id()
+        assert spec_id(again) == spec_id(engine)
 
 
 def test_parse_group_spec_rejects_garbage():
@@ -485,4 +502,4 @@ def test_torus_auto_spec_survives_json():
     eng = SemidirectEngine(FreeEngine(2), *TORUS_AUTO)
     spec = eng.spec_dict()
     assert spec["automorphism"]["forward"] == {"x": "y", "y": "x y"}
-    assert build_engine(spec).spec_id() == eng.spec_id()
+    assert spec_id(build_engine(spec)) == spec_id(eng)

@@ -18,6 +18,7 @@ from util import (
     nested_torus_engine,
     random_element,
     reference_balls,
+    spec_id,
     torus_engine,
 )
 
@@ -77,7 +78,7 @@ def test_anosov_extension_seeded_gens_match_reference():
 
 @pytest.mark.parametrize(
     "engine", family_engines() + [nested_bs1_engine(), nested_torus_engine()],
-    ids=lambda e: e.spec_id())
+    ids=spec_id)
 def test_counts_match_reference_bfs(engine):
     # bs1's relator t a t^-1 a^-2 has odd length, so with the standard
     # generators some products of S_n fall back into S_n

@@ -34,10 +34,15 @@ from growthlab.words import Word
 
 from util import (
     TORUS_AUTO,
+    cyclically_reduced_words,
     fib_engine,
+    first_of_orbit,
     nested_bs1_engine,
+    nested_torus_engine,
+    reference_analyze,
     reference_pcc_scans,
     rot4_engine,
+    spec_id,
     torus_engine,
 )
 
@@ -383,6 +388,76 @@ def test_random_generating_sets_stay_classified():
 
 
 # ---------------------------------------------------------------------------
+# the on-demand search against the eager reference
+
+
+# one engine builder per base family: free, nested, abelian periodic and
+# Anosov, klein and bs1
+@pytest.mark.parametrize("build", [
+    torus_engine, unipotent_free_engine, flip_free_engine,
+    nested_torus_engine, nested_identity_engine, suspect_host_engine,
+    rot4_engine, shear_engine, fib_engine, slow_fib_engine,
+    klein_base_engine, bs1_flip_engine,
+], ids=lambda b: b.__name__)
+def test_analyze_matches_eager_reference_on_seeded_sets(build):
+    rng = random.Random(17)
+    eng = build()
+    names = list(eng.gen_names)
+    for _ in range(8):
+        gens = [Word.of([(rng.choice(names), rng.choice([-1, 1]))
+                         for _ in range(rng.randrange(1, 4))])
+                for _ in range(rng.randrange(2, 4))]
+        assert analyze(eng, gens, 3.0, 2).to_json() == \
+            reference_analyze(build(), gens, 3.0, 2).to_json(), gens
+
+
+@pytest.mark.parametrize("build, gens, variant", [
+    # kernel pairs skipped on every shift-0 row, then expanded
+    (klein_base_engine, ["t", "a", "t1"], INCONCLUSIVE),
+    (klein_base_engine, ["a", "t t1"], INCONCLUSIVE),
+    (bs1_flip_engine, ["t", "a"], INCONCLUSIVE),
+    (bs1_flip_engine, ["a", "a t", "t^-1"], INCONCLUSIVE),
+    # a skipped row ahead of the row that certifies
+    (fib_engine, ["e1", "t"], SPECTRAL_EXPONENTIAL),
+    (rot4_engine, ["e2", "t", "e1"], PERIODIC_CONJUGACY),
+    # every generator at shift 0 over an abelian base, and other sets
+    # whose commutators all vanish
+    (fib_engine, ["e1", "e2", "e1 e2^-1"], VIRTUALLY_NILPOTENT_DIAGNOSIS),
+    (torus_engine, ["x y", "x y x y"], VIRTUALLY_NILPOTENT_DIAGNOSIS),
+    (klein_base_engine, ["a", "a^2"], VIRTUALLY_NILPOTENT_DIAGNOSIS),
+    (torus_engine, ["t", "x", "y"], NON_CYCLIC_PAIR),
+], ids=lambda v: v.__name__ if callable(v) else None)
+def test_analyze_matches_eager_reference(build, gens, variant):
+    got = analyze(build(), gens, 3.0, 2).to_json()
+    assert got["variant"] == variant
+    assert got == reference_analyze(build(), gens, 3.0, 2).to_json()
+
+
+def _multiply_calls(search, gens):
+    eng = torus_engine()
+    calls = []
+    multiply = eng.multiply
+
+    def counting(a, b):
+        calls.append(1)
+        return multiply(a, b)
+
+    eng.multiply = counting
+    search(eng, gens, 3.0, 2)
+    return len(calls)
+
+
+def test_analyze_builds_commutators_on_demand():
+    # the first candidate [t, x] certifies, so the other 11 commutators
+    # of t, x, y are never built: evaluating the generators, building
+    # [t, x] and running its case take 21 products, and each further
+    # commutator would take 3 more (the eager search takes 54)
+    gens = ["t", "x", "y"]
+    assert _multiply_calls(analyze, gens) < 24
+    assert _multiply_calls(reference_analyze, gens) >= 24
+
+
+# ---------------------------------------------------------------------------
 # periodic-class scan
 
 
@@ -444,9 +519,9 @@ def test_pcc_scan_validation():
 
 
 def test_cyclically_reduced_word_stream():
-    first = list(witness._cyclically_reduced_words(1, 2))
+    first = list(cyclically_reduced_words(1, 2))
     assert first == [(0, 1), (0, -1), (0, 2), (0, -2)]
-    two = list(witness._cyclically_reduced_words(2, 2))
+    two = list(cyclically_reduced_words(2, 2))
     assert len(two) == 16
     assert len(set(two)) == 16
     for flat in two:
@@ -480,7 +555,7 @@ def _unit_rank(u):
 @pytest.mark.parametrize("rank", [2, 3])
 def test_cyclically_reduced_stream_is_ordered_and_closed(rank):
     # the orbit argument in pcc_scan rests on these two properties
-    stream = [flat_to_units(w) for w in witness._cyclically_reduced_words(rank, 5)]
+    stream = [flat_to_units(w) for w in cyclically_reduced_words(rank, 5)]
     keys = [(len(u), [_unit_rank(x) for x in u]) for u in stream]
     assert keys == sorted(keys)
     assert len(set(map(tuple, stream))) == len(stream)
@@ -490,6 +565,13 @@ def test_cyclically_reduced_stream_is_ordered_and_closed(rank):
         for r in range(len(u)):
             assert tuple(u[r:] + u[:r]) in seen
             assert tuple(inv[r:] + inv[:r]) in seen
+
+
+@pytest.mark.parametrize("rank, max_length", [(1, 8), (2, 8), (3, 6)])
+def test_orbit_words_are_the_filtered_stream(rank, max_length):
+    # the words pcc_scan tests on a free base, in the order it tests them
+    want = list(filter(first_of_orbit, cyclically_reduced_words(rank, max_length)))
+    assert list(witness._orbit_words(rank, max_length)) == want
 
 
 def _compose(f, g):
@@ -555,4 +637,4 @@ def test_orbit_scan_matches_full_scan():
         full = reference_pcc_scans(eng, 6, 5)
         for (max_period, max_length), want in full.items():
             assert pcc_scan(eng, max_period, max_length) == want, (
-                eng.spec_id(), max_period, max_length)
+                spec_id(eng), max_period, max_length)

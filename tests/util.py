@@ -1,5 +1,7 @@
-"""Shared builders for the test suite: engines under test and seeded
-random words/elements."""
+"""Shared builders for the test suite: engines under test, seeded
+random words/elements, and reference versions of library searches."""
+
+import json
 
 from growthlab import wordops
 from growthlab.engines import (
@@ -8,14 +10,39 @@ from growthlab.engines import (
     FreeEngine,
     KleinEngine,
     SemidirectEngine,
+    flat_to_units,
+    units_to_flat,
 )
-from growthlab.witness import PccResult, _cyclically_reduced_words, _pcc_certificate
+from growthlab.spectra import mat_add, mat_identity, mat_mul, mat_scale
+from growthlab.witness import (
+    INCONCLUSIVE,
+    VIRTUALLY_NILPOTENT_DIAGNOSIS,
+    Certificate,
+    PccResult,
+    _case,
+    _pcc_certificate,
+)
 from growthlab.words import Word
 
 TORUS_AUTO = ({"x": "y", "y": "x y"}, {"x": "y x^-1", "y": "x"})
 ROT4_AUTO = ({"e1": "e2", "e2": "e1^-1"}, {"e1": "e2^-1", "e2": "e1"})
 FIB_AUTO = ({"e1": "e1^2 e2", "e2": "e1 e2"},
             {"e1": "e1 e2^-1", "e2": "e1^-1 e2^2"})
+
+
+def spec_id(engine) -> str:
+    """The engine's spec as compact, key-sorted JSON: a stable test id."""
+    return json.dumps(engine.spec_dict(), sort_keys=True, separators=(",", ":"))
+
+
+def at_matrix(poly, m):
+    """The integer polynomial ``poly`` evaluated at the square matrix m
+    by Horner's rule."""
+    n = len(m)
+    acc = mat_scale(mat_identity(n), poly.coeffs[-1])
+    for c in reversed(poly.coeffs[:-1]):
+        acc = mat_add(mat_mul(acc, m), mat_scale(mat_identity(n), c))
+    return acc
 
 
 def torus_engine():
@@ -133,9 +160,96 @@ def insert_trivial_pair(rng, word, names):
     return Word.of(noisy)
 
 
+def cyclically_reduced_words(rank: int, max_length: int):
+    """Flat free words, cyclically reduced, ordered by (length, lex) in
+    the unit order x, x^-1, y, y^-1, ..."""
+    order = []
+    for g in range(1, rank + 1):
+        order.extend((g, -g))
+
+    def emit(length):
+        seq = []
+
+        def rec():
+            if len(seq) == length:
+                if length == 1 or seq[-1] != -seq[0]:
+                    yield tuple(seq)
+                return
+            for unit in order:
+                if seq and unit == -seq[-1]:
+                    continue
+                seq.append(unit)
+                yield from rec()
+                seq.pop()
+
+        yield from rec()
+
+    for length in range(1, max_length + 1):
+        for units in emit(length):
+            yield units_to_flat(list(units))
+
+
+def first_of_orbit(flat) -> bool:
+    """True iff the cyclically reduced word ``flat`` comes first in the
+    stream among its orbit: the rotations of itself and of its inverse.
+    Such a word is below each of its other rotations in the unit order,
+    which also rules out proper powers, since r^m equals its rotation by
+    the length of r.  It is below every rotation of its inverse too;
+    these never tie with it, because no element of a free group other
+    than e is conjugate to its inverse."""
+    # unit order x, x^-1, y, y^-1, ... as ranks 0, 1, 2, 3, ...; the
+    # inverse of a unit flips the low bit of its rank
+    key = [2 * u - 2 if u > 0 else -2 * u - 1 for u in flat_to_units(flat)]
+    inv = [r ^ 1 for r in reversed(key)]
+    n = len(key)
+    for r in range(1, n):
+        if key[r:] + key[:r] <= key:
+            return False
+    for r in range(n):
+        if inv[r:] + inv[:r] < key:
+            return False
+    return True
+
+
+def reference_analyze(engine, gens, u, d):
+    """`witness.analyze` as an eager search: every generator commutator
+    is built before the first case runs, and every case of every row
+    runs, skipped kernel pairs included.  It takes valid input only."""
+    elems = [engine.evaluate_word(Word.parse(w) if isinstance(w, str) else w) for w in gens]
+    cands = []
+    for j in range(len(elems)):
+        for k in range(j + 1, len(elems)):
+            for sj, sk in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
+                aj = elems[j] if sj > 0 else engine.invert(elems[j])
+                ak = elems[k] if sk > 0 else engine.invert(elems[k])
+                c_el = engine.multiply(
+                    engine.multiply(aj, ak),
+                    engine.multiply(engine.invert(aj), engine.invert(ak)))
+                if c_el != engine.identity:
+                    cands.append((j, k, sj, sk, c_el))
+    if not cands:
+        return Certificate(
+            VIRTUALLY_NILPOTENT_DIAGNOSIS,
+            reason="every generator commutator vanishes; the generated "
+                   "group is abelian")
+    diags = []
+    for i in range(len(elems)):
+        for cand in cands:
+            cert, diag = _case(engine, elems, u, d, i, cand)
+            if cert is not None:
+                return cert
+            if diag:
+                diags.append(diag)
+    uniq = list(dict.fromkeys(diags))
+    return Certificate(
+        INCONCLUSIVE,
+        diagnostics="; ".join(uniq) if uniq else
+        "no candidate case produced a certificate")
+
+
 def reference_pcc_scans(engine, max_period, max_length):
     """The periodic-class scan on a free base over every word of the
-    unfiltered `_cyclically_reduced_words` stream, for every pair of
+    unfiltered `cyclically_reduced_words` stream, for every pair of
     bounds at once: maps (p, l) with p <= max_period and l <= max_length
     to the `PccResult` naming the first word k of length <= l, with its
     least n <= p, for which alpha^n(k) is conjugate to k.  One pass finds
@@ -145,7 +259,7 @@ def reference_pcc_scans(engine, max_period, max_length):
     bounds = [(p, l) for p in range(1, max_period + 1) for l in range(1, max_length + 1)]
     results = dict.fromkeys(bounds, PccResult(None, False, "none within bounds (semi-decision)"))
     open_bounds = set(bounds)
-    for k_el in _cyclically_reduced_words(base.rank, max_length):
+    for k_el in cyclically_reduced_words(base.rank, max_length):
         length = wordops.word_length(k_el)
         open_bounds = {(p, l) for p, l in open_bounds if l >= length}
         if not open_bounds:
