@@ -49,18 +49,6 @@ class UnsupportedFamilyError(GrowthlabError, NotImplementedError):
     """The requested operation is not decidable/implemented for this family."""
 
 
-class LevelCacheError(GrowthlabError):
-    """A free-base automorphism level would take the level cache of a
-    ``SemidirectEngine`` past ``LEVEL_CACHE_ENTRIES``."""
-
-
-# stored flat-word entries (images and their inverses) that the level
-# cache of a free-base SemidirectEngine may hold.  Levels of an
-# exponentially growing automorphism grow with it: on the torus group,
-# levels 1..24 hold 1.57 M entries (peak RSS ~30 MiB) and 1..26 4.11 M.
-LEVEL_CACHE_ENTRIES = 4_000_000
-
-
 # ---------------------------------------------------------------------------
 # free-word helpers shared with the conjugacy test and the periodic-class scan
 
@@ -432,9 +420,7 @@ class SemidirectEngine(_EngineBase):
 
     * free base: the images of the generators and their inverses, both
       lists in generator order, for ``wordops.substitute``, so no letter
-      of a word is inverted when the level is applied.  Their entries
-      are counted, and a level that takes the count past
-      ``LEVEL_CACHE_ENTRIES`` raises ``LevelCacheError``;
+      of a word is inverted when the level is applied;
     * abelian base: the rows of the matrix of alpha^k, so applying a
       level is one matrix-vector product;
     * klein, bs1 and nested bases: images by generator name, applied
@@ -463,7 +449,6 @@ class SemidirectEngine(_EngineBase):
         fwd = {g: base.evaluate_word(w) for g, w in self._fwd_words.items()}
         bwd = {g: base.evaluate_word(w) for g, w in self._bwd_words.items()}
         # no level 0: auto_power returns early at k = 0
-        self._level_entries = 0  # entries in the free-base levels _level_at builds
         self._levels = {1: self._level([fwd[g] for g in base.gen_names]),
                         -1: self._level([bwd[g] for g in base.gen_names])}
         for g in base.gen_names:
@@ -524,15 +509,7 @@ class SemidirectEngine(_EngineBase):
         while j != k:
             prev = levels[j]
             j += step
-            level = self._level([apply(prev, w) for w in one])
-            if base.family == "free":
-                entries = self._level_entries + 2 * sum(map(len, level[0]))
-                if entries > LEVEL_CACHE_ENTRIES:
-                    raise LevelCacheError(
-                        f"automorphism level {j} takes the level cache past "
-                        f"{LEVEL_CACHE_ENTRIES} stored entries")
-                self._level_entries = entries
-            levels[j] = level
+            levels[j] = self._level([apply(prev, w) for w in one])
         return levels[k]
 
     def auto_power(self, el, k: int):

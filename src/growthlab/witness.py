@@ -593,6 +593,34 @@ def _orbit_words(rank: int, max_length: int):
             yield units_to_flat([units[r] for r in key])
 
 
+def _abelian_returns(engine, max_period: int):
+    """For a split extension over F_r: the map from a word k to the list
+    of n <= max_period with M^n v = v, where v is the exponent-sum vector
+    of k and M the matrix of alpha on the abelianization Z^r (column g
+    the exponent sums of alpha(g))."""
+    base = engine.base
+    rank = base.rank
+
+    def sums(w):
+        v = [0] * rank
+        for i in range(0, len(w), 2):
+            v[w[i]] += w[i + 1]
+        return v
+
+    cols = [sums(engine.auto_power(base.generator(g), 1)) for g in base.gen_names]
+
+    def returns(k_el):
+        v = vn = sums(k_el)
+        out = []
+        for n in range(1, max_period + 1):
+            vn = [sum(x * col[i] for x, col in zip(vn, cols)) for i in range(rank)]
+            if vn == v:
+                out.append(n)
+        return out
+
+    return returns
+
+
 def pcc_scan(engine, max_period: int, max_length: int) -> PccResult:
     """Look for k != e and n <= max_period with alpha^n(k) conjugate to
     k in the base.  Exact for an abelian base; elsewhere a bounded scan
@@ -621,7 +649,15 @@ def pcc_scan(engine, max_period: int, max_length: int) -> PccResult:
     its orbit.  The filtered scan reaches it at the same place among the
     words it keeps, tests it with the same n, and asks the same
     ``conjugacy_test``, so c is the same too; when no word passes, both
-    scans end with the same note."""
+    scans end with the same note.
+
+    alpha^n(k) is built as alpha(alpha^(n-1)(k)), one level-1 step at a
+    time, so the scan holds one image per word and keeps no level of the
+    engine beyond 1 (the re-check of a found certificate applies level
+    n once).  On a free base it steps and tests only at the n from
+    ``_abelian_returns``: conjugate words have the same exponent sums,
+    so at any other n alpha^n(k) is not conjugate to k.  Skipping those
+    n changes no answer."""
     if engine.family != "semidirect":
         raise WitnessError("periodic-class scan requires a split-extension engine")
     if max_period < 1 or max_length < 1:
@@ -646,6 +682,7 @@ def pcc_scan(engine, max_period: int, max_length: int) -> PccResult:
         return PccResult(cert, True, "exact cyclotomic test")
     if base.family == "free":
         candidates = _orbit_words(base.rank, max_length)
+        periods = _abelian_returns(engine, max_period)
     elif base.family == "klein":
         candidates = (
             (i, j)
@@ -654,12 +691,16 @@ def pcc_scan(engine, max_period: int, max_length: int) -> PccResult:
             for j in ([total - abs(i)] if abs(i) == total
                       else [total - abs(i), abs(i) - total])
         )
+        periods = lambda k_el: range(1, max_period + 1)
     else:
         raise UnsupportedFamilyError(
             f"periodic-class scan unsupported for base family {base.family!r}")
     for k_el in candidates:
-        for n in range(1, max_period + 1):
-            img = engine.auto_power(k_el, n)
+        img, at = k_el, 0  # img = alpha^at(k)
+        for n in periods(k_el):
+            while at < n:
+                img = engine.auto_power(img, 1)
+                at += 1
             c = base.conjugacy_test(k_el, img)
             if c is not None:
                 cert = _pcc_certificate(engine, k_el, n, c)

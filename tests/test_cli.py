@@ -1,11 +1,13 @@
 """End-to-end checks of the command-line front end: golden outputs,
 exit codes, stderr records, and output-file handling."""
 
+import hashlib
 import importlib
 import inspect
 import json
 import os
 import pkgutil
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -409,15 +411,44 @@ def test_pcc_unsupported_base_family(tmp_path, capsys):
                    "'bs1'\n")
 
 
-def test_pcc_level_cache_is_bounded(tmp_path, capsys):
-    # torus levels grow by phi per step: level 26 would take the cache
-    # past 4 M stored entries, so the scan stops there with an error
+def _limit_memory():
+    resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+
+
+def test_pcc_long_period_bound(tmp_path):
+    # the scan steps each word from level 1 and, on the torus, only a
+    # word with zero exponent sums is ever stepped: a bound of 40
+    # periods answers at once, in a process held to 512 MiB of address
+    # space (a scan that stepped x to level 40 would need gigabytes)
+    group = spec_file(tmp_path, "torus.json", TORUS_SPEC)
+    src = str(Path(growthlab.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    for length, cert in (("3", None),
+                         ("4", {"c": "<identity>", "k": "x y x^-1 y^-1", "n": 2,
+                                "reverified": True, "variant": "PeriodicConjugacy"})):
+        proc = subprocess.run(
+            [sys.executable, "-m", "growthlab.cli", "pcc", "--group", group,
+             "--max-period", "40", "--max-length", length],
+            capture_output=True, text=True, env=env, timeout=60, check=False,
+            preexec_fn=_limit_memory)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert json.loads(proc.stdout)["certificate"] == cert
+
+
+def test_growth_and_witness_take_deep_shifts(tmp_path, capsys):
+    # generators of shift 26 need automorphism level 26, whose images
+    # run to ~300 k flat entries; both commands answer as before
     group = spec_file(tmp_path, "torus.json", TORUS_SPEC)
     code, out, err = run(capsys, [
-        "pcc", "--group", group, "--max-period", "40", "--max-length", "2"])
-    assert (code, out) == (2, "")
-    assert err == ("ERR 2 automorphism level 26 takes the level cache past "
-                   "4000000 stored entries\n")
+        "growth", "--group", group, "--gens", "x t^26, y", "--radius", "1"])
+    assert (code, err) == (0, "")
+    assert out == "n\tgamma\tupper_estimate\n0\t1\t\n1\t5\t5.0000000000\n"
+    code, out, err = run(capsys, [
+        "witness", "--group", group, "--gens", "y, t^26", "--u", "3", "--d", "2"])
+    assert (code, err) == (0, "")
+    assert out.startswith("variant = NonCyclicPair\nbound = 1.3160740129524924\nu = y\n")
+    assert (len(out), hashlib.sha256(out.encode()).hexdigest()) == (
+        1214026, "5718068955ae238db8c37395216a34073f24ad3268e5827f78ccb2c871e72c9f")
 
 
 # ---------------------------------------------------------------------------
@@ -556,7 +587,6 @@ _ERROR_BASES = {
     "GroupSpecError": ValueError,
     "UnknownGeneratorError": KeyError,
     "UnsupportedFamilyError": NotImplementedError,
-    "LevelCacheError": Exception,
     "WordSyntaxError": ValueError,
     "GrowthError": Exception,
     "LaurentError": Exception,

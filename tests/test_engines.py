@@ -1,3 +1,4 @@
+import hashlib
 import random
 from collections import Counter
 
@@ -9,7 +10,6 @@ from growthlab.engines import (
     FreeEngine,
     GroupSpecError,
     KleinEngine,
-    LevelCacheError,
     SemidirectEngine,
     UnknownGeneratorError,
     _cyclic_length,
@@ -18,7 +18,6 @@ from growthlab.engines import (
     parse_group_spec,
     units_to_flat,
 )
-from growthlab import engines
 from growthlab.words import Word
 
 from util import (
@@ -422,18 +421,20 @@ def test_auto_power_levels_match_word_path(base, auto):
             assert eng.auto_power(got, -k) == el
 
 
-def test_free_level_cache_is_bounded(monkeypatch):
-    # torus levels 2..7 hold 20 + 28 + 44 + 68 + 108 + 172 entries
-    # (images and their inverses): level 7 takes the count past 300
-    monkeypatch.setattr(engines, "LEVEL_CACHE_ENTRIES", 300)
+def test_deep_free_levels():
+    # levels +-26 of the torus automorphism hold images of ~300 k and
+    # ~500 k flat entries; the engine builds them like any other level
     eng = torus_engine()
     x = eng.base.generator("x")
-    want = eng.auto_power(x, 6)
-    with pytest.raises(LevelCacheError, match="level 7 takes the level cache past 300"):
-        eng.auto_power(x, 7)
-    # the levels stored before the error still answer
-    assert eng.auto_power(x, 6) == want == reference_auto_power(eng, x, 6)
-    assert eng.auto_power(x, -1) == reference_auto_power(eng, x, -1)
+    w, k = eng.evaluate_word(Word.parse("t^26 x"))
+    assert k == 26 and len(w) == 300100
+    assert hashlib.sha256(repr(w).encode()).hexdigest() == (
+        "ea368c8a1d4cb4bedafd88c7986508510b21c44de83939b4ae3e2584f0f6f147")
+    fwd = bwd = x
+    for _ in range(26):
+        fwd, bwd = eng.auto_power(fwd, 1), eng.auto_power(bwd, -1)
+    assert fwd == w
+    assert eng.auto_power(x, -26) == bwd
 
 
 def test_semidirect_auto_power_is_automorphic():

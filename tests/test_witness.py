@@ -474,6 +474,27 @@ def test_pcc_scan_torus_finds_commutator():
     assert eng.auto_power(k_el, 2) == k_el
 
 
+def test_pcc_scan_steps_from_level_one():
+    # alpha^n(k) is stepped one level-1 application at a time, and on
+    # the torus (no power of M fixes a nonzero vector) only words with
+    # zero exponent sums are stepped; the re-check applies level n once
+    eng = torus_engine()
+    calls = []
+    auto_power = eng.auto_power
+
+    def counting(el, k):
+        calls.append(k)
+        return auto_power(el, k)
+
+    eng.auto_power = counting
+    assert pcc_scan(eng, 12, 3).certificate is None
+    assert calls == [1, 1]  # the images of x and y, for M
+    calls.clear()
+    res = pcc_scan(eng, 12, 4)
+    assert (res.certificate.k_word, res.certificate.n) == ("x y x^-1 y^-1", 2)
+    assert calls == [1, 1, 1, 1, 2]
+
+
 def test_pcc_scan_torus_short_lengths_empty():
     res = pcc_scan(torus_engine(), 10, 3)
     assert res.certificate is None
