@@ -125,6 +125,9 @@ def _offset(column, x, op=add):
 
 class _EngineBase:
     family = ""
+    # the defining relator of a one-relator family whose generator
+    # images must be checked to give a homomorphism, or None
+    relator = None
 
     def products(self, elements, letters):
         """Every product x * a for x in ``elements`` and a in ``letters``,
@@ -167,11 +170,6 @@ class _EngineBase:
             return self._gens[name]
         except KeyError:
             raise UnknownGeneratorError(name) from None
-
-    def conjugacy_test(self, a, b):
-        raise UnsupportedFamilyError(
-            f"conjugacy test is not supported for family {self.family!r}"
-        )
 
 
 class FreeEngine(_EngineBase):
@@ -272,14 +270,12 @@ class AbelianEngine(_EngineBase):
     def spec_dict(self) -> dict:
         return {"family": "abelian", "rank": self.rank}
 
-    def conjugacy_test(self, a, b):
-        return self.identity if a == b else None
-
 
 class KleinEngine(_EngineBase):
     """<a, t | t a t^-1 = a^-1> with normal form a^i t^j stored as (i, j)."""
 
     family = "klein"
+    relator = Word.parse("t a t^-1 a")
 
     def __init__(self):
         self._gens = {"a": (1, 0), "t": (0, 1)}
@@ -341,6 +337,7 @@ class BS1Engine(_EngineBase):
         if abs(m) < 2:
             raise GroupSpecError("bs1 multiplier must satisfy |m| >= 2")
         self.m = m
+        self.relator = Word.of((("t", 1), ("a", 1), ("t", -1), ("a", -m)))
         self._gens = {"a": (1, 0, 0), "t": (0, 0, 1)}
         self.gen_names = tuple(self._gens)
         self.identity = (0, 0, 0)
@@ -413,7 +410,10 @@ class SemidirectEngine(_EngineBase):
     """K x| Z with stable letter t acting by a declared automorphism.
 
     The automorphism comes with generator images in both directions; the
-    two maps are checked inverse on every generator at construction.
+    two maps are checked inverse on every generator at construction, and
+    on a klein or bs1 base each map is checked to send the defining
+    relator to the identity, so that it is a homomorphism (a free or
+    abelian base needs no such check; nested bases are not checked).
     Powers of the automorphism are applied through ``_levels``, a memo
     of one level per exponent k != 0, filled on first use by composing
     with level +-1.  Each level is stored in the form its base applies:
@@ -457,12 +457,19 @@ class SemidirectEngine(_EngineBase):
                 raise GroupSpecError(f"backward(forward({g})) != {g}: maps are not inverse")
             if self._apply_images(self._levels[1], bwd[g]) != gen:
                 raise GroupSpecError(f"forward(backward({g})) != {g}: maps are not inverse")
+        if base.relator is not None:
+            for label, images in (("forward", fwd), ("backward", bwd)):
+                out = base.identity
+                for name, exp in base.relator.letters:
+                    out = base.multiply(out, base.power(images[name], exp))
+                if out != base.identity:
+                    raise GroupSpecError(
+                        f"{label} map sends the relator {base.relator} to "
+                        f"{base.element_to_word(out)}: not a homomorphism")
 
+        # the base names come from the families, and _bump_stable_name is
+        # injective on them and never yields "t"
         rename = {n: _bump_stable_name(n) for n in base.gen_names}
-        if len(set(rename.values())) != len(rename):
-            raise GroupSpecError("base generator names collide after stable-letter renaming")
-        if "t" in rename.values():
-            raise GroupSpecError("renamed base generators may not shadow the stable letter")
         self._base_to_outer = rename
         self._gens = {"t": (base.identity, 1),
                       **{rename[g]: (base.generator(g), 0) for g in base.gen_names}}

@@ -2,11 +2,15 @@
 
 Given a finite generating set A, the analyzer walks the short subgroup
 candidates ⟨a_i, [a_j, a_k]⟩ in a fixed order and tries to certify
-exponential growth: a short non-cyclic pair inside the kernel, an
+exponential growth: a short non-commuting pair inside the kernel, an
 escaping conjugation chain, or an expanding integer-matrix action.  The
 degenerate outcomes are certified too where they are decidable (a
 periodic conjugacy class, an abelian generating set); anything else is
 reported as inconclusive with diagnostics, never guessed.
+
+In the torsion-free kernel K a commuting pair spans a free abelian group,
+which never witnesses growth, so a kernel pair is certified only when it
+does not commute; the hypothesis u bounds every non-abelian subgroup of K.
 
 Every certificate carries the growth bound implied by its branch,
 rescaled by the word length of the witnesses in the A alphabet, and is
@@ -26,7 +30,6 @@ from growthlab import GrowthlabError
 from growthlab._exact import solve
 from growthlab.engines import UnsupportedFamilyError, units_to_flat
 from growthlab.growth import rescale_lower_bound
-from growthlab.subgroups import is_cyclic_pair
 from growthlab.words import Word
 
 NON_CYCLIC_PAIR = "NonCyclicPair"
@@ -110,45 +113,17 @@ def _conj(engine, a, x):
 
 
 def _reverify_noncyclic(engine, uel, vel) -> bool:
-    """Independent confirmation that <u, v> is not cyclic.
-
-    It runs only after ``is_cyclic_pair(engine, u, v)`` returned False,
-    and returns True at once when u and v do not commute.  Otherwise it
-    descends through the shift-0 semidirect layers exactly as
-    ``is_cyclic_pair`` does.  Shift-0 elements multiply as their kernel
-    parts, (w1, 0)(w2, 0) = (w1 w2, 0), so the kernel parts commute at
-    every level of the descent as well.  A free level is never reached:
-    there ``is_cyclic_pair`` answers by ``commute`` and would have
-    returned True.  Such a level falls through to False, so the caller
-    fails loudly instead of certifying.
-    """
-    if not engine.commute(uel, vel):
-        return True
-    cur, cu, cv = engine, uel, vel
-    while (cur.family == "semidirect" and cur.shift(cu) == 0
-           and cur.shift(cv) == 0):
-        cu, cv = cur.kernel_part(cu), cur.kernel_part(cv)
-        cur = cur.base
-    if cur.family == "abelian":
-        from growthlab.spectra import matrix_rank
-        return matrix_rank([list(cu), list(cv)]) >= 2
-    if cur.family == "semidirect":
-        p, q = cur.shift(cu), cur.shift(cv)
-        rel = cur.multiply(cur.power(cu, q), cur.power(cv, -p))
-        return rel != cur.identity
-    if cur.family == "klein":
-        if cu[1] % 2 == 0 and cv[1] % 2 == 0:
-            from growthlab.spectra import matrix_rank
-            return matrix_rank([[cu[0], cu[1]], [cv[0], cv[1]]]) >= 2
-        p, q = cu[1], cv[1]
-        rel = cur.multiply(cur.power(cu, q), cur.power(cv, -p))
-        return rel != cur.identity
-    return False
+    """Independent confirmation that u and v do not commute: the
+    commutator u v u^-1 v^-1, multiplied in G rather than in the base,
+    is not the identity."""
+    invert, multiply = engine.invert, engine.multiply
+    comm = multiply(multiply(uel, vel), multiply(invert(uel), invert(vel)))
+    return comm != engine.identity
 
 
 def _noncyclic_certificate(engine, uel, vel, max_len: int, bound: float):
     if not _reverify_noncyclic(engine, uel, vel):
-        raise AssertionError("non-cyclic pair failed independent re-verification")
+        raise AssertionError("non-commuting pair failed independent re-verification")
     return Certificate(
         NON_CYCLIC_PAIR,
         bound=bound,
@@ -364,23 +339,23 @@ def _klein_suspect(engine, x0, x1) -> bool:
 def _chain_case(engine, a_el, x0, u, d, tag):
     x1 = _conj(engine, a_el, x0)
     xm1 = _conj(engine, engine.invert(a_el), x0)
-    try:
-        for other in (x1, xm1):
-            if not is_cyclic_pair(engine, x0, other):
-                # a Klein-bottle shaped pair grows polynomially, so it
-                # must not be certified as a growth witness
-                if _klein_suspect(engine, x0, other):
-                    return None, f"{tag}: {_KLEIN_SUSPECT}"
-                return _noncyclic_certificate(
-                    engine, x0, other, 6,
-                    combined_bound(u, "conjugate_pair")), None
-    except UnsupportedFamilyError as exc:
-        return None, f"{tag}: {exc}"
+    # shift-0 elements multiply as their kernel parts, so the pairs
+    # commute in G iff their kernel parts commute in the base
+    k0 = engine.kernel_part(x0)
+    for other in (x1, xm1):
+        if not engine.base.commute(k0, engine.kernel_part(other)):
+            # a Klein-bottle shaped pair grows polynomially, so it
+            # must not be certified as a growth witness
+            if _klein_suspect(engine, x0, other):
+                return None, f"{tag}: {_KLEIN_SUSPECT}"
+            return _noncyclic_certificate(
+                engine, x0, other, 6,
+                combined_bound(u, "conjugate_pair")), None
     if x1 == x0:
         return _pcc_from_stable(engine, a_el, x0, 1, f"{tag}: conjugation fixes x0"), None
     if x1 == engine.invert(x0):
         return _pcc_from_stable(engine, a_el, x0, -1, f"{tag}: conjugation inverts x0"), None
-    # both one-step subgroups are cyclic yet x1 is not x0 or its inverse:
+    # both one-step pairs commute yet x1 is not x0 or its inverse:
     # grow the conjugation chain up to depth d+1
     xs = [x0, x1]
     for s in range(2, d + 2):
@@ -443,24 +418,23 @@ def _case(engine, elems, u, d, i, cand):
     base_fam = engine.base.family
     if p == 0:
         if base_fam in ("free", "semidirect"):
-            try:
-                cyc = is_cyclic_pair(engine, a_el, c_el)
-            except UnsupportedFamilyError as exc:
-                return None, f"{tag}: {exc}"
-            if not cyc:
-                return _noncyclic_certificate(
-                    engine, a_el, c_el, 4,
-                    combined_bound(u, "pair_in_kernel")), None
-            return None, None
+            # the pair commutes iff its kernel parts do (see _chain_case)
+            if engine.base.commute(engine.kernel_part(a_el), engine.kernel_part(c_el)):
+                return None, None
+            return _noncyclic_certificate(
+                engine, a_el, c_el, 4,
+                combined_bound(u, "pair_in_kernel")), None
         return None, (f"{tag}: kernel pair skipped for {base_fam} base "
                       "(kernel may have polynomial growth)")
     if base_fam == "abelian":
         return _abelian_case(engine, a_el, c_el, tag)
     if base_fam in ("free", "semidirect"):
         return _chain_case(engine, a_el, c_el, u, d, tag)
-    # klein or bs1 base: detection only
-    if _klein_suspect(engine, c_el, _conj(engine, a_el, c_el)):
-        return None, f"{tag}: {_KLEIN_SUSPECT}"
+    # klein or bs1 base.  No Klein-bottle suspect x0 = c, a x0 a^-1 can
+    # arise.  Klein: the t-exponent f has f o alpha = +-f, so f mod 2 is a
+    # homomorphism of G; both have even f, so lie in the abelian <a, t^2>.
+    # bs1: square roots are unique ((s, b)^2 = (2s, (m^s + 1) b) in the
+    # affine action z -> m^s z + b), so equal squares mean equal elements.
     return None, f"{tag}: no decision procedure for {base_fam} base"
 
 
@@ -479,7 +453,7 @@ def _commutators(engine, elems):
 
 
 def analyze(engine, gens, u: float, d: int, threads: int = 1) -> Certificate:
-    """Search the candidate subgroups lexicographically and return the
+    """Search the subgroup candidates lexicographically and return the
     first certificate; deterministic for fixed inputs.  `threads` is
     accepted for compatibility and has no effect.
 

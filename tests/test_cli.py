@@ -411,6 +411,20 @@ def test_pcc_unsupported_base_family(tmp_path, capsys):
                    "'bs1'\n")
 
 
+def test_pcc_klein_swap_is_not_an_automorphism(tmp_path, capsys):
+    # a <-> t passes both inverse checks but breaks t a t^-1 a = e; the
+    # scan would answer k = a^-1 with n = 2, where every automorphism
+    # gives n = 1, so the group file is refused before any scan
+    swap = {"a": "t", "t": "a"}
+    group = spec_file(tmp_path, "swap.json", _semidirect_spec(
+        {"family": "klein"}, swap, dict(swap)))
+    code, out, err = run(capsys, [
+        "pcc", "--group", group, "--max-period", "5", "--max-length", "3"])
+    assert (code, out, err) == (
+        2, "", "ERR 2 forward map sends the relator t a t^-1 a to a^2 t^2: "
+               "not a homomorphism\n")
+
+
 def _limit_memory():
     resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
 
@@ -522,6 +536,16 @@ def _semidirect_spec(base, forward, backward):
      "automorphism references unknown generator 'q'"),
     (_semidirect_spec(FREE2_SPEC, {"x": "y^", "y": "x y"}, TORUS_AUTO[1]),
      "bad automorphism word: bad letter 'y^'"),
+    # the swap a <-> t is its own inverse on the generators, but it
+    # breaks the defining relator, so it is not a homomorphism
+    (_semidirect_spec({"family": "klein"}, {"a": "t", "t": "a"},
+                      {"a": "t", "t": "a"}),
+     "forward map sends the relator t a t^-1 a to a^2 t^2: not a "
+     "homomorphism"),
+    (_semidirect_spec({"family": "bs1", "m": 2}, {"a": "t", "t": "a"},
+                      {"a": "t", "t": "a"}),
+     "forward map sends the relator t a t^-1 a^-2 to a^-1 t^-1: not a "
+     "homomorphism"),
 ])
 def test_group_spec_errors(tmp_path, capsys, spec, message):
     with pytest.raises(GroupSpecError) as info:
@@ -626,7 +650,7 @@ print(json.dumps(sorted(m for m in sys.modules if m.startswith("growthlab."))))
 _BASE_MODULES = ["cli"]
 # a search over a free base never reaches laurent or spectra
 _SEARCH_MODULES = ["_exact", "_purewords", "cli", "engines", "growth",
-                   "subgroups", "witness", "wordops", "words"]
+                   "witness", "wordops", "words"]
 
 
 @pytest.mark.parametrize("argv, loaded", [

@@ -28,6 +28,7 @@ from util import (
     bs1_normal_form,
     family_engines,
     insert_trivial_pair,
+    klein_automorphisms,
     nested_bs1_engine,
     nested_torus_engine,
     random_element,
@@ -196,6 +197,7 @@ def test_klein_defining_relation():
     t = eng.generator("t")
     lhs = eng.multiply(eng.multiply(t, a), eng.invert(t))
     assert lhs == eng.invert(a)
+    assert eng.evaluate_word(eng.relator) == eng.identity
 
 
 @pytest.mark.parametrize("m", [2, -2, 3, 5, -7])
@@ -205,6 +207,7 @@ def test_bs1_defining_relation(m):
     t = eng.generator("t")
     lhs = eng.multiply(eng.multiply(t, a), eng.invert(t))
     assert lhs == eng.power(a, m)
+    assert eng.evaluate_word(eng.relator) == eng.identity
 
 
 def bs1_branch(m, a, b):
@@ -457,6 +460,16 @@ def test_semidirect_rejects_broken_inverse():
             "automorphism": {"forward": {"x": "y", "y": "x y"},
                              "backward": {"x": "x", "y": "y"}},
         })
+
+
+def test_klein_automorphisms_are_accepted():
+    for forward, backward in klein_automorphisms():
+        SemidirectEngine(KleinEngine(), forward, backward)
+
+
+def test_free_rank_four_names():
+    assert FreeEngine(4).gen_names == ("x1", "x2", "x3", "x4")
+    assert FreeEngine(3).gen_names == ("x", "y", "z")
 
 
 def test_semidirect_renames_clashing_base_generator():

@@ -7,7 +7,13 @@ import math
 import random
 from fractions import Fraction
 
-from growthlab._exact import eliminate, format_terms, solve, strip_cyclotomic
+from growthlab._exact import (
+    eliminate,
+    format_terms,
+    poly_divmod,
+    solve,
+    strip_cyclotomic,
+)
 from growthlab.laurent import LaurentPoly, divides, laurent_gcd
 from growthlab.spectra import (
     IntPoly,
@@ -266,6 +272,21 @@ def test_laurent_gcd_of_known_common_factor():
         got = laurent_gcd([p, q])
         assert got == want
         assert divides(got, p) and divides(got, q)
+
+
+def test_poly_divmod_stops_at_a_leading_coefficient_it_cannot_divide():
+    # 2t^2 + 1 = (2t + 1) t + (1 - t); 2 does not divide the next leading
+    # coefficient -1, so the division stops with the remainder 1 - t
+    assert poly_divmod([1, 0, 2], [1, 2]) == ([0, 1], [1, -1])
+    # (2t + 1)(t - 3) divides exactly
+    assert poly_divmod([-3, -5, 2], [1, 2]) == ([-3, 1], [])
+
+
+def test_divides_with_a_zero_polynomial():
+    zero, one_plus_t = LaurentPoly(), LaurentPoly.of_list([1, 1])
+    assert divides(zero, zero)
+    assert not divides(zero, one_plus_t)
+    assert divides(one_plus_t, zero)
 
 
 # ---------------------------------------------------------------------------

@@ -37,8 +37,10 @@ from util import (
     cyclically_reduced_words,
     fib_engine,
     first_of_orbit,
+    klein_automorphisms,
     nested_bs1_engine,
     nested_torus_engine,
+    random_element,
     reference_analyze,
     reference_pcc_scans,
     rot4_engine,
@@ -346,6 +348,33 @@ def test_klein_bottle_pair_is_not_certified():
     assert "KleinBottleSuspect" in diag
 
 
+def test_suspect_host_commuting_kernel_pair_is_not_certified():
+    # [e1^3, t1^-1 e2^-1 t] = e2^-2 commutes with e1^3 inside Z^2, so the
+    # kernel pair of row 0 certifies nothing; row 1 conjugates x0 to its
+    # inverse, a periodic class
+    cert = analyze(suspect_host_engine(), ["e1^3", "t1^-1 e2^-1 t", "t^-1 e2"],
+                   3.0, 2)
+    assert cert.to_json() == {
+        "variant": PERIODIC_CONJUGACY, "k": "e1^6", "n": 2, "c": "t^2",
+        "diagnostics": "(i=1, [a0,a1]): conjugation inverts x0",
+        "reverified": True}
+
+
+def test_klein_suspect_cannot_arise_over_klein_or_bs1_bases():
+    # the proof at the klein/bs1 branch of witness._case, sampled: x0 a
+    # commutator of G and x1 = a x0 a^-1 never form a Klein-bottle pair
+    rng = random.Random(23)
+    flip = {"a": "a^-1", "t": "t"}
+    engines = [SemidirectEngine(KleinEngine(), *auto) for auto in klein_automorphisms()]
+    engines += [SemidirectEngine(BS1Engine(m), flip, flip) for m in (2, 3, -2)]
+    for eng in engines:
+        for _ in range(20):
+            g, h, a_el = (random_element(rng, eng, 3) for _ in range(3))
+            x0 = eng.multiply(eng.multiply(g, h),
+                              eng.multiply(eng.invert(g), eng.invert(h)))
+            assert not witness._klein_suspect(eng, x0, witness._conj(eng, a_el, x0))
+
+
 def test_find_relation_search():
     eng = AbelianEngine(2)
     assert witness._find_relation(eng, (1, 0), (-1, 0)) == (1, 1)
@@ -393,22 +422,47 @@ def test_random_generating_sets_stay_classified():
 
 # one engine builder per base family: free, nested, abelian periodic and
 # Anosov, klein and bs1
-@pytest.mark.parametrize("build", [
+SEEDED_BUILDERS = [
     torus_engine, unipotent_free_engine, flip_free_engine,
     nested_torus_engine, nested_identity_engine, suspect_host_engine,
     rot4_engine, shear_engine, fib_engine, slow_fib_engine,
     klein_base_engine, bs1_flip_engine,
-], ids=lambda b: b.__name__)
-def test_analyze_matches_eager_reference_on_seeded_sets(build):
+]
+
+
+def seeded_sets(eng, count=8):
+    """``count`` seeded generating sets of two or three short words."""
     rng = random.Random(17)
-    eng = build()
     names = list(eng.gen_names)
-    for _ in range(8):
-        gens = [Word.of([(rng.choice(names), rng.choice([-1, 1]))
-                         for _ in range(rng.randrange(1, 4))])
-                for _ in range(rng.randrange(2, 4))]
+    for _ in range(count):
+        yield [Word.of([(rng.choice(names), rng.choice([-1, 1]))
+                        for _ in range(rng.randrange(1, 4))])
+               for _ in range(rng.randrange(2, 4))]
+
+
+@pytest.mark.parametrize("build", SEEDED_BUILDERS, ids=lambda b: b.__name__)
+def test_analyze_matches_eager_reference_on_seeded_sets(build):
+    eng = build()
+    for gens in seeded_sets(eng):
         assert analyze(eng, gens, 3.0, 2).to_json() == \
             reference_analyze(build(), gens, 3.0, 2).to_json(), gens
+
+
+def test_noncyclic_pairs_on_seeded_sets_do_not_commute():
+    # 30 sets per engine: the first 8 are those above, and the suspect
+    # host's sets 9-30 hold three where a cyclic-pair test would certify
+    # a commuting pair spanning Z^2
+    pairs = 0
+    for build in SEEDED_BUILDERS:
+        eng = build()
+        for gens in seeded_sets(eng, 30):
+            cert = analyze(eng, gens, 3.0, 2)
+            if cert.variant == NON_CYCLIC_PAIR:
+                u, v = (eng.evaluate_word(Word.parse(w))
+                        for w in (cert.u_word, cert.v_word))
+                assert not eng.commute(u, v), (build.__name__, gens)
+                pairs += 1
+    assert pairs > 0
 
 
 @pytest.mark.parametrize("build, gens, variant", [

@@ -71,6 +71,15 @@ def nested_torus_engine():
         {"t": "x^-1 t x", "x": "x", "y": "x^-1 y x"})
 
 
+def klein_automorphisms():
+    """The 20 automorphisms a -> a^e, t -> a^k t^f of the Klein group,
+    e, f = +-1 and |k| <= 2, each as (forward, backward) with the
+    inverse a -> a^e, t -> a^(-e k) t^f."""
+    return [({"a": Word.of((("a", e),)), "t": Word.of((("a", k), ("t", f)))},
+             {"a": Word.of((("a", e),)), "t": Word.of((("a", -e * k), ("t", f)))})
+            for e in (1, -1) for f in (1, -1) for k in range(-2, 3)]
+
+
 def family_engines():
     """One engine per family plus split-extension variants."""
     return [
