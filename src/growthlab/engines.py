@@ -68,29 +68,6 @@ def units_to_flat(units) -> tuple:
     return wordops.normalize_pairs((abs(u) - 1, 1 if u > 0 else -1) for u in units)
 
 
-def _cyclic_length(flat: tuple):
-    """Letter count of the cyclic reduction of a reduced flat word.
-
-    Peels end pairs that cancel whole; the first end pair that cancels
-    only in part ends the peeling, since the next pair in on the other
-    end carries a different generator.  Conjugate elements of a free
-    group have cyclic reductions that are rotations of each other, so
-    the count is a conjugacy invariant.
-    """
-    n = wordops.word_length(flat)
-    lo, hi = 0, len(flat) - 2
-    while lo < hi and flat[lo] == flat[hi]:
-        e, f = flat[lo + 1], flat[hi + 1]
-        if (e > 0) == (f > 0):
-            break
-        n -= 2 * min(abs(e), abs(f))
-        if e != -f:
-            break
-        lo += 2
-        hi -= 2
-    return n
-
-
 def cyclic_reduce_units(units):
     """Split units as p * core * p^-1; returns (p_units, core_units)."""
     lo, hi = 0, len(units)
@@ -209,13 +186,13 @@ class FreeEngine(_EngineBase):
         return {"family": "free", "rank": self.rank}
 
     def conjugacy_test(self, a, b):
-        """Conjugator c with c a c^-1 = b, or None."""
-        if _cyclic_length(a) != _cyclic_length(b):
-            return None
-        ua, ub = flat_to_units(a), flat_to_units(b)
-        pa, core_a = cyclic_reduce_units(ua)
-        pb, core_b = cyclic_reduce_units(ub)
+        """Conjugator c with c a c^-1 = b, or None.  Conjugate words have
+        cyclic reductions that are rotations of each other."""
+        pa, core_a = cyclic_reduce_units(flat_to_units(a))
+        pb, core_b = cyclic_reduce_units(flat_to_units(b))
         n = len(core_a)
+        if n != len(core_b):
+            return None
         if n == 0:
             return ()  # cyclic length 0: both are the identity
         for r in range(n):
@@ -310,22 +287,6 @@ class KleinEngine(_EngineBase):
 
     def spec_dict(self) -> dict:
         return {"family": "klein"}
-
-    def conjugacy_test(self, a, b):
-        """Conjugates of (i, j): {(+-i, j)} for even j, i + 2Z at odd j."""
-        i, j = a
-        k, l = b
-        if j != l:
-            return None
-        if j % 2 == 0:
-            if k == i:
-                return self.identity
-            if k == -i:
-                return (0, 1)
-            return None
-        if (k - i) % 2 == 0:
-            return ((k - i) // 2, 0)
-        return None
 
 
 class BS1Engine(_EngineBase):
@@ -557,9 +518,6 @@ class SemidirectEngine(_EngineBase):
 
     def kernel_part(self, a):
         return a[0]
-
-    def embed(self, base_el):
-        return (base_el, 0)
 
     def element_to_word(self, a) -> Word:
         w, k = a

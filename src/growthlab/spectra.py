@@ -9,8 +9,8 @@ Schur-Cohn test `roots_inside` on integer coefficients.  Only the
 reported radius `m` is a float, from an Aberth iteration on the
 square-free part.
 
-Determinant, rank, unimodular inverse and fixed vectors are read off
-the one fraction-free elimination `_exact.eliminate`; `hermite_rows` is
+The unimodular inverse and fixed vectors are read off the one
+fraction-free elimination `_exact.eliminate`; `hermite_rows` is
 a lattice normal form over Z and keeps its own reduction.
 """
 
@@ -153,11 +153,6 @@ def mat_trace(m):
     return sum(m[i][i] for i in range(len(m)))
 
 
-def mat_det(m) -> int:
-    _, pivots, d, sign = eliminate(m)
-    return sign * d if len(pivots) == len(m) else 0
-
-
 def mat_pow(m, k: int):
     if k < 0:
         return mat_pow(mat_inv_unimodular(m), -k)
@@ -183,10 +178,6 @@ def mat_inv_unimodular(m):
     if abs(det) != 1:
         raise SpectraError(f"matrix determinant {det} is not a unit")
     return [[x * d for x in row[n:]] for row in rows]
-
-
-def matrix_rank(rows) -> int:
-    return len(eliminate(rows)[1])
 
 
 def _ext_gcd(a: int, b: int):

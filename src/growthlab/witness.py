@@ -12,9 +12,12 @@ In the torsion-free kernel K a commuting pair spans a free abelian group,
 which never witnesses growth, so a kernel pair is certified only when it
 does not commute; the hypothesis u bounds every non-abelian subgroup of K.
 
-Every certificate carries the growth bound implied by its branch,
-rescaled by the word length of the witnesses in the A alphabet, and is
-re-verified by an independent computation before it is returned.
+Every certificate's bound is hypothesis^(1/length): the growth
+hypothesis of its branch (u for a pair or an escaping chain, 2^(1/4) for
+a chain relation, 2 for an expanding action) rescaled by the length of
+its witness words in the A alphabet, which for an escaping chain is the
+2d + 4 that the depth cap d allows.  Each certificate is re-verified by
+an independent computation before it is returned.
 
 ``spectra`` and ``laurent`` are imported inside the functions that use
 them, so a search over a free base loads neither.
@@ -74,32 +77,6 @@ class Certificate(namedtuple(
         return out
 
 
-# witness word length of each fixed-length branch; "chain" uses 2d + 4
-_BRANCH_LENGTHS = {"pair_in_kernel": 4, "conjugate_pair": 6,
-                   "infinite_kernel": 4}
-
-
-def _check_hypothesis(u: float) -> None:
-    # NaN fails both comparisons; inf would print as non-JSON "Infinity"
-    if not 1.0 < u < math.inf:
-        raise WitnessError("growth hypothesis u must be finite and exceed 1")
-
-
-def combined_bound(u: float, branch: str, d: int = None) -> float:
-    """Exponent bookkeeping for the certified branches: u rescaled by the
-    witness word length of the branch."""
-    _check_hypothesis(u)
-    if branch == "chain":
-        if d is None or d < 1:
-            raise WitnessError("chain branch needs the depth cap d")
-        length = 2 * d + 4
-    elif branch in _BRANCH_LENGTHS:
-        length = _BRANCH_LENGTHS[branch]
-    else:
-        raise WitnessError(f"unknown branch {branch!r}")
-    return rescale_lower_bound(u, length)
-
-
 # ---------------------------------------------------------------------------
 # shared helpers
 
@@ -121,12 +98,12 @@ def _reverify_noncyclic(engine, uel, vel) -> bool:
     return comm != engine.identity
 
 
-def _noncyclic_certificate(engine, uel, vel, max_len: int, bound: float):
+def _noncyclic_certificate(engine, uel, vel, max_len: int, u: float):
     if not _reverify_noncyclic(engine, uel, vel):
         raise AssertionError("non-commuting pair failed independent re-verification")
     return Certificate(
         NON_CYCLIC_PAIR,
-        bound=bound,
+        bound=rescale_lower_bound(u, max_len),
         u_word=_word_str(engine, uel),
         v_word=_word_str(engine, vel),
         max_A_length=max_len,
@@ -348,9 +325,7 @@ def _chain_case(engine, a_el, x0, u, d, tag):
             # must not be certified as a growth witness
             if _klein_suspect(engine, x0, other):
                 return None, f"{tag}: {_KLEIN_SUSPECT}"
-            return _noncyclic_certificate(
-                engine, x0, other, 6,
-                combined_bound(u, "conjugate_pair")), None
+            return _noncyclic_certificate(engine, x0, other, 6, u), None
     if x1 == x0:
         return _pcc_from_stable(engine, a_el, x0, 1, f"{tag}: conjugation fixes x0"), None
     if x1 == engine.invert(x0):
@@ -365,7 +340,7 @@ def _chain_case(engine, a_el, x0, u, d, tag):
                 if s <= d:
                     return Certificate(
                         KERNEL_CHAIN_ESCAPE,
-                        bound=combined_bound(u, "chain", d),
+                        bound=rescale_lower_bound(u, 2 * d + 4),
                         depth=s,
                         max_A_length=2 * s + 4,
                         diagnostics=(
@@ -396,7 +371,7 @@ def _chain_case(engine, a_el, x0, u, d, tag):
                   f"{sticking_contradiction(a, b).detail}")
     cert = Certificate(
         KERNEL_CHAIN_ESCAPE,
-        bound=combined_bound(2.0 ** 0.25, "infinite_kernel"),
+        bound=rescale_lower_bound(2.0 ** 0.25, 4),
         depth=d + 1,
         max_A_length=4,
         diagnostics=f"{tag}: {detail}",
@@ -421,9 +396,7 @@ def _case(engine, elems, u, d, i, cand):
             # the pair commutes iff its kernel parts do (see _chain_case)
             if engine.base.commute(engine.kernel_part(a_el), engine.kernel_part(c_el)):
                 return None, None
-            return _noncyclic_certificate(
-                engine, a_el, c_el, 4,
-                combined_bound(u, "pair_in_kernel")), None
+            return _noncyclic_certificate(engine, a_el, c_el, 4, u), None
         return None, (f"{tag}: kernel pair skipped for {base_fam} base "
                       "(kernel may have polynomial growth)")
     if base_fam == "abelian":
@@ -469,7 +442,9 @@ def analyze(engine, gens, u: float, d: int, threads: int = 1) -> Certificate:
     ends Inconclusive."""
     if engine.family != "semidirect":
         raise WitnessError("analysis requires a split-extension engine")
-    _check_hypothesis(u)
+    # NaN fails both comparisons; inf would print as non-JSON "Infinity"
+    if not 1.0 < u < math.inf:
+        raise WitnessError("growth hypothesis u must be finite and exceed 1")
     if d < 1:
         raise WitnessError("abelian cap d must be at least 1")
     words = [Word.parse(w) if isinstance(w, str) else w for w in gens]
@@ -597,8 +572,10 @@ def _abelian_returns(engine, max_period: int):
 
 def pcc_scan(engine, max_period: int, max_length: int) -> PccResult:
     """Look for k != e and n <= max_period with alpha^n(k) conjugate to
-    k in the base.  Exact for an abelian base; elsewhere a bounded scan
-    whose empty answer only means none within bounds.
+    k in the base.  Exact for an abelian base; a closed form, k = a^-1 at
+    n = 1, for a klein base; on a free base a bounded scan whose empty
+    answer only means none within bounds.  Only the abelian answer is
+    flagged exact.
 
     On a free base the scan is over the cyclically reduced words, ordered
     by length, then lex in the unit order x, x^-1, y, y^-1, ..., and
@@ -654,22 +631,23 @@ def pcc_scan(engine, max_period: int, max_length: int) -> PccResult:
         k_vec = fixed_vector_of_power(m_mat, d)
         cert = _pcc_certificate(engine, tuple(k_vec), d, base.identity)
         return PccResult(cert, True, "exact cyclotomic test")
-    if base.family == "free":
-        candidates = _orbit_words(base.rank, max_length)
-        periods = _abelian_returns(engine, max_period)
-    elif base.family == "klein":
-        candidates = (
-            (i, j)
-            for total in range(1, max_length + 1)
-            for i in range(-total, total + 1)
-            for j in ([total - abs(i)] if abs(i) == total
-                      else [total - abs(i), abs(i) - total])
-        )
-        periods = lambda k_el: range(1, max_period + 1)
-    else:
+    if base.family == "klein":
+        # <a> is characteristic in K: it is the isolator of [K, K] = <a^2>,
+        # since no positive power of a^i t^j with j != 0 lies in <a>.  The
+        # engine checked that alpha and its inverse send the relator to e
+        # and invert each other on the generators, so alpha is an
+        # automorphism and alpha(a^-1) = a^-+1.  So k = a^-1 passes at
+        # n = 1, with c = e or c = t (t a^-1 t^-1 = a): the least n, and
+        # the first word a^i t^j in the order of |i| + |j|, then i.
+        k_el = (-1, 0)
+        c = base.identity if engine.auto_power(k_el, 1) == k_el else (0, 1)
+        return PccResult(_pcc_certificate(engine, k_el, 1, c), False,
+                         "found within bounds")
+    if base.family != "free":
         raise UnsupportedFamilyError(
             f"periodic-class scan unsupported for base family {base.family!r}")
-    for k_el in candidates:
+    periods = _abelian_returns(engine, max_period)
+    for k_el in _orbit_words(base.rank, max_length):
         img, at = k_el, 0  # img = alpha^at(k)
         for n in periods(k_el):
             while at < n:

@@ -70,14 +70,8 @@ class Word:
     def __mul__(self, other: "Word") -> "Word":
         return Word.of(self.letters + other.letters)
 
-    def inverse(self) -> "Word":
-        return Word(tuple((n, -e) for n, e in reversed(self.letters)))
-
     def length(self) -> int:
         return sum(abs(e) for _, e in self.letters)
-
-    def names(self) -> set:
-        return {n for n, _ in self.letters}
 
     def rename(self, mapping: dict) -> "Word":
         return Word(tuple((mapping.get(n, n), e) for n, e in self.letters))

@@ -19,16 +19,16 @@ from growthlab.spectra import (
     IntPoly,
     cyclotomic,
     fixed_vector_of_power,
-    mat_det,
     mat_identity,
     mat_inv_unimodular,
     mat_mul,
     mat_pow,
     mat_sub,
     mat_vec,
-    matrix_rank,
     smallest_cyclotomic_order,
 )
+
+from util import mat_det, matrix_rank
 
 
 def leibniz_det(m):

@@ -1,7 +1,8 @@
 """Every name a growthlab module imports is used in that module, apart
 from the deliberate re-exports below, and every private module-level
 function, class or constant and every private method is referenced
-somewhere in the package.  No linter
+somewhere in the package.  So is every public function, class and
+method, apart from the few called from outside it.  No linter
 is assumed installed, so the check reads the syntax trees itself.
 Modules that load others lazily are pinned by what a bare import
 leaves in ``sys.modules``.
@@ -43,9 +44,15 @@ def unused_imports(tree) -> set:
     return imported - used
 
 
-def private_definitions(tree) -> set:
-    """Module-level functions, classes and constants, and the methods of
-    module-level classes, named _private (not dunder)."""
+# public names no growthlab module names: argparse calls the parser's
+# error method, and perfbench/checks.py reads spectral_radius; asserted
+# by equality, like RE_EXPORTS
+CALLED_FROM_OUTSIDE = {"error", "spectral_radius"}
+
+
+def callable_definitions(tree) -> set:
+    """Module-level functions and classes, and the methods of
+    module-level classes."""
     names = set()
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
@@ -53,7 +60,15 @@ def private_definitions(tree) -> set:
         if isinstance(node, ast.ClassDef):
             names.update(item.name for item in node.body
                          if isinstance(item, ast.FunctionDef))
-        elif isinstance(node, ast.Assign):
+    return names
+
+
+def private_definitions(tree) -> set:
+    """Module-level functions, classes and constants, and the methods of
+    module-level classes, named _private (not dunder)."""
+    names = callable_definitions(tree)
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
             names.update(t.id for t in node.targets if isinstance(t, ast.Name))
         elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
             names.add(node.target.id)
@@ -105,6 +120,17 @@ def test_no_unused_imports_in_src():
     assert {n: m for n, m in private.items() if n not in referenced} == {}
 
 
+def test_public_names_are_used_in_src():
+    public = set()
+    referenced = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        public |= {n for n in callable_definitions(tree) if not n.startswith("_")}
+        referenced |= referenced_names(tree)
+    # a public name only the tests call belongs in tests/util.py
+    assert public - referenced == CALLED_FROM_OUTSIDE
+
+
 def test_private_definition_finder():
     tree = ast.parse(
         "_LIMIT = 1\n"
@@ -118,6 +144,8 @@ def test_private_definition_finder():
         "        return 0\n"
         "def _helper():\n"
         "    pass\n")
+    assert callable_definitions(tree) == {
+        "A", "__init__", "_used", "_dead_method", "_helper"}
     private = private_definitions(tree)
     assert private == {"_LIMIT", "_DEAD", "_used", "_dead_method", "_helper"}
     # assigning _DEAD and self._x does not count as a reference

@@ -17,20 +17,18 @@ from growthlab.spectra import (
     fixed_vector_of_power,
     hermite_rows,
     mahler_gap_threshold,
-    mat_det,
     mat_identity,
     mat_inv_unimodular,
     mat_mul,
     mat_pow,
     mat_vec,
-    matrix_rank,
     max_root_modulus,
     roots_inside,
     smallest_cyclotomic_order,
     spectral_radius,
 )
 
-from util import at_matrix
+from util import at_matrix, mat_det, matrix_rank
 
 ROT4 = [[0, -1], [1, 0]]
 FIB = [[2, 1], [1, 1]]

@@ -12,7 +12,7 @@ from growthlab.engines import (
 from growthlab.subgroups import is_cyclic_pair
 from growthlab.words import Word
 
-from util import random_element, rot4_engine, spec_id, torus_engine
+from util import embed, random_element, rot4_engine, spec_id, torus_engine
 
 
 def ev(eng, text):
@@ -29,7 +29,7 @@ FREE2 = FreeEngine(2)
 def _small_shift_element(rng, eng):
     # free-base automorphism images grow fast, so keep |shift| <= 1
     kernel = random_element(rng, eng.base, max_len=2)
-    el = eng.embed(kernel)
+    el = embed(kernel)
     e = rng.randrange(-1, 2)
     if e:
         return eng.multiply(el, eng.power(eng.generator("t"), e))

@@ -27,7 +27,6 @@ from growthlab.witness import (
     Certificate,
     WitnessError,
     analyze,
-    combined_bound,
     pcc_scan,
 )
 from growthlab.words import Word
@@ -42,6 +41,7 @@ from util import (
     nested_torus_engine,
     random_element,
     reference_analyze,
+    reference_klein_pcc,
     reference_pcc_scans,
     rot4_engine,
     spec_id,
@@ -108,34 +108,20 @@ def suspect_host_engine():
     return SemidirectEngine(kern, dict(ident), dict(ident))
 
 
+def flip_unipotent_engine():
+    # K = F2 x| Z of unipotent_free_engine, with stable letter s printed
+    # t1, extended by the involution s -> s^-1, x -> x^-1, y -> y of K
+    flip = {"t": "t^-1", "x": "x^-1", "y": "y"}
+    return SemidirectEngine(unipotent_free_engine(), flip, dict(flip))
+
+
 # ---------------------------------------------------------------------------
 # bookkeeping helpers
-
-
-def test_combined_bound_branches():
-    assert combined_bound(3.0, "pair_in_kernel") == 3.0 ** 0.25
-    assert combined_bound(3.0, "conjugate_pair") == 3.0 ** (1.0 / 6.0)
-    assert combined_bound(2.0 ** 0.25, "infinite_kernel") == 2.0 ** (1.0 / 16.0)
-    assert combined_bound(3.0, "chain", 2) == 3.0 ** 0.125
-    assert combined_bound(3.0, "chain", 5) == 3.0 ** (1.0 / 14.0)
-
-
-def test_combined_bound_rejects():
-    with pytest.raises(WitnessError):
-        combined_bound(1.0, "conjugate_pair")
-    with pytest.raises(WitnessError):
-        combined_bound(3.0, "no_such_branch")
-    with pytest.raises(WitnessError):
-        combined_bound(3.0, "chain")
-    with pytest.raises(WitnessError):
-        combined_bound(3.0, "chain", 0)
 
 
 @pytest.mark.parametrize("u", [math.nan, math.inf, float("1e400")])
 def test_non_finite_hypothesis_rejected(u):
     # NaN passed "u <= 1" and infinity made a bound that is not JSON
-    with pytest.raises(WitnessError):
-        combined_bound(u, "conjugate_pair")
     with pytest.raises(WitnessError):
         analyze(torus_engine(), ["t", "x"], u, 2)
 
@@ -270,6 +256,28 @@ def test_kernel_chain_relation_goldens(gens, i, detail, relation):
     x1 = eng.multiply(eng.multiply(ai, x0), eng.invert(ai))
     a, b = relation
     assert eng.multiply(eng.power(x0, a), eng.power(x1, b)) == eng.identity
+
+
+def test_kernel_chain_escape_golden():
+    # the centraliser of s in K holds the free group <x, y x y^-1> of
+    # words phi fixes, so commuting is not transitive in K: the chain of
+    # x0 = [a0, a1] = y x^2 y^-1 s^-2 under conjugation by a0 commutes
+    # one step apart and not two
+    eng = flip_unipotent_engine()
+    gens = ["y t t1", "t"]
+    assert analyze(eng, gens, 3.0, 2).to_json() == {
+        "variant": KERNEL_CHAIN_ESCAPE, "bound": 1.147202690439877,
+        "max_A_length": 8, "depth": 2,
+        "diagnostics": "(i=0, [a0,a1]): chain elements at offsets 0 and 2 "
+                       "do not commute", "reverified": True}
+    a0, a1 = (eng.evaluate_word(Word.parse(g)) for g in gens)
+    xs = [eng.multiply(eng.multiply(a0, a1),
+                       eng.multiply(eng.invert(a0), eng.invert(a1)))]
+    assert str(eng.element_to_word(xs[0])) == "y x^2 y^-1 t1^-2"
+    for _ in range(2):
+        xs.append(eng.multiply(eng.multiply(a0, xs[-1]), eng.invert(a0)))
+    assert eng.commute(xs[0], xs[1]) and not eng.commute(xs[0], xs[2])
+    assert xs[1] not in (xs[0], eng.invert(xs[0]))
 
 
 def _pcc_payload(k, n, diagnostics):
@@ -465,6 +473,37 @@ def test_noncyclic_pairs_on_seeded_sets_do_not_commute():
     assert pairs > 0
 
 
+def test_certificate_bounds_are_hypothesis_to_one_over_length():
+    # bound = hypothesis^(1/length): u over the pair's A-length, 2 over
+    # the expanding action's, u over 2d + 4 for a chain escape, and
+    # 2^(1/4) over 4 for a chain relation.  The seeded sets reach every
+    # branch but the chain escape, which the golden above adds at two
+    # caps d, both above its depth 2
+    u = 3.0
+    runs = []
+    for build in SEEDED_BUILDERS:
+        eng = build()
+        runs.extend((analyze(eng, gens, u, 2), 2) for gens in seeded_sets(eng))
+    for d in (2, 3):
+        runs.append((analyze(flip_unipotent_engine(), ["y t t1", "t"], u, d), d))
+    seen = set()
+    for cert, d in runs:
+        if cert.variant == NON_CYCLIC_PAIR:
+            assert cert.bound == u ** (1 / cert.max_A_length)
+        elif cert.variant == SPECTRAL_EXPONENTIAL:
+            assert cert.bound == 2 ** (1 / cert.max_A_length)
+        elif cert.variant == KERNEL_CHAIN_ESCAPE and cert.depth <= d:
+            assert cert.bound == u ** (1 / (2 * d + 4))
+        elif cert.variant == KERNEL_CHAIN_ESCAPE:
+            assert cert.bound == 2 ** (1 / 16)
+        else:
+            assert cert.bound is None
+            continue
+        seen.add((cert.variant, cert.depth is not None and cert.depth <= d))
+    assert seen == {(NON_CYCLIC_PAIR, False), (SPECTRAL_EXPONENTIAL, False),
+                    (KERNEL_CHAIN_ESCAPE, True), (KERNEL_CHAIN_ESCAPE, False)}
+
+
 @pytest.mark.parametrize("build, gens, variant", [
     # kernel pairs skipped on every shift-0 row, then expanded
     (klein_base_engine, ["t", "a", "t1"], INCONCLUSIVE),
@@ -480,6 +519,8 @@ def test_noncyclic_pairs_on_seeded_sets_do_not_commute():
     (torus_engine, ["x y", "x y x y"], VIRTUALLY_NILPOTENT_DIAGNOSIS),
     (klein_base_engine, ["a", "a^2"], VIRTUALLY_NILPOTENT_DIAGNOSIS),
     (torus_engine, ["t", "x", "y"], NON_CYCLIC_PAIR),
+    # a conjugation chain that escapes at depth 2
+    (flip_unipotent_engine, ["y t t1", "t"], KERNEL_CHAIN_ESCAPE),
 ], ids=lambda v: v.__name__ if callable(v) else None)
 def test_analyze_matches_eager_reference(build, gens, variant):
     got = analyze(build(), gens, 3.0, 2).to_json()
@@ -580,6 +621,19 @@ def test_pcc_scan_klein_base():
     assert res.exact is False
     assert res.certificate.k_word == "a^-1"
     assert res.certificate.n == 1
+
+
+def test_pcc_scan_klein_base_matches_reference_scan():
+    # the closed form against a scan over the words a^i t^j with a
+    # brute-force conjugator search, for every automorphism a -> a^+-1,
+    # t -> a^k t^+-1 with |k| <= 2 and every pair of small bounds
+    for auto in klein_automorphisms():
+        eng = SemidirectEngine(KleinEngine(), *auto)
+        for max_period in range(1, 6):
+            for max_length in range(1, 5):
+                assert pcc_scan(eng, max_period, max_length) == \
+                    reference_klein_pcc(eng, max_period, max_length), (
+                        spec_id(eng), max_period, max_length)
 
 
 def test_pcc_scan_validation():

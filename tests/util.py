@@ -4,6 +4,7 @@ random words/elements, and reference versions of library searches."""
 import json
 
 from growthlab import wordops
+from growthlab._exact import eliminate
 from growthlab.engines import (
     AbelianEngine,
     BS1Engine,
@@ -43,6 +44,33 @@ def at_matrix(poly, m):
     for c in reversed(poly.coeffs[:-1]):
         acc = mat_add(mat_mul(acc, m), mat_scale(mat_identity(n), c))
     return acc
+
+
+def word_inverse(word):
+    """The inverse of a Word: its letters reversed, exponents negated."""
+    return Word(tuple((n, -e) for n, e in reversed(word.letters)))
+
+
+def word_names(word) -> set:
+    """The generator names a Word uses."""
+    return {n for n, _ in word.letters}
+
+
+def embed(base_el):
+    """The base element ``base_el`` as an element of a split extension,
+    at shift 0."""
+    return (base_el, 0)
+
+
+def mat_det(m) -> int:
+    """Determinant of a square integer matrix, read off ``eliminate``."""
+    _, pivots, d, sign = eliminate(m)
+    return sign * d if len(pivots) == len(m) else 0
+
+
+def matrix_rank(rows) -> int:
+    """Rank of an integer matrix: the pivot count of ``eliminate``."""
+    return len(eliminate(rows)[1])
 
 
 def torus_engine():
@@ -296,7 +324,32 @@ def reference_auto_power(engine, el, k):
     for _ in range(abs(k)):
         pieces = []
         for name, exp in base.element_to_word(el).letters:
-            img = images[name] if exp > 0 else images[name].inverse()
+            img = images[name] if exp > 0 else word_inverse(images[name])
             pieces.extend(img.letters * abs(exp))
         el = base.evaluate_word(Word.of(pieces))
     return el
+
+
+def reference_klein_pcc(engine, max_period, max_length):
+    """The periodic-class scan on a klein base as a search: the words
+    a^i t^j by |i| + |j| <= max_length, then by i, then j > 0 first, each
+    tested at n = 1..max_period for a conjugator of k to alpha^n(k).  The
+    conjugator is searched by brute force among a^p t^q, |p| <= 4 and
+    q in {0, 1}, by |p| + q, then p, then q.  Every element is a^p t^q
+    and t^2 is central, so a^p t^q conjugates (i, j) to (+-i, j) at even
+    j and to (+-i + 2p, j) at odd j: the search is complete for targets
+    with |i| <= 4."""
+    base = engine.base
+    conjugators = sorted(((p, q) for p in range(-4, 5) for q in (0, 1)),
+                         key=lambda c: (abs(c[0]) + c[1], c))
+    for total in range(1, max_length + 1):
+        for i in range(-total, total + 1):
+            js = [total - abs(i)] if abs(i) == total else [total - abs(i), abs(i) - total]
+            for k_el in ((i, j) for j in js):
+                for n in range(1, max_period + 1):
+                    img = engine.auto_power(k_el, n)
+                    for c in conjugators:
+                        if base.multiply(base.multiply(c, k_el), base.invert(c)) == img:
+                            return PccResult(_pcc_certificate(engine, k_el, n, c), False,
+                                             "found within bounds")
+    return PccResult(None, False, "none within bounds (semi-decision)")
