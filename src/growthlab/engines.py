@@ -382,8 +382,9 @@ class SemidirectEngine(_EngineBase):
     * free base: the images of the generators and their inverses, both
       lists in generator order, for ``wordops.substitute``, so no letter
       of a word is inverted when the level is applied;
-    * abelian base: the rows of the matrix of alpha^k, so applying a
-      level is one matrix-vector product;
+    * abelian base: the rows of the matrix of alpha^k, a tuple of
+      tuples that ``auto_matrix`` also hands out, so applying a level is
+      one matrix-vector product;
     * klein, bs1 and nested bases: images by generator name, applied
       along the element's word with the base's ``power`` and
       ``multiply``.
@@ -446,7 +447,7 @@ class SemidirectEngine(_EngineBase):
         if base.family == "free":
             return images, [wordops.invert_word(w) for w in images]
         if base.family == "abelian":
-            return list(zip(*images))  # the images are the matrix columns
+            return tuple(zip(*images))  # the images are the matrix columns
         return dict(zip(base.gen_names, images))
 
     def _apply_images(self, level, el):
@@ -485,6 +486,19 @@ class SemidirectEngine(_EngineBase):
         if k == 0 or el == self.base.identity:
             return el
         return self._apply_images(self._level_at(k), el)
+
+    def auto_matrix(self, k: int):
+        """The rows of the integer matrix of alpha^k on an abelian base,
+        column g the image of generator g: the stored level k, so the
+        same tuple of tuples on every call."""
+        base = self.base
+        if base.family != "abelian":
+            raise UnsupportedFamilyError(
+                f"alpha acts by an integer matrix only on an abelian base, "
+                f"not on a {base.family} base")
+        if k == 0:
+            return self._level([base.generator(g) for g in base.gen_names])
+        return self._level_at(k)
 
     # -- group operations --------------------------------------------------
 

@@ -17,6 +17,7 @@ a lattice normal form over Z and keeps its own reduction.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import re
 from collections import namedtuple
@@ -409,13 +410,19 @@ class SpectralClassification(namedtuple(
     __slots__ = ()
 
 
+@functools.lru_cache(maxsize=512)
 def classify_char_poly(p: IntPoly) -> SpectralClassification:
     """Classify the automorphism of Z^n with characteristic polynomial p.
 
     p must be monic with constant term +-1 (the determinant up to sign).
     Cyclotomic factors are stripped once; what is left is either 1
     (every root a root of unity) or must have a root on or beyond the
-    Mahler gap, which is decided exactly."""
+    Mahler gap, which is decided exactly.
+
+    The answer depends on p alone, and an IntPoly hashes and compares
+    by its coefficient tuple, so the classifications are memoized by
+    that tuple; conjugate matrices and repeated witness searches share
+    an entry.  A polynomial that fails a check raises every time."""
     n = p.degree
     if n < 1:
         raise SpectraError("polynomial must have degree at least 1")

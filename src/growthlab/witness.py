@@ -16,8 +16,22 @@ Every certificate's bound is hypothesis^(1/length): the growth
 hypothesis of its branch (u for a pair or an escaping chain, 2^(1/4) for
 a chain relation, 2 for an expanding action) rescaled by the length of
 its witness words in the A alphabet, which for an escaping chain is the
-2d + 4 that the depth cap d allows.  Each certificate is re-verified by
-an independent computation before it is returned.
+2d + 4 that the depth cap d allows.
+
+Two branches check their certificate by a second computation before it
+is returned: a non-commuting pair multiplies its commutator in G, and a
+periodic conjugacy class applies alpha^n through the engine and compares
+it with c k c^-1.  The others run no second check.  An expanding action
+is decided once, exactly, on the restricted matrix (cyclotomic stripping
+and the Schur-Cohn test), and a chain escape or relation is read off the
+products the search itself made.  Their certificates still carry
+``reverified: true``, which keeps every output byte-identical, so there
+the flag claims more than runs.
+
+The exact abelian-base data (the classification of a characteristic
+polynomial, the expansion power it gives, the periodic class of an
+action matrix) is memoized in bounded caches keyed by integer tuples;
+a periodic-class certificate is still re-checked on every call.
 
 ``spectra`` and ``laurent`` are imported inside the functions that use
 them, so a search over a free base loads neither.
@@ -25,6 +39,7 @@ them, so a search over a free base loads neither.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import namedtuple
 from fractions import Fraction
@@ -47,6 +62,9 @@ RELATION_SEARCH_BOUND = 8
 # required margin over 2 for the expanding-action word argument
 EXPANSION_MARGIN = Fraction(41, 20)
 _EXPANSION_POWER_CAP = 128
+# entries kept by each memo of exact abelian-base data, keyed by a
+# characteristic polynomial or by the rows of an action matrix
+_MEMO_SIZE = 512
 
 
 class WitnessError(GrowthlabError):
@@ -175,13 +193,6 @@ def _find_relation(engine, x0, x1):
 # the abelian-kernel track
 
 
-def _abelian_matrix(engine):
-    """Matrix of the automorphism on the abelian base, columns = images."""
-    base = engine.base
-    cols = [engine.auto_power(base.generator(g), 1) for g in base.gen_names]
-    return [list(row) for row in zip(*cols)]
-
-
 def _solve_int_combo(basis_rows, target):
     """Integer coordinates of target in the given lattice basis."""
     coords = solve(basis_rows, target)
@@ -212,71 +223,76 @@ def _restricted_matrix(n_mat, basis_rows):
     return [list(row) for row in zip(*cols)]
 
 
-def _krylov_annihilator(t_mat, v):
-    """Primitive integer coefficients (low-to-high) of the minimal
-    polynomial of v under t_mat."""
-    from growthlab.spectra import mat_vec
-    vs = [list(v)]
-    for _ in range(len(v)):
-        vs.append(list(mat_vec(t_mat, vs[-1])))
-        sol = solve(vs[:-1], vs[-1])
-        if sol is not None:
-            denom = math.lcm(*(f.denominator for f in sol))
-            coeffs = [-int(f * denom) for f in sol] + [denom]
-            g = math.gcd(*coeffs)
-            return [c // g for c in coeffs]
-    raise AssertionError("no dependence found within the space dimension")
-
-
-def _expansion_power(r_mat, v_coords) -> int:
+@functools.lru_cache(maxsize=_MEMO_SIZE)
+def _expansion_power(char_coeffs) -> int:
     """Least K for which the minimal polynomial of v under R^K has a
     root of modulus beyond the margin, making the 2^L sign words over
-    the orbit pairwise distinct.
+    the orbit pairwise distinct.  R is the action on the orbit lattice
+    L of v, and char_coeffs (low-to-high) is char(R): K depends on
+    nothing else, and is found on the companion matrix C of char(R).
+
+    v is a cyclic vector of R over Q, since L is spanned by v, Rv, ...
+    So Q^n is Q[t]/(char R) with v as 1 and R as t, and R is similar to
+    C over Q.  The minimal polynomial of v under R^K is that of t^K in
+    this algebra, whose roots are the values lambda^K at the roots
+    lambda of char(R): the roots of char(R^K) = char(C^K), without
+    their multiplicities.  ``roots_inside`` sees only the set of roots,
+    so it answers the same on both polynomials, even where lambda and
+    -lambda collide at even K.
 
     The exact test "not every root in |z| < 41/20" also accepts a root
     of modulus exactly 41/20, which the strict "> 2.05" did not; no such
-    root exists.  The annihilator is primitive and divides the monic
-    integer characteristic polynomial of R^K, so by Gauss's lemma it is
-    monic up to sign and its roots are algebraic integers.  A root z
-    with |z| = 41/20 would make z * conj(z) = 1681/400 an algebraic
-    integer, and a rational algebraic integer is an integer."""
-    from growthlab.spectra import mat_mul, roots_inside
-    r_pow = r_mat
+    root exists.  char(C^K) is monic with integer coefficients, so its
+    roots are algebraic integers.  A root z with |z| = 41/20 would make
+    z * conj(z) = 1681/400 an algebraic integer, and a rational
+    algebraic integer is an integer."""
+    from growthlab.spectra import char_poly, mat_mul, roots_inside
+    n = len(char_coeffs) - 1
+    comp = [[int(i == j + 1) for j in range(n - 1)] + [-char_coeffs[i]]
+            for i in range(n)]
+    power = comp
     for k in range(1, _EXPANSION_POWER_CAP + 1):
-        anni = _krylov_annihilator(r_pow, v_coords)
-        assert abs(anni[-1]) == 1, "annihilator must be monic up to sign"
-        if not roots_inside(anni, EXPANSION_MARGIN):
+        if not roots_inside(char_poly(power).coeffs, EXPANSION_MARGIN):
             return k
-        r_pow = mat_mul(r_pow, r_mat)
+        power = mat_mul(power, comp)
     raise AssertionError("expanding action failed to clear the margin")
+
+
+@functools.lru_cache(maxsize=_MEMO_SIZE)
+def _periodic_class(rows):
+    """(d, k) for the integer matrix with these rows (a tuple of
+    tuples): the least d whose d-th cyclotomic polynomial divides its
+    characteristic polynomial, and a primitive vector k that its d-th
+    power fixes; (None, None) when there is no such d."""
+    from growthlab.spectra import (
+        char_poly,
+        fixed_vector_of_power,
+        smallest_cyclotomic_order,
+    )
+    d = smallest_cyclotomic_order(char_poly(rows))
+    if d is None:
+        return None, None
+    return d, fixed_vector_of_power(rows, d)
 
 
 def _abelian_case(engine, a_el, x0, tag):
     from growthlab.spectra import (
         EXPONENTIAL,
         SpectraError,
-        char_poly,
         classify_abelian_by_cyclic,
-        fixed_vector_of_power,
-        mat_pow,
-        smallest_cyclotomic_order,
     )
-    base = engine.base
     p = engine.shift(a_el)
     # the engine checked backward . forward = id on every generator, so
     # B M = I over Z and det M = +-1: no determinant check is needed
-    m_mat = _abelian_matrix(engine)
-    n_mat = mat_pow(m_mat, p)
-    v = list(engine.kernel_part(x0))
-    basis = _invariant_lattice(n_mat, v)
+    n_mat = engine.auto_matrix(p)
+    basis = _invariant_lattice(n_mat, engine.kernel_part(x0))
     r_mat = _restricted_matrix(n_mat, basis)
     try:
         cls = classify_abelian_by_cyclic(r_mat)
     except SpectraError as exc:
         return None, f"{tag}: {exc}"
     if cls.kind == EXPONENTIAL:
-        v_coords = _solve_int_combo(basis, v)
-        k_pow = _expansion_power(r_mat, v_coords)
+        k_pow = _expansion_power(cls.char.coeffs)
         bound = rescale_lower_bound(2.0, 4 + k_pow)
         cert = Certificate(
             SPECTRAL_EXPONENTIAL,
@@ -293,9 +309,8 @@ def _abelian_case(engine, a_el, x0, tag):
     # N on an N- and N^-1-invariant lattice, so char(R) divides char(N)
     # (Gauss's lemma, both monic) and the cyclotomic factors of char(R)
     # are factors of char(N): d_full is never None here
-    d_full = smallest_cyclotomic_order(char_poly(n_mat))
-    k_el = tuple(fixed_vector_of_power(n_mat, d_full))
-    cert = _pcc_certificate(engine, k_el, d_full * abs(p), base.identity,
+    d_full, k_el = _periodic_class(n_mat)
+    cert = _pcc_certificate(engine, k_el, d_full * abs(p), engine.base.identity,
                             diagnostics=f"{tag}: root-of-unity action")
     return cert, None
 
@@ -615,21 +630,14 @@ def pcc_scan(engine, max_period: int, max_length: int) -> PccResult:
         raise WitnessError("scan bounds must be positive")
     base = engine.base
     if base.family == "abelian":
-        from growthlab.spectra import (
-            char_poly,
-            fixed_vector_of_power,
-            smallest_cyclotomic_order,
-        )
-        m_mat = _abelian_matrix(engine)
-        d = smallest_cyclotomic_order(char_poly(m_mat))
+        d, k_vec = _periodic_class(engine.auto_matrix(1))
         if d is None or d > max_period:
             return PccResult(
                 None, True,
                 "exact: the action polynomial has no cyclotomic factor"
                 if d is None else
                 f"exact: smallest period {d} exceeds the bound")
-        k_vec = fixed_vector_of_power(m_mat, d)
-        cert = _pcc_certificate(engine, tuple(k_vec), d, base.identity)
+        cert = _pcc_certificate(engine, k_vec, d, base.identity)
         return PccResult(cert, True, "exact cyclotomic test")
     if base.family == "klein":
         # <a> is characteristic in K: it is the isolator of [K, K] = <a^2>,

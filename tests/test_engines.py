@@ -4,6 +4,7 @@ from collections import Counter
 
 import pytest
 
+from growthlab import GrowthlabError
 from growthlab.engines import (
     AbelianEngine,
     BS1Engine,
@@ -12,11 +13,13 @@ from growthlab.engines import (
     KleinEngine,
     SemidirectEngine,
     UnknownGeneratorError,
+    UnsupportedFamilyError,
     build_engine,
     flat_to_units,
     parse_group_spec,
     units_to_flat,
 )
+from growthlab.spectra import mat_pow
 from growthlab.words import Word
 
 from util import (
@@ -391,6 +394,35 @@ def test_auto_power_levels_match_word_path(base, auto):
             got = eng.auto_power(el, k)
             assert got == reference_auto_power(eng, el, k), (k, el)
             assert eng.auto_power(got, -k) == el
+
+
+# (automorphism, matrix with the generator images as columns): rot4, fib
+# and the rank-3 companion of t^3 - t - 1 from LEVEL_AUTOS
+MATRIX_AUTOS = [
+    (ROT4_AUTO, [[0, -1], [1, 0]]),
+    (FIB_AUTO, [[2, 1], [1, 1]]),
+    (LEVEL_AUTOS[-1][1], [[0, 0, 1], [1, 0, 1], [0, 1, 0]]),
+]
+
+
+@pytest.mark.parametrize("auto, m", MATRIX_AUTOS, ids=["rot4", "fib", "rank3"])
+def test_auto_matrix_rows_are_matrix_powers(auto, m):
+    eng = SemidirectEngine(AbelianEngine(len(m)), *auto)
+    for k in (3, -3, 0, 1, -1, 2, -2):
+        rows = eng.auto_matrix(k)
+        assert rows == tuple(map(tuple, mat_pow(m, k))), k
+        if k:
+            # the stored level itself, not a copy
+            assert eng.auto_matrix(k) is rows
+
+
+@pytest.mark.parametrize("engine", [torus_engine(), nested_bs1_engine(),
+                                    SemidirectEngine(KleinEngine(), *klein_automorphisms()[0])],
+                         ids=spec_id)
+def test_auto_matrix_needs_an_abelian_base(engine):
+    with pytest.raises(UnsupportedFamilyError) as err:
+        engine.auto_matrix(1)
+    assert isinstance(err.value, GrowthlabError)
 
 
 def test_deep_free_levels():

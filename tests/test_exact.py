@@ -28,7 +28,7 @@ from growthlab.spectra import (
     smallest_cyclotomic_order,
 )
 
-from util import mat_det, matrix_rank
+from util import elementary_product, mat_det, matrix_rank
 
 
 def leibniz_det(m):
@@ -72,21 +72,6 @@ def dependent_rows(rng, nrows, ncols, rank):
                      for j in range(ncols)])
     rng.shuffle(rows)
     return rows, basis
-
-
-def elementary_product(rng, n, steps):
-    """A random product of elementary matrices: row additions and sign
-    flips, so the determinant is +-1."""
-    m = mat_identity(n)
-    for _ in range(steps):
-        e = mat_identity(n)
-        i, j = rng.sample(range(n), 2) if n > 1 else (0, 0)
-        if i != j and rng.random() < 0.8:
-            e[i][j] = rng.choice([-2, -1, 1, 2])
-        else:
-            e[i][i] = -1
-        m = mat_mul(e, m)
-    return m
 
 
 def poly_mul(a, b):

@@ -12,6 +12,7 @@ from growthlab.spectra import (
     SpectraError,
     char_poly,
     classify_abelian_by_cyclic,
+    classify_char_poly,
     cyclotomic,
     euler_phi,
     fixed_vector_of_power,
@@ -28,7 +29,7 @@ from growthlab.spectra import (
     spectral_radius,
 )
 
-from util import at_matrix, mat_det, matrix_rank
+from util import at_matrix, block_diag, elementary_product, mat_det, matrix_rank
 
 ROT4 = [[0, -1], [1, 0]]
 FIB = [[2, 1], [1, 1]]
@@ -372,20 +373,9 @@ def test_classify_requires_unimodular():
         classify_abelian_by_cyclic([[2, 0], [0, 1]])
 
 
-def _block_diag(*blocks):
-    n = sum(len(b) for b in blocks)
-    out = [[0] * n for _ in range(n)]
-    off = 0
-    for b in blocks:
-        for i, row in enumerate(b):
-            out[off + i][off:off + len(b)] = row
-        off += len(b)
-    return out
-
-
 @pytest.mark.parametrize("copies", [1, 2, 3, 4])
 def test_classify_repeated_eigenvalues(copies):
-    cls = classify_abelian_by_cyclic(_block_diag(*[FIB] * copies))
+    cls = classify_abelian_by_cyclic(block_diag(*[FIB] * copies))
     golden = (3 + math.sqrt(5)) / 2
     assert cls.kind == EXPONENTIAL
     assert abs(cls.m - golden) < 1e-12 * golden
@@ -393,11 +383,29 @@ def test_classify_repeated_eigenvalues(copies):
 
 def test_classify_strips_cyclotomic_factors():
     # (t+1)(t^2-3t+1): the radius is that of the non-cyclotomic part
-    cls = classify_abelian_by_cyclic(_block_diag([[-1]], FIB))
+    cls = classify_abelian_by_cyclic(block_diag([[-1]], FIB))
     assert cls.kind == EXPONENTIAL
     assert abs(cls.m - (3 + math.sqrt(5)) / 2) < 1e-12 * cls.m
-    cls = classify_abelian_by_cyclic(_block_diag([[-1]], ROT4))
+    cls = classify_abelian_by_cyclic(block_diag([[-1]], ROT4))
     assert cls.kind == VIRTUALLY_NILPOTENT and cls.m is None
+
+
+def test_classification_is_conjugation_invariant_cold_and_warm():
+    # classifications are memoized by the characteristic polynomial, so
+    # a conjugate P M P^-1 reads the entry M filled; computed afresh it
+    # must give the same answer
+    rng = random.Random(41)
+    pisot3 = [[0, 0, 1], [1, 0, 1], [0, 1, 0]]
+    for m in (ROT4, FIB, pisot3, block_diag([[-1]], FIB), block_diag([[-1]], ROT4)):
+        for _ in range(4):
+            p = elementary_product(rng, len(m), rng.randint(1, 6))
+            conj = mat_mul(mat_mul(p, m), mat_inv_unimodular(p))
+            classify_char_poly.cache_clear()
+            cold = classify_abelian_by_cyclic(m)
+            classify_char_poly.cache_clear()
+            assert classify_abelian_by_cyclic(conj) == cold
+            assert classify_abelian_by_cyclic(m) == cold
+            assert classify_abelian_by_cyclic(conj) == cold
 
 
 # ---------------------------------------------------------------------------

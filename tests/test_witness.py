@@ -1,6 +1,8 @@
 """Certificate search: golden analyses, branch bookkeeping, and the
 periodic-class scan."""
 
+import itertools
+import json
 import math
 import random
 
@@ -29,11 +31,22 @@ from growthlab.witness import (
     analyze,
     pcc_scan,
 )
+from growthlab.spectra import (
+    EXPONENTIAL,
+    classify_abelian_by_cyclic,
+    classify_char_poly,
+    mat_inv_unimodular,
+    mat_mul,
+    mat_scale,
+    mat_vec,
+)
 from growthlab.words import Word
 
 from util import (
     TORUS_AUTO,
+    block_diag,
     cyclically_reduced_words,
+    elementary_product,
     fib_engine,
     first_of_orbit,
     klein_automorphisms,
@@ -41,6 +54,7 @@ from util import (
     nested_torus_engine,
     random_element,
     reference_analyze,
+    reference_expansion_power,
     reference_klein_pcc,
     reference_pcc_scans,
     rot4_engine,
@@ -767,3 +781,109 @@ def test_orbit_scan_matches_full_scan():
         for (max_period, max_length), want in full.items():
             assert pcc_scan(eng, max_period, max_length) == want, (
                 spec_id(eng), max_period, max_length)
+
+
+# ---------------------------------------------------------------------------
+# memoized abelian-base data
+
+
+MEMOS = (classify_char_poly, witness._expansion_power, witness._periodic_class)
+
+
+def test_memos_are_bounded():
+    for memo in MEMOS:
+        assert memo.cache_info().maxsize is not None, memo
+
+
+# actions whose expansion power exceeds 1: the golden ratio and the
+# plastic number are below the margin
+SLOW_MATRICES = ([[0, 1], [1, 1]], [[0, 0, 1], [1, 0, 1], [0, 1, 0]])
+
+
+def _orbit_cases(rng):
+    """(N, v) pairs as ``_abelian_case`` meets them: seeded unimodular
+    2x2 and 3x3 matrices M, some conjugates of SLOW_MATRICES, with
+    random v; M + -M, whose eigenvalues lambda and -lambda collide under
+    R^2, with v random or inside the first block; and P (A + [+-1]) P^-1
+    with v in P's image of A's block, whose orbit lattice has rank 2 of
+    3."""
+    def vec(n):
+        return [rng.randint(-2, 2) for _ in range(n)]
+
+    for _ in range(100):
+        n = rng.choice((2, 3))
+        m = elementary_product(rng, n, rng.randint(2, 7))
+        if rng.random() < 0.3:
+            p = elementary_product(rng, n, rng.randint(1, 5))
+            m = mat_mul(mat_mul(p, SLOW_MATRICES[n - 2]), mat_inv_unimodular(p))
+        yield m, vec(n)
+        both = block_diag(m, mat_scale(m, -1))
+        yield both, vec(2 * n)
+        yield both, vec(n) + [0] * n
+        a = elementary_product(rng, 2, rng.randint(2, 7))
+        p = elementary_product(rng, 3, rng.randint(1, 5))
+        yield (mat_mul(mat_mul(p, block_diag(a, [[rng.choice((-1, 1))]])),
+                       mat_inv_unimodular(p)),
+               list(mat_vec(p, vec(2) + [0])))
+
+
+def test_expansion_power_matches_krylov_reference():
+    # K from char(R) alone equals the Krylov search for v's own
+    # annihilator under each power of R, computed afresh for each
+    # polynomial
+    witness._expansion_power.cache_clear()
+    rng = random.Random(23)
+    exponential = deficient = collided = 0
+    for n_mat, v in _orbit_cases(rng):
+        if not any(v):
+            continue
+        basis = witness._invariant_lattice(n_mat, v)
+        r_mat = witness._restricted_matrix(n_mat, basis)
+        cls = classify_abelian_by_cyclic(r_mat)
+        if cls.kind != EXPONENTIAL:
+            continue
+        v_coords = witness._solve_int_combo(basis, v)
+        k_pow = witness._expansion_power(cls.char.coeffs)
+        assert k_pow == reference_expansion_power(r_mat, v_coords), (n_mat, v)
+        exponential += 1
+        deficient += len(basis) < len(v)
+        collided += len(basis) == len(v) >= 4 and k_pow > 1
+    assert exponential > 150 and deficient > 40 and collided > 10
+
+
+def _short_words(names):
+    """Every reduced word of length 1 or 2 over the generators."""
+    units = [(g, e) for g in names for e in (1, -1)]
+    words = [Word.of([u]) for u in units]
+    words += [Word.of([u, w]) for u in units for w in units
+              if u != (w[0], -w[1])]
+    return list(dict.fromkeys(words))
+
+
+def _clear_memos():
+    for memo in MEMOS:
+        memo.cache_clear()
+
+
+def _pcc_bytes(result):
+    cert = result.certificate
+    return json.dumps([cert and cert.to_json(), result.exact, result.note])
+
+
+@pytest.mark.parametrize("build", [rot4_engine, shear_engine, fib_engine,
+                                   slow_fib_engine], ids=lambda b: b.__name__)
+def test_memo_state_changes_no_answer(build):
+    eng = build()
+    sets = list(itertools.combinations(_short_words(eng.gen_names), 2))
+    cold = []
+    for gens in sets:
+        _clear_memos()
+        cold.append(json.dumps(analyze(eng, gens, 3.0, 2).to_json()))
+    warm = [json.dumps(analyze(eng, gens, 3.0, 2).to_json()) for gens in sets]
+    assert warm == cold
+    bounds = [(1, 1), (3, 1), (8, 2)]
+    cold = []
+    for max_period, max_length in bounds:
+        _clear_memos()
+        cold.append(_pcc_bytes(pcc_scan(eng, max_period, max_length)))
+    assert [_pcc_bytes(pcc_scan(eng, *b)) for b in bounds] == cold

@@ -2,9 +2,10 @@
 random words/elements, and reference versions of library searches."""
 
 import json
+import math
 
 from growthlab import wordops
-from growthlab._exact import eliminate
+from growthlab._exact import eliminate, solve
 from growthlab.engines import (
     AbelianEngine,
     BS1Engine,
@@ -14,8 +15,17 @@ from growthlab.engines import (
     flat_to_units,
     units_to_flat,
 )
-from growthlab.spectra import mat_add, mat_identity, mat_mul, mat_scale
+from growthlab.spectra import (
+    mat_add,
+    mat_identity,
+    mat_mul,
+    mat_scale,
+    mat_vec,
+    roots_inside,
+)
 from growthlab.witness import (
+    _EXPANSION_POWER_CAP,
+    EXPANSION_MARGIN,
     INCONCLUSIVE,
     VIRTUALLY_NILPOTENT_DIAGNOSIS,
     Certificate,
@@ -71,6 +81,33 @@ def mat_det(m) -> int:
 def matrix_rank(rows) -> int:
     """Rank of an integer matrix: the pivot count of ``eliminate``."""
     return len(eliminate(rows)[1])
+
+
+def elementary_product(rng, n, steps):
+    """A random product of elementary matrices: row additions and sign
+    flips, so the determinant is +-1."""
+    m = mat_identity(n)
+    for _ in range(steps):
+        e = mat_identity(n)
+        i, j = rng.sample(range(n), 2) if n > 1 else (0, 0)
+        if i != j and rng.random() < 0.8:
+            e[i][j] = rng.choice([-2, -1, 1, 2])
+        else:
+            e[i][i] = -1
+        m = mat_mul(e, m)
+    return m
+
+
+def block_diag(*blocks):
+    """The block-diagonal sum of square integer matrices."""
+    n = sum(len(b) for b in blocks)
+    out = [[0] * n for _ in range(n)]
+    off = 0
+    for b in blocks:
+        for i, row in enumerate(b):
+            out[off + i][off:off + len(b)] = row
+        off += len(b)
+    return out
 
 
 def torus_engine():
@@ -353,3 +390,34 @@ def reference_klein_pcc(engine, max_period, max_length):
                             return PccResult(_pcc_certificate(engine, k_el, n, c), False,
                                              "found within bounds")
     return PccResult(None, False, "none within bounds (semi-decision)")
+
+
+def _krylov_annihilator(t_mat, v):
+    """Primitive integer coefficients (low-to-high) of the minimal
+    polynomial of v under t_mat: the first linear dependence among v,
+    t_mat v, t_mat^2 v, ..., solved over the rationals."""
+    vs = [list(v)]
+    for _ in range(len(v)):
+        vs.append(list(mat_vec(t_mat, vs[-1])))
+        sol = solve(vs[:-1], vs[-1])
+        if sol is not None:
+            denom = math.lcm(*(f.denominator for f in sol))
+            coeffs = [-int(f * denom) for f in sol] + [denom]
+            g = math.gcd(*coeffs)
+            return [c // g for c in coeffs]
+    raise AssertionError("no dependence found within the space dimension")
+
+
+def reference_expansion_power(r_mat, v_coords) -> int:
+    """`witness._expansion_power` by the definition its word argument
+    uses: the least K for which the minimal polynomial of v (coordinates
+    v_coords) under R^K has a root outside |z| < EXPANSION_MARGIN, with
+    that polynomial found by a Krylov search at every power of R."""
+    r_pow = r_mat
+    for k in range(1, _EXPANSION_POWER_CAP + 1):
+        anni = _krylov_annihilator(r_pow, v_coords)
+        assert abs(anni[-1]) == 1, "annihilator must be monic up to sign"
+        if not roots_inside(anni, EXPANSION_MARGIN):
+            return k
+        r_pow = mat_mul(r_pow, r_mat)
+    raise AssertionError("expanding action failed to clear the margin")
