@@ -3,8 +3,8 @@
 Three decisions live here and nowhere else:
 
 * `eliminate`: fraction-free Gauss-Jordan elimination over Z (Bareiss,
-  Math. Comp. 22, 1968), from which rank, determinant, inverse, null
-  vectors and rational solutions are read off; `solve` sits on top.
+  Math. Comp. 22, 1968), from which rank, determinant, inverse and null
+  vectors are read off.
 * `poly_divmod`: division of integer polynomials; the Z[t] gcd, the
   Laurent divisibility test and the cyclotomic polynomials use it.
 * `strip_cyclotomic`: one ascending pass over the orders k that divides
@@ -17,7 +17,6 @@ one printed form of a polynomial in t.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import lru_cache
 
 
@@ -65,22 +64,6 @@ def eliminate(rows, ncols=None):
         pivots.append(col)
         prev = piv
     return a, pivots, prev, sign
-
-
-def solve(cols, target):
-    """Rational x with sum_j x[j] * cols[j] == target, or None.
-
-    Free unknowns are set to zero, so the solution is unique when the
-    columns are independent."""
-    k = len(cols)
-    aug = [[c[i] for c in cols] + [t] for i, t in enumerate(target)]
-    rows, pivots, d, _ = eliminate(aug, k)
-    if any(row[k] for row in rows[len(pivots):]):
-        return None
-    x = [Fraction(0)] * k
-    for row, col in zip(rows, pivots):
-        x[col] = Fraction(row[k], d)
-    return x
 
 
 # ---------------------------------------------------------------------------

@@ -118,19 +118,19 @@ class _EngineBase:
         return (mul(x, a) for x in elements for a in letters)
 
     def power(self, a, k):
-        """a**k by binary powering."""
+        """a**k by binary powering; the first factor is taken as it is,
+        not multiplied onto the identity, so a**1 costs no product."""
         if k < 0:
             a = self.invert(a)
             k = -k
-        result = self.identity
-        base = a
+        result = None
         while k:
             if k & 1:
-                result = self.multiply(result, base)
+                result = a if result is None else self.multiply(result, a)
             k >>= 1
             if k:
-                base = self.multiply(base, base)
-        return result
+                a = self.multiply(a, a)
+        return self.identity if result is None else result
 
     def commute(self, a, b) -> bool:
         return self.multiply(a, b) == self.multiply(b, a)
@@ -140,6 +140,11 @@ class _EngineBase:
         for name, exp in word.letters:
             out = self.multiply(out, self.power(self.generator(name), exp))
         return out
+
+    def element_to_word(self, a) -> Word:
+        """The normal-form word of a, from the family's ``word_letters``:
+        its (name, exponent) pairs, merged and without zero exponents."""
+        return Word(tuple(self.word_letters(a)))
 
     def generator(self, name: str):
         """The element named ``name``, from the table ``__init__`` fills."""
@@ -176,8 +181,9 @@ class FreeEngine(_EngineBase):
     def invert(self, a):
         return wordops.invert_word(a)
 
-    def element_to_word(self, a) -> Word:
-        return Word(tuple((self.gen_names[a[i]], a[i + 1]) for i in range(0, len(a), 2)))
+    def word_letters(self, a) -> list:
+        names = self.gen_names
+        return [(names[a[i]], a[i + 1]) for i in range(0, len(a), 2)]
 
     def canonical_key(self, a) -> bytes:
         return TAG_FREE + wordops.free_key_payload(a)
@@ -238,8 +244,9 @@ class AbelianEngine(_EngineBase):
     def power(self, a, k):
         return tuple(k * x for x in a)
 
-    def element_to_word(self, a) -> Word:
-        return Word(tuple((self.gen_names[i], v) for i, v in enumerate(a) if v != 0))
+    def word_letters(self, a) -> list:
+        names = self.gen_names
+        return [(names[i], v) for i, v in enumerate(a) if v]
 
     def canonical_key(self, a) -> bytes:
         return TAG_ABELIAN + ",".join(str(v) for v in a).encode()
@@ -279,8 +286,8 @@ class KleinEngine(_EngineBase):
         i, j = a
         return (-i if j % 2 == 0 else i, -j)
 
-    def element_to_word(self, a) -> Word:
-        return Word.of((("a", a[0]), ("t", a[1])))
+    def word_letters(self, a) -> list:
+        return [(n, e) for n, e in (("a", a[0]), ("t", a[1])) if e]
 
     def canonical_key(self, a) -> bytes:
         return TAG_KLEIN + f"{a[0]},{a[1]}".encode()
@@ -348,9 +355,10 @@ class BS1Engine(_EngineBase):
         num, ee = self._norm(-n, e + s)
         return (num, ee, -s)
 
-    def element_to_word(self, a) -> Word:
+    def word_letters(self, a) -> list:
+        # num = 0 forces e = 0, so the two t letters never meet
         n, e, s = a
-        return Word.of((("t", -e), ("a", n), ("t", e + s)))
+        return [(g, x) for g, x in (("t", -e), ("a", n), ("t", e + s)) if x]
 
     def canonical_key(self, a) -> bytes:
         return TAG_BS1 + f"{a[0]},{a[1]},{a[2]}".encode()
@@ -386,8 +394,9 @@ class SemidirectEngine(_EngineBase):
       tuples that ``auto_matrix`` also hands out, so applying a level is
       one matrix-vector product;
     * klein, bs1 and nested bases: images by generator name, applied
-      along the element's word with the base's ``power`` and
-      ``multiply``.
+      along the element's ``word_letters`` with the base's ``power`` and
+      ``multiply``; on a nested base that is the inner base's letters of
+      w, then the image of t to the power k, with no Word built.
 
     ``products`` needs alpha^k(w2) once per shift k of the elements and
     letter (w2, k2), so it keeps no memo of these images: a sphere has
@@ -457,7 +466,7 @@ class SemidirectEngine(_EngineBase):
         if base.family == "abelian":
             return tuple([sum(map(mul, row, el)) for row in level])
         out = base.identity
-        for name, exp in base.element_to_word(el).letters:
+        for name, exp in base.word_letters(el):
             out = base.multiply(out, base.power(level[name], exp))
         return out
 
@@ -533,10 +542,15 @@ class SemidirectEngine(_EngineBase):
     def kernel_part(self, a):
         return a[0]
 
-    def element_to_word(self, a) -> Word:
+    def word_letters(self, a) -> list:
+        """The base's letters of w, renamed, then t^k; no renamed base
+        letter is t, so nothing merges."""
         w, k = a
-        inner = self.base.element_to_word(w).rename(self._base_to_outer)
-        return inner * Word.of((("t", k),))
+        outer = self._base_to_outer
+        out = [(outer[n], e) for n, e in self.base.word_letters(w)]
+        if k:
+            out.append(("t", k))
+        return out
 
     def canonical_key(self, a) -> bytes:
         w, k = a

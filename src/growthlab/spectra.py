@@ -119,14 +119,6 @@ def mat_identity(n):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def mat_scale(m, c):
-    return [[x * c for x in row] for row in m]
-
-
-def mat_add(a, b):
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
 def mat_sub(a, b):
     return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
@@ -236,7 +228,9 @@ def hermite_rows(rows):
 def char_poly(m) -> IntPoly:
     """Monic characteristic polynomial det(t*I - M), exact integers.
 
-    Uses the trace-of-powers recurrence whose divisions are exact."""
+    Uses the trace-of-powers recurrence whose divisions are exact:
+    N_0 = I, and N_k = M N_(k-1) + c_k I, c_k = -tr(M N_(k-1)) / k, with
+    c_k added to the diagonal of the fresh product in place."""
     n = len(m)
     if any(len(row) != n for row in m):
         raise SpectraError("matrix must be square")
@@ -250,7 +244,9 @@ def char_poly(m) -> IntPoly:
         assert t % k == 0
         c = -t // k
         coeffs[n - k] = c
-        nmat = mat_add(mk, mat_scale(mat_identity(n), c))
+        for i in range(n):
+            mk[i][i] += c
+        nmat = mk
     return IntPoly(tuple(coeffs))
 
 

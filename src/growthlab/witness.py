@@ -31,7 +31,17 @@ the flag claims more than runs.
 The exact abelian-base data (the classification of a characteristic
 polynomial, the expansion power it gives, the periodic class of an
 action matrix) is memoized in bounded caches keyed by integer tuples;
-a periodic-class certificate is still re-checked on every call.
+a periodic-class certificate is still re-checked on every call.  The
+restricted matrix of an expanding-action test reads its integer
+coordinates off the Hermite basis of the orbit lattice by substitution
+down the pivots, with no rational solve.
+
+The periodic-class scan over a free base reads its words straight off
+their Lyndon keys, and tests a word k only at the n where the exponent
+sums v of k return, M^n v = v for the matrix M of alpha on the
+abelianization.  Those n are decided once per scan and only as far as
+a word asks: one exact elimination of M^n - I per n, with ``_exact``
+alone.
 
 ``spectra`` and ``laurent`` are imported inside the functions that use
 them, so a search over a free base loads neither.
@@ -43,10 +53,12 @@ import functools
 import math
 from collections import namedtuple
 from fractions import Fraction
+from itertools import groupby
+from operator import mul
 
 from growthlab import GrowthlabError
-from growthlab._exact import solve
-from growthlab.engines import UnsupportedFamilyError, units_to_flat
+from growthlab._exact import eliminate
+from growthlab.engines import UnsupportedFamilyError
 from growthlab.growth import rescale_lower_bound
 from growthlab.words import Word
 
@@ -193,14 +205,36 @@ def _find_relation(engine, x0, x1):
 # the abelian-kernel track
 
 
-def _solve_int_combo(basis_rows, target):
-    """Integer coordinates of target in the given lattice basis."""
-    coords = solve(basis_rows, target)
-    if coords is None:
+def _lattice_coords(basis_rows, target):
+    """Integer coordinates of target in a Hermite basis (``hermite_rows``:
+    echelon rows, positive pivots), by substitution down the pivots.
+
+    Each row's pivot column is zero in the rows below it, so the
+    coordinate of row i is the remaining target at pivot i over that
+    pivot.  The rational coordinates of a target in the span have
+    denominators dividing the product D of the pivots, so the
+    substitution runs on D * target and every division is exact for
+    such a target; a remainder left after the last row means it is
+    outside the span, and a coordinate D does not divide means it is
+    in the span but not in the lattice."""
+    scale = 1
+    pivots = []
+    for row in basis_rows:
+        col = next(j for j, x in enumerate(row) if x)
+        pivots.append(col)
+        scale *= row[col]
+    rest = [scale * x for x in target]
+    coords = []
+    for row, col in zip(basis_rows, pivots):
+        c = rest[col] // row[col]
+        if c:
+            rest = [x - c * y for x, y in zip(rest, row)]
+        coords.append(c)
+    if any(rest):
         raise AssertionError("target vector lies outside the lattice")
-    if any(f.denominator != 1 for f in coords):
+    if any(c % scale for c in coords):
         raise AssertionError("lattice coordinates are not integral")
-    return [int(f) for f in coords]
+    return [c // scale for c in coords]
 
 
 def _invariant_lattice(n_mat, v):
@@ -219,7 +253,7 @@ def _invariant_lattice(n_mat, v):
 
 def _restricted_matrix(n_mat, basis_rows):
     from growthlab.spectra import mat_vec
-    cols = [_solve_int_combo(basis_rows, mat_vec(n_mat, b)) for b in basis_rows]
+    cols = [_lattice_coords(basis_rows, mat_vec(n_mat, b)) for b in basis_rows]
     return [list(row) for row in zip(*cols)]
 
 
@@ -532,9 +566,9 @@ def _orbit_words(rank: int, max_length: int):
     prefix that ends in an inverse pair is pruned with all it extends;
     the leaf checks the wrap-around pair and the inverse."""
     # unit order x, x^-1, y, y^-1, ... as ranks 0, 1, 2, 3, ...; the
-    # inverse of a unit flips the low bit of its rank
-    units = [u for g in range(1, rank + 1) for u in (g, -g)]
-    size = len(units)
+    # inverse of a unit flips the low bit of its rank, and rank r is the
+    # generator r >> 1 to the power -1 if r is odd, else 1
+    size = 2 * rank
     for n in range(1, max_length + 1):
         a = [0] * (n + 1)  # a[0] seeds the range of the first letter
 
@@ -554,14 +588,25 @@ def _orbit_words(rank: int, max_length: int):
                     yield from rec(t + 1, p if v == lo else t)
 
         for key in rec(1, 1):
-            yield units_to_flat([units[r] for r in key])
+            # a key has no adjacent inverse pair, so each run of equal
+            # ranks is one syllable of the flat word and nothing cancels
+            flat = []
+            for r, run in groupby(key):
+                e = len(list(run))
+                flat += (r >> 1, -e if r & 1 else e)
+            yield tuple(flat)
 
 
 def _abelian_returns(engine, max_period: int):
-    """For a split extension over F_r: the map from a word k to the list
-    of n <= max_period with M^n v = v, where v is the exponent-sum vector
-    of k and M the matrix of alpha on the abelianization Z^r (column g
-    the exponent sums of alpha(g))."""
+    """For a split extension over F_r: the map from a word k to the n <=
+    max_period, ascending, with M^n v = v, where v is the exponent-sum
+    vector of k and M the matrix of alpha on the abelianization Z^r
+    (column g the exponent sums of alpha(g)).
+
+    A zero v returns at every n.  A nonzero v can return only at an n
+    where M^n - I is singular.  Those n are decided once per scan, in
+    order, each by one ``_exact.eliminate`` of M^n - I and only when a
+    nonzero v first asks for it; M^n v is then computed only at them."""
     base = engine.base
     rank = base.rank
 
@@ -573,14 +618,30 @@ def _abelian_returns(engine, max_period: int):
 
     cols = [sums(engine.auto_power(base.generator(g), 1)) for g in base.gen_names]
 
+    def powers():
+        # M^n for n = 1, 2, ..., or None where M^n - I is nonsingular;
+        # column j of M^(n+1) = M^n M is M^n applied to cols[j]
+        mn = [list(row) for row in zip(*cols)]
+        while True:
+            shifted = [[x - (i == j) for j, x in enumerate(row)]
+                       for i, row in enumerate(mn)]
+            yield mn if len(eliminate(shifted)[1]) < rank else None
+            mn = [[sum(map(mul, row, col)) for col in cols] for row in mn]
+
+    pending = powers()
+    decided = []  # decided[n - 1]: the yield of powers() at n
+
     def returns(k_el):
-        v = vn = sums(k_el)
-        out = []
+        v = sums(k_el)
+        if not any(v):
+            yield from range(1, max_period + 1)
+            return
         for n in range(1, max_period + 1):
-            vn = [sum(x * col[i] for x, col in zip(vn, cols)) for i in range(rank)]
-            if vn == v:
-                out.append(n)
-        return out
+            if len(decided) < n:
+                decided.append(next(pending))
+            mn = decided[n - 1]
+            if mn is not None and [sum(map(mul, row, v)) for row in mn] == v:
+                yield n
 
     return returns
 
@@ -623,7 +684,15 @@ def pcc_scan(engine, max_period: int, max_length: int) -> PccResult:
     n once).  On a free base it steps and tests only at the n from
     ``_abelian_returns``: conjugate words have the same exponent sums,
     so at any other n alpha^n(k) is not conjugate to k.  Skipping those
-    n changes no answer."""
+    n changes no answer.
+
+    On F_2 a scan with max_period >= 2 and max_length >= 4 always finds
+    a class.  Every automorphism of F_2 sends [x, y] to a conjugate of
+    [x, y]^+-1 (Nielsen 1918).  If alpha([x, y]) = g [x, y]^e g^-1, then
+    alpha^2([x, y]) = alpha(g) g [x, y]^(e^2) g^-1 alpha(g)^-1, a
+    conjugate of [x, y] = x y x^-1 y^-1, a cyclically reduced word of
+    length 4 that the scan reaches.  The result keeps ``exact`` False,
+    as on every free base."""
     if engine.family != "semidirect":
         raise WitnessError("periodic-class scan requires a split-extension engine")
     if max_period < 1 or max_length < 1:

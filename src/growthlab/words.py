@@ -73,9 +73,6 @@ class Word:
     def length(self) -> int:
         return sum(abs(e) for _, e in self.letters)
 
-    def rename(self, mapping: dict) -> "Word":
-        return Word(tuple((mapping.get(n, n), e) for n, e in self.letters))
-
     def __str__(self) -> str:
         if not self.letters:
             return "<identity>"

@@ -36,9 +36,12 @@ from util import (
     nested_torus_engine,
     random_element,
     random_word,
+    reference_apply_level,
     reference_auto_power,
+    reference_element_word,
     spec_id,
     torus_engine,
+    tower_engine,
     word_inverse,
 )
 
@@ -144,6 +147,17 @@ def test_element_to_word_round_trips(engine):
     for _ in range(200):
         a = random_element(rng, engine)
         assert engine.evaluate_word(engine.element_to_word(a)) == a
+
+
+@pytest.mark.parametrize(
+    "engine", family_engines() + [nested_torus_engine(), nested_bs1_engine(), tower_engine()],
+    ids=spec_id)
+def test_word_letters_spell_the_reference_word(engine):
+    # element_to_word reads the family's word_letters; the reference
+    # builds the same Word with Word.of, rename and *
+    rng = random.Random(18)
+    for el in [engine.identity] + [random_element(rng, engine, 6) for _ in range(80)]:
+        assert engine.element_to_word(el) == reference_element_word(engine, el), el
 
 
 def shifted_element(rng, engine):
@@ -394,6 +408,20 @@ def test_auto_power_levels_match_word_path(base, auto):
             got = eng.auto_power(el, k)
             assert got == reference_auto_power(eng, el, k), (k, el)
             assert eng.auto_power(got, -k) == el
+
+
+@pytest.mark.parametrize("build", [nested_torus_engine, nested_bs1_engine, tower_engine],
+                         ids=lambda b: b.__name__)
+def test_nested_levels_match_word_round_trip(build):
+    # a level on a nested base is applied along the element's letters;
+    # the reference spells the element as a Word first, and both use
+    # the engine's own level
+    eng = build()
+    rng = random.Random(17)
+    elements = [random_element(rng, eng.base, 5) for _ in range(15)]
+    for k in range(-3, 4):
+        for el in elements:
+            assert eng.auto_power(el, k) == reference_apply_level(eng, el, k), (k, el)
 
 
 # (automorphism, matrix with the generator images as columns): rot4, fib

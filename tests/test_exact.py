@@ -11,7 +11,6 @@ from growthlab._exact import (
     eliminate,
     format_terms,
     poly_divmod,
-    solve,
     strip_cyclotomic,
 )
 from growthlab.laurent import LaurentPoly, divides, laurent_gcd
@@ -28,7 +27,7 @@ from growthlab.spectra import (
     smallest_cyclotomic_order,
 )
 
-from util import elementary_product, mat_det, matrix_rank
+from util import elementary_product, mat_det, matrix_rank, solve
 
 
 def leibniz_det(m):

@@ -170,6 +170,20 @@ def test_witness_import_loads_no_polynomial_modules():
     assert not loaded & {"growthlab.spectra", "growthlab.laurent"}
 
 
+def test_free_base_searches_load_no_polynomial_modules():
+    # a periodic-class scan and an analysis over the torus engine decide
+    # the return periods with _exact alone, so the cli pcc and witness
+    # runs over a free base compile neither module
+    loaded = loaded_modules(
+        "from growthlab.engines import FreeEngine, SemidirectEngine\n"
+        "from growthlab.witness import analyze, pcc_scan\n"
+        "eng = SemidirectEngine(FreeEngine(2), {'x': 'y', 'y': 'x y'},\n"
+        "                       {'x': 'y x^-1', 'y': 'x'})\n"
+        "assert pcc_scan(eng, 8, 4).certificate.n == 2\n"
+        "assert analyze(eng, ['t', 'x', 'y'], 3.0, 2).variant == 'NonCyclicPair'")
+    assert not loaded & {"growthlab.spectra", "growthlab.laurent"}
+
+
 @pytest.mark.parametrize("module", ["cli", "growth", "witness", "spectra",
                                     "laurent"])
 def test_bare_import_loads_neither_dataclasses_nor_inspect(module):

@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 import random
+from collections import Counter
 
 import pytest
 
@@ -17,6 +18,7 @@ from growthlab.engines import (
     UnsupportedFamilyError,
     flat_to_units,
 )
+from growthlab._exact import eliminate
 from growthlab.subgroups import is_cyclic_pair
 from growthlab import witness, wordops
 from growthlab.witness import (
@@ -37,7 +39,6 @@ from growthlab.spectra import (
     classify_char_poly,
     mat_inv_unimodular,
     mat_mul,
-    mat_scale,
     mat_vec,
 )
 from growthlab.words import Word
@@ -50,13 +51,16 @@ from util import (
     fib_engine,
     first_of_orbit,
     klein_automorphisms,
+    mat_scale,
     nested_bs1_engine,
     nested_torus_engine,
     random_element,
     reference_analyze,
     reference_expansion_power,
     reference_klein_pcc,
+    reference_lattice_coords,
     reference_pcc_scans,
+    reference_returns,
     rot4_engine,
     spec_id,
     torus_engine,
@@ -723,14 +727,14 @@ def _compose(f, g):
     return [wordops.substitute(w, f, f_inv) for w in g]
 
 
-def _nielsen_products(rank):
-    """Forward and backward maps of three seeded products of five
+def _nielsen_products(rank, count=3, seed=15):
+    """Forward and backward maps of ``count`` seeded products of five
     Nielsen moves on F_rank."""
-    rng = random.Random(15)
+    rng = random.Random(seed)
     free = FreeEngine(rank)
     ident = [(i, 1) for i in range(rank)]
     out = []
-    for _ in range(3):
+    for _ in range(count):
         fwd, bwd = ident, ident
         for _ in range(5):
             i, j = rng.sample(range(rank), 2)
@@ -781,6 +785,70 @@ def test_orbit_scan_matches_full_scan():
         for (max_period, max_length), want in full.items():
             assert pcc_scan(eng, max_period, max_length) == want, (
                 spec_id(eng), max_period, max_length)
+
+
+# automorphisms of F2 and F3 whose abelianizations return vectors at
+# different periods: none (torus), every n (unipotent), even n (swap),
+# multiples of 3 (permutation), and the tribonacci map
+RETURN_AUTOS = {
+    "torus": (2, TORUS_AUTO),
+    "unipotent": (2, ({"x": "x", "y": "y x"}, {"x": "x", "y": "y x^-1"})),
+    "swap": (2, ({"x": "y", "y": "x"}, {"x": "y", "y": "x"})),
+    "perm3": (3, ({"x": "y", "y": "z", "z": "x"}, {"x": "z", "y": "x", "z": "y"})),
+    "tribonacci": (3, ({"x": "y", "y": "z", "z": "x y"},
+                       {"x": "z x^-1", "y": "x", "z": "y"})),
+}
+
+
+@pytest.mark.parametrize("name", RETURN_AUTOS)
+def test_abelian_returns_match_stepping(name):
+    # the periods decided once per scan against M^n v stepped for every
+    # word and every n, over each cyclically reduced word of length <= 4
+    rank, auto = RETURN_AUTOS[name]
+    eng = SemidirectEngine(FreeEngine(rank), *auto)
+    words = list(cyclically_reduced_words(rank, 4))
+    for max_period in range(1, 13):
+        got = witness._abelian_returns(eng, max_period)
+        want = reference_returns(eng, max_period)
+        for w in words:
+            assert list(got(w)) == want(w), (max_period, w)
+
+
+def test_pcc_scan_decides_each_period_once(monkeypatch):
+    # M^n - I is eliminated at most once per n and scan, and only when a
+    # word with a nonzero exponent-sum vector first asks for n: the
+    # unipotent scan passes at its first word x with n = 1
+    calls = []
+
+    def counting(rows, ncols=None):
+        calls.append(len(rows))
+        return eliminate(rows, ncols)
+
+    monkeypatch.setattr(witness, "eliminate", counting)
+    assert pcc_scan(unipotent_free_engine(), 4, 3).certificate.n == 1
+    assert len(calls) == 1
+    calls.clear()
+    assert pcc_scan(torus_engine(), 8, 4).certificate.n == 2
+    assert len(calls) == 8
+
+
+def test_pcc_scan_on_f2_always_finds_a_class():
+    # every automorphism of F2 sends [x, y] to a conjugate of
+    # [x, y]^+-1 (Nielsen 1918), so alpha^2 fixes the class of [x, y],
+    # a cyclically reduced word of length 4, and a scan with
+    # max_period >= 2 and max_length >= 4 always certifies
+    free = FreeEngine(2)
+    comm = (0, 1, 1, 1, 0, -1, 1, -1)
+    inverted = 0
+    for fwd, bwd in _nielsen_products(2, count=50, seed=41):
+        eng = SemidirectEngine(free, fwd, bwd)
+        img = eng.auto_power(comm, 1)
+        if free.conjugacy_test(comm, img) is None:
+            assert free.conjugacy_test(wordops.invert_word(comm), img) is not None
+            inverted += 1
+        cert = pcc_scan(eng, 2, 4).certificate
+        assert cert is not None and cert.n <= 2, fwd
+    assert inverted > 10
 
 
 # ---------------------------------------------------------------------------
@@ -842,13 +910,43 @@ def test_expansion_power_matches_krylov_reference():
         cls = classify_abelian_by_cyclic(r_mat)
         if cls.kind != EXPONENTIAL:
             continue
-        v_coords = witness._solve_int_combo(basis, v)
+        v_coords = reference_lattice_coords(basis, v)
         k_pow = witness._expansion_power(cls.char.coeffs)
         assert k_pow == reference_expansion_power(r_mat, v_coords), (n_mat, v)
         exponential += 1
         deficient += len(basis) < len(v)
         collided += len(basis) == len(v) >= 4 and k_pow > 1
     assert exponential > 150 and deficient > 40 and collided > 10
+
+
+def _outcome(coords, basis, target):
+    try:
+        return coords(basis, target)
+    except AssertionError as exc:
+        return str(exc)
+
+
+def test_lattice_coords_match_fraction_reference():
+    # substitution down the Hermite pivots against a rational solve, on
+    # the images N b of the basis, integer combinations of it, and
+    # random targets, some in the span but not the lattice, some outside
+    rng = random.Random(24)
+    outcomes = Counter()
+    for n_mat, v in _orbit_cases(rng):
+        if not any(v):
+            continue
+        basis = witness._invariant_lattice(n_mat, v)
+        targets = [v] + [list(mat_vec(n_mat, b)) for b in basis]
+        coeffs = [rng.randint(-3, 3) for _ in basis]
+        targets.append([sum(c * b[i] for c, b in zip(coeffs, basis)) for i in range(len(v))])
+        targets += [[rng.randint(-3, 3) for _ in v] for _ in range(3)]
+        for target in targets:
+            want = _outcome(reference_lattice_coords, basis, target)
+            assert _outcome(witness._lattice_coords, basis, target) == want, (basis, target)
+            outcomes[want if isinstance(want, str) else "coords"] += 1
+    assert outcomes["lattice coordinates are not integral"] > 200
+    assert outcomes["target vector lies outside the lattice"] > 300
+    assert outcomes["coords"] > 1000
 
 
 def _short_words(names):

@@ -4,7 +4,7 @@ import pytest
 
 from growthlab.words import Word, WordSyntaxError
 
-from util import word_inverse, word_names
+from util import word_inverse, word_names, word_rename
 
 
 def test_parse_and_str_round_trip():
@@ -73,4 +73,4 @@ def test_length_counts_letters_with_multiplicity():
 def test_rename_and_names():
     w = Word.parse("x y x^-1")
     assert word_names(w) == {"x", "y"}
-    assert str(w.rename({"x": "a"})) == "a y a^-1"
+    assert str(word_rename(w, {"x": "a"})) == "a y a^-1"

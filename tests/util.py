@@ -3,9 +3,10 @@ random words/elements, and reference versions of library searches."""
 
 import json
 import math
+from fractions import Fraction
 
 from growthlab import wordops
-from growthlab._exact import eliminate, solve
+from growthlab._exact import eliminate
 from growthlab.engines import (
     AbelianEngine,
     BS1Engine,
@@ -15,14 +16,7 @@ from growthlab.engines import (
     flat_to_units,
     units_to_flat,
 )
-from growthlab.spectra import (
-    mat_add,
-    mat_identity,
-    mat_mul,
-    mat_scale,
-    mat_vec,
-    roots_inside,
-)
+from growthlab.spectra import mat_identity, mat_mul, mat_vec, roots_inside
 from growthlab.witness import (
     _EXPANSION_POWER_CAP,
     EXPANSION_MARGIN,
@@ -46,6 +40,43 @@ def spec_id(engine) -> str:
     return json.dumps(engine.spec_dict(), sort_keys=True, separators=(",", ":"))
 
 
+def mat_scale(m, c):
+    return [[x * c for x in row] for row in m]
+
+
+def mat_add(a, b):
+    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+def solve(cols, target):
+    """Rational x with sum_j x[j] * cols[j] == target, or None, read off
+    ``eliminate`` of the augmented matrix.
+
+    Free unknowns are set to zero, so the solution is unique when the
+    columns are independent."""
+    k = len(cols)
+    aug = [[c[i] for c in cols] + [t] for i, t in enumerate(target)]
+    rows, pivots, d, _ = eliminate(aug, k)
+    if any(row[k] for row in rows[len(pivots):]):
+        return None
+    x = [Fraction(0)] * k
+    for row, col in zip(rows, pivots):
+        x[col] = Fraction(row[k], d)
+    return x
+
+
+def reference_lattice_coords(basis_rows, target):
+    """`witness._lattice_coords` by a rational ``solve``: the integer
+    coordinates of target in the lattice basis, with the same two
+    errors."""
+    coords = solve(basis_rows, target)
+    if coords is None:
+        raise AssertionError("target vector lies outside the lattice")
+    if any(f.denominator != 1 for f in coords):
+        raise AssertionError("lattice coordinates are not integral")
+    return [int(f) for f in coords]
+
+
 def at_matrix(poly, m):
     """The integer polynomial ``poly`` evaluated at the square matrix m
     by Horner's rule."""
@@ -64,6 +95,12 @@ def word_inverse(word):
 def word_names(word) -> set:
     """The generator names a Word uses."""
     return {n for n, _ in word.letters}
+
+
+def word_rename(word, mapping):
+    """The Word with each name looked up in ``mapping``; names it lacks
+    stay."""
+    return Word(tuple((mapping.get(n, n), e) for n, e in word.letters))
 
 
 def embed(base_el):
@@ -134,6 +171,15 @@ def nested_torus_engine():
         torus_engine(),
         {"t": "x t x^-1", "x": "x", "y": "x y x^-1"},
         {"t": "x^-1 t x", "x": "x", "y": "x^-1 y x"})
+
+
+def tower_engine():
+    """A three-deep tower: the nested torus group extended by
+    conjugation with x."""
+    return SemidirectEngine(
+        nested_torus_engine(),
+        {"t": "x t x^-1", "t1": "x t1 x^-1", "x": "x", "y": "x y x^-1"},
+        {"t": "x^-1 t x", "t1": "x^-1 t1 x", "x": "x", "y": "x^-1 y x"})
 
 
 def klein_automorphisms():
@@ -421,3 +467,64 @@ def reference_expansion_power(r_mat, v_coords) -> int:
             return k
         r_pow = mat_mul(r_pow, r_mat)
     raise AssertionError("expanding action failed to clear the margin")
+
+
+def reference_returns(engine, max_period):
+    """`witness._abelian_returns` by stepping: for each word k, its
+    exponent-sum vector v is multiplied by M once per n <= max_period,
+    and every n with M^n v = v is listed."""
+    base = engine.base
+    rank = base.rank
+
+    def sums(w):
+        v = [0] * rank
+        for i in range(0, len(w), 2):
+            v[w[i]] += w[i + 1]
+        return v
+
+    cols = [sums(engine.auto_power(base.generator(g), 1)) for g in base.gen_names]
+
+    def returns(k_el):
+        v = vn = sums(k_el)
+        out = []
+        for n in range(1, max_period + 1):
+            vn = [sum(x * col[i] for x, col in zip(vn, cols)) for i in range(rank)]
+            if vn == v:
+                out.append(n)
+        return out
+
+    return returns
+
+
+def reference_element_word(engine, el):
+    """The normal-form Word of el, built per family as a Word: the
+    letters merged by `Word.of` on klein and bs1, and on a split
+    extension the base's Word renamed, times the Word t^k."""
+    family = engine.family
+    if family == "free":
+        return Word(tuple((engine.gen_names[el[i]], el[i + 1])
+                          for i in range(0, len(el), 2)))
+    if family == "abelian":
+        return Word(tuple((engine.gen_names[i], v) for i, v in enumerate(el) if v))
+    if family == "klein":
+        return Word.of((("a", el[0]), ("t", el[1])))
+    if family == "bs1":
+        n, e, s = el
+        return Word.of((("t", -e), ("a", n), ("t", e + s)))
+    w, k = el
+    inner = word_rename(reference_element_word(engine.base, w), engine._base_to_outer)
+    return inner * Word.of((("t", k),))
+
+
+def reference_apply_level(engine, el, k):
+    """alpha^k(el) on a klein, bs1 or nested base from the engine's own
+    level k, applied along the Word `reference_element_word` spells,
+    letter by letter with the base's `power` and `multiply`."""
+    base = engine.base
+    if k == 0:
+        return el
+    level = engine._level_at(k)
+    out = base.identity
+    for name, exp in reference_element_word(base, el).letters:
+        out = base.multiply(out, base.power(level[name], exp))
+    return out
