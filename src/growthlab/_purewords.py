@@ -137,15 +137,6 @@ def substitute(a: tuple, images, inverses) -> tuple:
     return tuple(out)
 
 
-def word_length(a: tuple):
-    """Letter count: the sum of |exponent| over the word."""
-    total = 0
-    for i in range(1, len(a), 2):
-        e = a[i]
-        total += e if e > 0 else -e
-    return total
-
-
 def free_key_payload(a: tuple) -> bytes:
     """Run-length key payload: comma-separated 1-based index:exponent."""
     return b",".join(b"%d:%d" % (a[i] + 1, a[i + 1]) for i in range(0, len(a), 2))

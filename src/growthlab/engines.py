@@ -14,6 +14,11 @@ Families:
   generator images in both directions: pairs (base element, shift) with
   (w1, k1)(w2, k2) = (w1 * alpha^k1(w2), k1 + k2).
 
+Each engine stores a power of an automorphism of itself, a level, in
+its own form: ``level`` builds it from the generator images and
+``apply_level`` applies it, so a split extension never reads its base's
+element format.
+
 Normal forms are canonical, so plain tuple equality is group equality,
 and canonical_key produces an injective bytes key: one family tag byte
 followed by a decimal payload (semidirect keys embed the base key, a
@@ -135,11 +140,30 @@ class _EngineBase:
     def commute(self, a, b) -> bool:
         return self.multiply(a, b) == self.multiply(b, a)
 
-    def evaluate_word(self, word: Word):
+    def evaluate(self, letters, image):
+        """The product of image(name)**exp over the (name, exp) letters:
+        the one loop behind ``evaluate_word``, the default ``apply_level``
+        and a split extension's relator check."""
         out = self.identity
-        for name, exp in word.letters:
-            out = self.multiply(out, self.power(self.generator(name), exp))
+        for name, exp in letters:
+            out = self.multiply(out, self.power(image(name), exp))
         return out
+
+    def evaluate_word(self, word: Word):
+        return self.evaluate(word.letters, self.generator)
+
+    def level(self, images):
+        """An automorphism level, from the images of the generators by
+        name, in the form ``apply_level`` reads: here the images as
+        given, applied along the element's ``word_letters`` with this
+        engine's ``power`` and ``multiply``, so on a split extension the
+        base's letters of w, then the image of t to the power k, with no
+        Word built."""
+        return images
+
+    def apply_level(self, level, a):
+        """The automorphism with this ``level`` applied to a."""
+        return self.evaluate(self.word_letters(a), level.__getitem__)
 
     def element_to_word(self, a) -> Word:
         """The normal-form word of a, from the family's ``word_letters``:
@@ -180,6 +204,16 @@ class FreeEngine(_EngineBase):
 
     def invert(self, a):
         return wordops.invert_word(a)
+
+    def level(self, images):
+        """The images of the generators and their inverses, both lists in
+        generator order, for ``wordops.substitute``, so no letter of a
+        word is inverted when the level is applied."""
+        words = [images[n] for n in self.gen_names]
+        return words, [wordops.invert_word(w) for w in words]
+
+    def apply_level(self, level, a):
+        return wordops.substitute(a, *level)
 
     def word_letters(self, a) -> list:
         names = self.gen_names
@@ -243,6 +277,15 @@ class AbelianEngine(_EngineBase):
 
     def power(self, a, k):
         return tuple(k * x for x in a)
+
+    def level(self, images):
+        """The rows of the integer matrix, the images of the generators
+        as its columns: a tuple of tuples, so applying a level is one
+        matrix-vector product."""
+        return tuple(zip(*[images[n] for n in self.gen_names]))
+
+    def apply_level(self, level, a):
+        return tuple([sum(map(mul, row, a)) for row in level])
 
     def word_letters(self, a) -> list:
         names = self.gen_names
@@ -385,18 +428,7 @@ class SemidirectEngine(_EngineBase):
     abelian base needs no such check; nested bases are not checked).
     Powers of the automorphism are applied through ``_levels``, a memo
     of one level per exponent k != 0, filled on first use by composing
-    with level +-1.  Each level is stored in the form its base applies:
-
-    * free base: the images of the generators and their inverses, both
-      lists in generator order, for ``wordops.substitute``, so no letter
-      of a word is inverted when the level is applied;
-    * abelian base: the rows of the matrix of alpha^k, a tuple of
-      tuples that ``auto_matrix`` also hands out, so applying a level is
-      one matrix-vector product;
-    * klein, bs1 and nested bases: images by generator name, applied
-      along the element's ``word_letters`` with the base's ``power`` and
-      ``multiply``; on a nested base that is the inner base's letters of
-      w, then the image of t to the power k, with no Word built.
+    with level +-1; each level is in the form of the base's ``level``.
 
     ``products`` needs alpha^k(w2) once per shift k of the elements and
     letter (w2, k2), so it keeps no memo of these images: a sphere has
@@ -420,19 +452,16 @@ class SemidirectEngine(_EngineBase):
         fwd = {g: base.evaluate_word(w) for g, w in self._fwd_words.items()}
         bwd = {g: base.evaluate_word(w) for g, w in self._bwd_words.items()}
         # no level 0: auto_power returns early at k = 0
-        self._levels = {1: self._level([fwd[g] for g in base.gen_names]),
-                        -1: self._level([bwd[g] for g in base.gen_names])}
+        self._levels = {1: base.level(fwd), -1: base.level(bwd)}
         for g in base.gen_names:
             gen = base.generator(g)
-            if self._apply_images(self._levels[-1], fwd[g]) != gen:
+            if base.apply_level(self._levels[-1], fwd[g]) != gen:
                 raise GroupSpecError(f"backward(forward({g})) != {g}: maps are not inverse")
-            if self._apply_images(self._levels[1], bwd[g]) != gen:
+            if base.apply_level(self._levels[1], bwd[g]) != gen:
                 raise GroupSpecError(f"forward(backward({g})) != {g}: maps are not inverse")
         if base.relator is not None:
             for label, images in (("forward", fwd), ("backward", bwd)):
-                out = base.identity
-                for name, exp in base.relator.letters:
-                    out = base.multiply(out, base.power(images[name], exp))
+                out = base.evaluate(base.relator.letters, images.__getitem__)
                 if out != base.identity:
                     raise GroupSpecError(
                         f"{label} map sends the relator {base.relator} to "
@@ -449,27 +478,6 @@ class SemidirectEngine(_EngineBase):
 
     # -- automorphism ------------------------------------------------------
 
-    def _level(self, images):
-        """The stored form of one level (see the class docstring) from the
-        images of the base generators, listed in ``base.gen_names`` order."""
-        base = self.base
-        if base.family == "free":
-            return images, [wordops.invert_word(w) for w in images]
-        if base.family == "abelian":
-            return tuple(zip(*images))  # the images are the matrix columns
-        return dict(zip(base.gen_names, images))
-
-    def _apply_images(self, level, el):
-        base = self.base
-        if base.family == "free":
-            return wordops.substitute(el, *level)
-        if base.family == "abelian":
-            return tuple([sum(map(mul, row, el)) for row in level])
-        out = base.identity
-        for name, exp in base.word_letters(el):
-            out = base.multiply(out, base.power(level[name], exp))
-        return out
-
     def _level_at(self, k: int):
         """Level k, built from the nearest stored level towards 0 by
         alpha^j = alpha^(j - step) o alpha^step, one step at a time."""
@@ -482,19 +490,19 @@ class SemidirectEngine(_EngineBase):
         while levels.get(j) is None:
             j -= step
         base = self.base
-        apply = self._apply_images
-        one = [apply(levels[step], base.generator(g)) for g in base.gen_names]
+        apply = base.apply_level
+        one = {g: apply(levels[step], base.generator(g)) for g in base.gen_names}
         while j != k:
             prev = levels[j]
             j += step
-            levels[j] = self._level([apply(prev, w) for w in one])
+            levels[j] = base.level({g: apply(prev, w) for g, w in one.items()})
         return levels[k]
 
     def auto_power(self, el, k: int):
         """alpha^k applied to a base element."""
         if k == 0 or el == self.base.identity:
             return el
-        return self._apply_images(self._level_at(k), el)
+        return self.base.apply_level(self._level_at(k), el)
 
     def auto_matrix(self, k: int):
         """The rows of the integer matrix of alpha^k on an abelian base,
@@ -506,7 +514,7 @@ class SemidirectEngine(_EngineBase):
                 f"alpha acts by an integer matrix only on an abelian base, "
                 f"not on a {base.family} base")
         if k == 0:
-            return self._level([base.generator(g) for g in base.gen_names])
+            return base.level({g: base.generator(g) for g in base.gen_names})
         return self._level_at(k)
 
     # -- group operations --------------------------------------------------

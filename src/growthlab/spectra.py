@@ -9,9 +9,9 @@ Schur-Cohn test `roots_inside` on integer coefficients.  Only the
 reported radius `m` is a float, from an Aberth iteration on the
 square-free part.
 
-The unimodular inverse and fixed vectors are read off the one
-fraction-free elimination `_exact.eliminate`; `hermite_rows` is
-a lattice normal form over Z and keeps its own reduction.
+Fixed vectors are read off the one fraction-free elimination
+`_exact.eliminate`; `hermite_rows` is a lattice normal form over Z and
+keeps its own reduction.
 """
 
 from __future__ import annotations
@@ -148,7 +148,7 @@ def mat_trace(m):
 
 def mat_pow(m, k: int):
     if k < 0:
-        return mat_pow(mat_inv_unimodular(m), -k)
+        raise SpectraError(f"matrix power needs k >= 0, got {k}")
     acc = mat_identity(len(m))
     base = m
     while k:
@@ -158,19 +158,6 @@ def mat_pow(m, k: int):
         if k:
             base = mat_mul(base, base)
     return acc
-
-
-def mat_inv_unimodular(m):
-    """Exact inverse of an integer matrix with determinant +-1: the
-    right half of the eliminated [M | I], divided by d = +-1."""
-    n = len(m)
-    aug = [list(row) + [int(i == j) for j in range(n)]
-           for i, row in enumerate(m)]
-    rows, pivots, d, sign = eliminate(aug, n)
-    det = sign * d if len(pivots) == n else 0
-    if abs(det) != 1:
-        raise SpectraError(f"matrix determinant {det} is not a unit")
-    return [[x * d for x in row[n:]] for row in rows]
 
 
 def _ext_gcd(a: int, b: int):

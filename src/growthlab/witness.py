@@ -15,8 +15,8 @@ does not commute; the hypothesis u bounds every non-abelian subgroup of K.
 Every certificate's bound is hypothesis^(1/length): the growth
 hypothesis of its branch (u for a pair or an escaping chain, 2^(1/4) for
 a chain relation, 2 for an expanding action) rescaled by the length of
-its witness words in the A alphabet, which for an escaping chain is the
-2d + 4 that the depth cap d allows.
+its witness words in the A alphabet, ``max_A_length``.  One helper,
+``_growth_certificate``, builds every such certificate from the two.
 
 Two branches check their certificate by a second computation before it
 is returned: a non-commuting pair multiplies its commutator in G, and a
@@ -128,17 +128,18 @@ def _reverify_noncyclic(engine, uel, vel) -> bool:
     return comm != engine.identity
 
 
+def _growth_certificate(variant, hypothesis: float, max_A_length: int, **fields):
+    """A growth certificate whose bound is hypothesis^(1/max_A_length)."""
+    return Certificate(variant, bound=rescale_lower_bound(hypothesis, max_A_length),
+                       max_A_length=max_A_length, reverified=True, **fields)
+
+
 def _noncyclic_certificate(engine, uel, vel, max_len: int, u: float):
     if not _reverify_noncyclic(engine, uel, vel):
         raise AssertionError("non-commuting pair failed independent re-verification")
-    return Certificate(
-        NON_CYCLIC_PAIR,
-        bound=rescale_lower_bound(u, max_len),
-        u_word=_word_str(engine, uel),
-        v_word=_word_str(engine, vel),
-        max_A_length=max_len,
-        reverified=True,
-    )
+    return _growth_certificate(NON_CYCLIC_PAIR, u, max_len,
+                               u_word=_word_str(engine, uel),
+                               v_word=_word_str(engine, vel))
 
 
 def _verify_pcc(engine, k_el, n: int, c_el) -> bool:
@@ -327,16 +328,12 @@ def _abelian_case(engine, a_el, x0, tag):
         return None, f"{tag}: {exc}"
     if cls.kind == EXPONENTIAL:
         k_pow = _expansion_power(cls.char.coeffs)
-        bound = rescale_lower_bound(2.0, 4 + k_pow)
-        cert = Certificate(
-            SPECTRAL_EXPONENTIAL,
-            bound=bound,
+        cert = _growth_certificate(
+            SPECTRAL_EXPONENTIAL, 2.0, 4 + k_pow,
             matrix=tuple(tuple(row) for row in r_mat),
             m=cls.m,
-            max_A_length=4 + k_pow,
             diagnostics=(
                 f"orbit lattice rank {len(basis)}; expansion power {k_pow}"),
-            reverified=True,
         )
         return cert, None
     # quasi-unipotent action: produce the explicit periodic class.  R is
@@ -387,15 +384,12 @@ def _chain_case(engine, a_el, x0, u, d, tag):
         for r in range(len(xs) - 1):
             if not engine.commute(xs[r], xs[-1]):
                 if s <= d:
-                    return Certificate(
-                        KERNEL_CHAIN_ESCAPE,
-                        bound=rescale_lower_bound(u, 2 * d + 4),
+                    return _growth_certificate(
+                        KERNEL_CHAIN_ESCAPE, u, 2 * s + 4,
                         depth=s,
-                        max_A_length=2 * s + 4,
                         diagnostics=(
                             f"{tag}: chain elements at offsets {r} and {s} "
                             "do not commute"),
-                        reverified=True,
                     ), None
                 return None, (
                     f"{tag}: chain escapes only at depth {s}, beyond the "
@@ -418,14 +412,8 @@ def _chain_case(engine, a_el, x0, u, d, tag):
         from growthlab.laurent import sticking_contradiction
         detail = (f"sticking relation x0^{a} x1^{b} = e: "
                   f"{sticking_contradiction(a, b).detail}")
-    cert = Certificate(
-        KERNEL_CHAIN_ESCAPE,
-        bound=rescale_lower_bound(2.0 ** 0.25, 4),
-        depth=d + 1,
-        max_A_length=4,
-        diagnostics=f"{tag}: {detail}",
-        reverified=True,
-    )
+    cert = _growth_certificate(KERNEL_CHAIN_ESCAPE, 2.0 ** 0.25, 4,
+                               depth=d + 1, diagnostics=f"{tag}: {detail}")
     return cert, None
 
 
@@ -716,8 +704,8 @@ def pcc_scan(engine, max_period: int, max_length: int) -> PccResult:
         # automorphism and alpha(a^-1) = a^-+1.  So k = a^-1 passes at
         # n = 1, with c = e or c = t (t a^-1 t^-1 = a): the least n, and
         # the first word a^i t^j in the order of |i| + |j|, then i.
-        k_el = (-1, 0)
-        c = base.identity if engine.auto_power(k_el, 1) == k_el else (0, 1)
+        k_el = base.invert(base.generator("a"))
+        c = base.identity if engine.auto_power(k_el, 1) == k_el else base.generator("t")
         return PccResult(_pcc_certificate(engine, k_el, 1, c), False,
                          "found within bounds")
     if base.family != "free":

@@ -9,7 +9,6 @@ from growthlab._purewords import (
     normalize_pairs,
     pow_word,
     substitute,
-    word_length,
 )
 
 HAVE_COMPILED = False

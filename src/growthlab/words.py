@@ -70,9 +70,6 @@ class Word:
     def __mul__(self, other: "Word") -> "Word":
         return Word.of(self.letters + other.letters)
 
-    def length(self) -> int:
-        return sum(abs(e) for _, e in self.letters)
-
     def __str__(self) -> str:
         if not self.letters:
             return "<identity>"

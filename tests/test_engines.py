@@ -19,7 +19,6 @@ from growthlab.engines import (
     parse_group_spec,
     units_to_flat,
 )
-from growthlab.spectra import mat_pow
 from growthlab.words import Word
 
 from util import (
@@ -32,6 +31,7 @@ from util import (
     family_engines,
     insert_trivial_pair,
     klein_automorphisms,
+    mat_pow_signed,
     nested_bs1_engine,
     nested_torus_engine,
     random_element,
@@ -410,12 +410,24 @@ def test_auto_power_levels_match_word_path(base, auto):
             assert eng.auto_power(got, -k) == el
 
 
-@pytest.mark.parametrize("build", [nested_torus_engine, nested_bs1_engine, tower_engine],
+def klein_shear_engine():
+    # a -> a^-1, t -> a^2 t^-1, the last of klein_automorphisms()
+    return SemidirectEngine(KleinEngine(), *klein_automorphisms()[-1])
+
+
+def bs1_shear_engine():
+    # a -> a^-1, t -> a t is an involution of BS(1, 3)
+    shear = {"a": "a^-1", "t": "a t"}
+    return SemidirectEngine(BS1Engine(3), shear, dict(shear))
+
+
+@pytest.mark.parametrize("build", [nested_torus_engine, nested_bs1_engine, tower_engine,
+                                   klein_shear_engine, bs1_shear_engine],
                          ids=lambda b: b.__name__)
 def test_nested_levels_match_word_round_trip(build):
-    # a level on a nested base is applied along the element's letters;
-    # the reference spells the element as a Word first, and both use
-    # the engine's own level
+    # a level on a klein, bs1 or nested base takes the generic
+    # apply_level, along the element's letters; the reference spells the
+    # element as a Word first, and both use the engine's own level
     eng = build()
     rng = random.Random(17)
     elements = [random_element(rng, eng.base, 5) for _ in range(15)]
@@ -438,7 +450,7 @@ def test_auto_matrix_rows_are_matrix_powers(auto, m):
     eng = SemidirectEngine(AbelianEngine(len(m)), *auto)
     for k in (3, -3, 0, 1, -1, 2, -2):
         rows = eng.auto_matrix(k)
-        assert rows == tuple(map(tuple, mat_pow(m, k))), k
+        assert rows == tuple(map(tuple, mat_pow_signed(m, k))), k
         if k:
             # the stored level itself, not a copy
             assert eng.auto_matrix(k) is rows

@@ -19,7 +19,6 @@ from growthlab.spectra import (
     cyclotomic,
     fixed_vector_of_power,
     mat_identity,
-    mat_inv_unimodular,
     mat_mul,
     mat_pow,
     mat_sub,
@@ -27,7 +26,7 @@ from growthlab.spectra import (
     smallest_cyclotomic_order,
 )
 
-from util import elementary_product, mat_det, matrix_rank, solve
+from util import elementary_product, mat_det, mat_inv_unimodular, matrix_rank, solve
 
 
 def leibniz_det(m):

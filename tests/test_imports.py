@@ -1,9 +1,13 @@
 """Every name a growthlab module imports is used in that module, apart
 from the deliberate re-exports below, and every private module-level
-function, class or constant and every private method is referenced
-somewhere in the package.  So is every public function, class and
-method, apart from the few called from outside it.  No linter
-is assumed installed, so the check reads the syntax trees itself.
+function, class or constant and every private method is used somewhere
+in the package.  So is every public function, class and method, apart
+from the few called from outside it.  A use is counted, not a spelling:
+a method is used only through an attribute access, a function or class
+through its name or an attribute, and neither counts inside a function
+of the same name (recursion, or a method calling the same method of
+another object) or as an import alias (a re-export).  No linter is
+assumed installed, so the check reads the syntax trees itself.
 Modules that load others lazily are pinned by what a bare import
 leaves in ``sys.modules``.
 No module imports ``dataclasses``: it loads ``inspect``, which costs a
@@ -26,7 +30,7 @@ SRC = Path(growthlab.__file__).parent
 # the check asserts equality, so it also fails when these go unreported
 RE_EXPORTS = {
     "wordops": {"concat_reduce", "free_key_payload", "invert_word",
-                "normalize_pairs", "pow_word", "substitute", "word_length"},
+                "normalize_pairs", "pow_word", "substitute"},
     "spectra": {"cyclotomic", "euler_phi"},
 }
 
@@ -44,49 +48,84 @@ def unused_imports(tree) -> set:
     return imported - used
 
 
-# public names no growthlab module names: argparse calls the parser's
-# error method, and perfbench/checks.py reads spectral_radius; asserted
-# by equality, like RE_EXPORTS
-CALLED_FROM_OUTSIDE = {"error", "spectral_radius"}
+# public names the package never uses, asserted by equality like
+# RE_EXPORTS: argparse calls the parser's error method; perfbench reads
+# canonical_key, spectral_radius and is_cyclic_pair (a benchmark change
+# may delete them); tests rebuild the declared automorphism maps for
+# reference_auto_power from spec_dict, which a rebuild from the engine's
+# levels would turn into a check of level +-1 against itself
+CALLED_FROM_OUTSIDE = {"error", "canonical_key", "spectral_radius",
+                       "is_cyclic_pair", "spec_dict"}
 
 
-def callable_definitions(tree) -> set:
+def callable_definitions(tree) -> dict:
     """Module-level functions and classes, and the methods of
-    module-level classes."""
-    names = set()
+    module-level classes, each name mapped to whether it is only a
+    method."""
+    names = {}
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            names.add(node.name)
+            names[node.name] = False
+    for node in tree.body:
         if isinstance(node, ast.ClassDef):
-            names.update(item.name for item in node.body
-                         if isinstance(item, ast.FunctionDef))
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    names.setdefault(item.name, True)
     return names
 
 
-def private_definitions(tree) -> set:
-    """Module-level functions, classes and constants, and the methods of
-    module-level classes, named _private (not dunder)."""
+def private_definitions(tree) -> dict:
+    """``callable_definitions`` and the module-level constants, only the
+    names that are _private (not dunder)."""
     names = callable_definitions(tree)
     for node in tree.body:
         if isinstance(node, ast.Assign):
-            names.update(t.id for t in node.targets if isinstance(t, ast.Name))
+            names.update((t.id, False) for t in node.targets if isinstance(t, ast.Name))
         elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
-            names.add(node.target.id)
-    return {n for n in names if n.startswith("_") and not n.startswith("__")}
+            names[node.target.id] = False
+    return {n: m for n, m in names.items()
+            if n.startswith("_") and not n.startswith("__")}
 
 
-def referenced_names(tree) -> set:
-    """Names read, attributes accessed and names imported in a module;
-    a name that is only assigned is not referenced."""
-    out = set()
-    for node in ast.walk(tree):
+def references(tree):
+    """(names read, attributes accessed) in a module, each outside every
+    function of the same name; assignments and import aliases are not
+    references."""
+    loaded, attributes = set(), set()
+
+    def visit(node, inside):
+        if isinstance(node, ast.FunctionDef):
+            for child in node.decorator_list + [node.args]:
+                visit(child, inside)
+            for child in node.body:
+                visit(child, inside | {node.name})
+            return
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            out.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            out.add(node.attr)
-        elif isinstance(node, ast.alias):
-            out.add(node.name)
-    return out
+            if node.id not in inside:
+                loaded.add(node.id)
+        elif isinstance(node, ast.Attribute) and node.attr not in inside:
+            attributes.add(node.attr)
+        for child in ast.iter_child_nodes(node):
+            visit(child, inside)
+
+    visit(tree, frozenset())
+    return loaded, attributes
+
+
+def unused(definitions: dict, loaded: set, attributes: set) -> set:
+    """The defined names with no use: a method needs an attribute access,
+    anything else its name read or an attribute access."""
+    return {n for n, method in definitions.items()
+            if n not in attributes and (method or n not in loaded)}
+
+
+def package_references():
+    loaded, attributes = set(), set()
+    for path in sorted(SRC.glob("*.py")):
+        names, attrs = references(ast.parse(path.read_text(encoding="utf-8")))
+        loaded |= names
+        attributes |= attrs
+    return loaded, attributes
 
 
 def imported_modules(tree) -> set:
@@ -103,7 +142,7 @@ def test_no_unused_imports_in_src():
     found = {}
     dataclass_users = []
     private = {}
-    referenced = set()
+    home = {}
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         names = unused_imports(tree)
@@ -111,28 +150,30 @@ def test_no_unused_imports_in_src():
             found[path.stem] = names
         if "dataclasses" in imported_modules(tree):
             dataclass_users.append(path.stem)
-        for name in private_definitions(tree):
-            private[name] = path.stem
-        referenced |= referenced_names(tree)
+        for name, method in private_definitions(tree).items():
+            private[name] = private.get(name, True) and method
+            home[name] = path.stem
     assert found == RE_EXPORTS
     assert dataclass_users == []
-    # a private helper nothing in the package names is dead code
-    assert {n: m for n, m in private.items() if n not in referenced} == {}
+    # a private helper nothing in the package uses is dead code
+    dead = unused(private, *package_references())
+    assert {n: home[n] for n in dead} == {}
 
 
 def test_public_names_are_used_in_src():
-    public = set()
-    referenced = set()
+    public = {}
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
-        public |= {n for n in callable_definitions(tree) if not n.startswith("_")}
-        referenced |= referenced_names(tree)
+        for name, method in callable_definitions(tree).items():
+            if not name.startswith("_"):
+                public[name] = public.get(name, True) and method
     # a public name only the tests call belongs in tests/util.py
-    assert public - referenced == CALLED_FROM_OUTSIDE
+    assert unused(public, *package_references()) == CALLED_FROM_OUTSIDE
 
 
 def test_private_definition_finder():
     tree = ast.parse(
+        "from elsewhere import _reexported\n"
         "_LIMIT = 1\n"
         "_DEAD: int = 2\n"
         "class A:\n"
@@ -142,14 +183,33 @@ def test_private_definition_finder():
         "        return n\n"
         "    def _dead_method(self):\n"
         "        return 0\n"
-        "def _helper():\n"
-        "    pass\n")
+        "    def _spelled(self, other):\n"
+        "        return other._spelled()\n"
+        "def _helper(n):\n"
+        "    return _helper(n - 1) if n else _spelled\n"
+        "class B:\n"
+        "    def length(self):\n"
+        "        return 0\n"
+        "def rescale(x, length):\n"
+        "    return x ** (1 / length)\n")
     assert callable_definitions(tree) == {
-        "A", "__init__", "_used", "_dead_method", "_helper"}
+        "A": False, "B": False, "rescale": False, "__init__": True,
+        "_used": True, "_dead_method": True, "_spelled": True,
+        "_helper": False, "length": True}
     private = private_definitions(tree)
-    assert private == {"_LIMIT", "_DEAD", "_used", "_dead_method", "_helper"}
-    # assigning _DEAD and self._x does not count as a reference
-    assert private - referenced_names(tree) == {"_DEAD", "_dead_method", "_helper"}
+    assert private == {"_LIMIT": False, "_DEAD": False, "_used": True,
+                       "_dead_method": True, "_spelled": True, "_helper": False}
+    loaded, attributes = references(tree)
+    # the alias of a re-export is no use of it
+    assert "_reexported" not in loaded
+    # assigning _DEAD and self._x is no use; _spelled calls only the
+    # method of its own name and is read only as a plain name, which
+    # does not reach a method; _helper only calls itself
+    assert unused(private, loaded, attributes) == {
+        "_DEAD", "_dead_method", "_spelled", "_helper"}
+    # a parameter spelled like a method is no use of the method
+    assert "length" in loaded
+    assert unused({"length": True}, loaded, attributes) == {"length"}
 
 
 @functools.cache

@@ -19,7 +19,6 @@ from growthlab.spectra import (
     hermite_rows,
     mahler_gap_threshold,
     mat_identity,
-    mat_inv_unimodular,
     mat_mul,
     mat_pow,
     mat_vec,
@@ -29,7 +28,15 @@ from growthlab.spectra import (
     spectral_radius,
 )
 
-from util import at_matrix, block_diag, elementary_product, mat_det, matrix_rank
+from util import (
+    at_matrix,
+    block_diag,
+    elementary_product,
+    mat_det,
+    mat_inv_unimodular,
+    mat_pow_signed,
+    matrix_rank,
+)
 
 ROT4 = [[0, -1], [1, 0]]
 FIB = [[2, 1], [1, 1]]
@@ -451,9 +458,14 @@ def test_mat_pow_and_inverse():
     assert mat_pow(FIB, 2) == mat_mul(FIB, FIB)
     inv = mat_inv_unimodular(FIB)
     assert mat_mul(FIB, inv) == mat_identity(2)
-    assert mat_pow(FIB, -1) == inv
+    assert mat_pow_signed(FIB, -1) == inv
+    assert mat_pow_signed(FIB, 2) == mat_pow(FIB, 2)
     with pytest.raises(SpectraError):
         mat_inv_unimodular([[2, 0], [0, 1]])
+    # the package powers only by k >= 1; a negative k raises, where the
+    # loop alone would shift k right forever
+    with pytest.raises(SpectraError):
+        mat_pow(FIB, -1)
 
 
 def test_matrix_rank():

@@ -37,7 +37,6 @@ from growthlab.spectra import (
     EXPONENTIAL,
     classify_abelian_by_cyclic,
     classify_char_poly,
-    mat_inv_unimodular,
     mat_mul,
     mat_vec,
 )
@@ -51,6 +50,7 @@ from util import (
     fib_engine,
     first_of_orbit,
     klein_automorphisms,
+    mat_inv_unimodular,
     mat_scale,
     nested_bs1_engine,
     nested_torus_engine,
@@ -280,14 +280,16 @@ def test_kernel_chain_escape_golden():
     # the centraliser of s in K holds the free group <x, y x y^-1> of
     # words phi fixes, so commuting is not transitive in K: the chain of
     # x0 = [a0, a1] = y x^2 y^-1 s^-2 under conjugation by a0 commutes
-    # one step apart and not two
+    # one step apart and not two.  The escape has depth 2 under every
+    # cap d >= 2, so its bound is 3^(1/8), from its own length 2*2 + 4
     eng = flip_unipotent_engine()
     gens = ["y t t1", "t"]
-    assert analyze(eng, gens, 3.0, 2).to_json() == {
-        "variant": KERNEL_CHAIN_ESCAPE, "bound": 1.147202690439877,
-        "max_A_length": 8, "depth": 2,
-        "diagnostics": "(i=0, [a0,a1]): chain elements at offsets 0 and 2 "
-                       "do not commute", "reverified": True}
+    for d in (2, 3, 4):
+        assert analyze(eng, gens, 3.0, d).to_json() == {
+            "variant": KERNEL_CHAIN_ESCAPE, "bound": 1.147202690439877,
+            "max_A_length": 8, "depth": 2,
+            "diagnostics": "(i=0, [a0,a1]): chain elements at offsets 0 and 2 "
+                           "do not commute", "reverified": True}, d
     a0, a1 = (eng.evaluate_word(Word.parse(g)) for g in gens)
     xs = [eng.multiply(eng.multiply(a0, a1),
                        eng.multiply(eng.invert(a0), eng.invert(a1)))]
@@ -492,11 +494,11 @@ def test_noncyclic_pairs_on_seeded_sets_do_not_commute():
 
 
 def test_certificate_bounds_are_hypothesis_to_one_over_length():
-    # bound = hypothesis^(1/length): u over the pair's A-length, 2 over
-    # the expanding action's, u over 2d + 4 for a chain escape, and
-    # 2^(1/4) over 4 for a chain relation.  The seeded sets reach every
-    # branch but the chain escape, which the golden above adds at two
-    # caps d, both above its depth 2
+    # bound = hypothesis^(1/max_A_length) on every branch: u for a pair
+    # or a chain escape, 2 for an expanding action and 2^(1/4) for a
+    # chain relation, whose max_A_length is 4.  The seeded sets reach
+    # every branch but the chain escape, which the golden above adds at
+    # two caps d, both above its depth 2
     u = 3.0
     runs = []
     for build in SEEDED_BUILDERS:
@@ -511,8 +513,10 @@ def test_certificate_bounds_are_hypothesis_to_one_over_length():
         elif cert.variant == SPECTRAL_EXPONENTIAL:
             assert cert.bound == 2 ** (1 / cert.max_A_length)
         elif cert.variant == KERNEL_CHAIN_ESCAPE and cert.depth <= d:
-            assert cert.bound == u ** (1 / (2 * d + 4))
+            assert cert.bound == u ** (1 / cert.max_A_length)
+            assert cert.max_A_length == 2 * cert.depth + 4
         elif cert.variant == KERNEL_CHAIN_ESCAPE:
+            assert cert.bound == (2 ** 0.25) ** (1 / cert.max_A_length)
             assert cert.bound == 2 ** (1 / 16)
         else:
             assert cert.bound is None

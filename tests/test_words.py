@@ -65,11 +65,6 @@ def test_concat_is_associative_on_random_words():
         assert (a * b) * c == a * (b * c)
 
 
-def test_length_counts_letters_with_multiplicity():
-    assert Word.parse("x^3 y^-2").length() == 5
-    assert Word().length() == 0
-
-
 def test_rename_and_names():
     w = Word.parse("x y x^-1")
     assert word_names(w) == {"x", "y"}

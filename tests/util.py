@@ -5,7 +5,6 @@ import json
 import math
 from fractions import Fraction
 
-from growthlab import wordops
 from growthlab._exact import eliminate
 from growthlab.engines import (
     AbelianEngine,
@@ -16,7 +15,14 @@ from growthlab.engines import (
     flat_to_units,
     units_to_flat,
 )
-from growthlab.spectra import mat_identity, mat_mul, mat_vec, roots_inside
+from growthlab.spectra import (
+    SpectraError,
+    mat_identity,
+    mat_mul,
+    mat_pow,
+    mat_vec,
+    roots_inside,
+)
 from growthlab.witness import (
     _EXPANSION_POWER_CAP,
     EXPANSION_MARGIN,
@@ -118,6 +124,30 @@ def mat_det(m) -> int:
 def matrix_rank(rows) -> int:
     """Rank of an integer matrix: the pivot count of ``eliminate``."""
     return len(eliminate(rows)[1])
+
+
+def mat_inv_unimodular(m):
+    """Exact inverse of an integer matrix with determinant +-1: the
+    right half of the eliminated [M | I], divided by d = +-1."""
+    n = len(m)
+    aug = [list(row) + [int(i == j) for j in range(n)]
+           for i, row in enumerate(m)]
+    rows, pivots, d, sign = eliminate(aug, n)
+    det = sign * d if len(pivots) == n else 0
+    if abs(det) != 1:
+        raise SpectraError(f"matrix determinant {det} is not a unit")
+    return [[x * d for x in row[n:]] for row in rows]
+
+
+def mat_pow_signed(m, k: int):
+    """M^k for any integer k; a negative k powers the unimodular inverse,
+    which ``spectra.mat_pow`` (k >= 0 only) leaves to its callers."""
+    return mat_pow(mat_inv_unimodular(m), -k) if k < 0 else mat_pow(m, k)
+
+
+def word_length(a: tuple):
+    """Letter count of a flat word: the sum of |exponent| over it."""
+    return sum(abs(a[i]) for i in range(1, len(a), 2))
 
 
 def elementary_product(rng, n, steps):
@@ -380,7 +410,7 @@ def reference_pcc_scans(engine, max_period, max_length):
     results = dict.fromkeys(bounds, PccResult(None, False, "none within bounds (semi-decision)"))
     open_bounds = set(bounds)
     for k_el in cyclically_reduced_words(base.rank, max_length):
-        length = wordops.word_length(k_el)
+        length = word_length(k_el)
         open_bounds = {(p, l) for p, l in open_bounds if l >= length}
         if not open_bounds:
             break
