@@ -143,11 +143,13 @@ class _EngineBase:
     def evaluate(self, letters, image):
         """The product of image(name)**exp over the (name, exp) letters:
         the one loop behind ``evaluate_word``, the default ``apply_level``
-        and a split extension's relator check."""
-        out = self.identity
+        and a split extension's relator check.  As in ``power``, the
+        first factor is taken as it is, not multiplied onto the identity."""
+        out = None
         for name, exp in letters:
-            out = self.multiply(out, self.power(image(name), exp))
-        return out
+            x = self.power(image(name), exp)
+            out = x if out is None else self.multiply(out, x)
+        return self.identity if out is None else out
 
     def evaluate_word(self, word: Word):
         return self.evaluate(word.letters, self.generator)

@@ -10,7 +10,10 @@ minus bottom exponent) bounds the first Betti number.
 
 A Laurent polynomial shifted to bottom exponent 0 is an element of
 Z[t] with nonzero constant term, so the gcd and the divisibility test
-run on the Z[t] division of `_exact`.
+run on the Z[t] division of `_exact`.  The gcd takes each input's
+shifted coefficient list once; Euclid and the exact-division re-check
+of the result both read those lists, and the result is built from its
+own list at the end.
 """
 
 from __future__ import annotations
@@ -75,18 +78,6 @@ class LaurentPoly:
         """Top exponent minus bottom exponent."""
         return self.max_exp - self.min_exp
 
-    def shift(self, k: int) -> "LaurentPoly":
-        return LaurentPoly({e + k: c for e, c in self.coeffs.items()})
-
-    def normalized(self) -> "LaurentPoly":
-        """Unit-normalize: bottom exponent 0, top coefficient positive."""
-        if not self.coeffs:
-            return LaurentPoly()
-        p = self.shift(-self.min_exp)
-        if p.coeffs[p.max_exp] < 0:
-            p = -p
-        return p
-
     def __neg__(self):
         return LaurentPoly({e: -c for e, c in self.coeffs.items()})
 
@@ -123,22 +114,26 @@ def divides(d: LaurentPoly, p: LaurentPoly) -> bool:
 
 
 def laurent_gcd(ps) -> LaurentPoly:
-    """Normalized gcd: bottom exponent 0, positive top coefficient."""
-    nz = [p for p in ps if not p.is_zero()]
-    if not nz:
+    """Normalized gcd: bottom exponent 0, positive top coefficient.
+
+    The gcd and its exact-division re-check both run on the shifted
+    coefficient lists, each taken once.  The result needs no further
+    normalizing: ``zx_gcd`` gives a positive leading coefficient, and a
+    divisor of a list with nonzero constant term has one too."""
+    lists = [_to_list(p) for p in ps if not p.is_zero()]
+    if not lists:
         raise LaurentError("gcd of an all-zero family is undefined")
-    g = _to_list(nz[0])
+    g = lists[0]
     if g[-1] < 0:
         g = [-c for c in g]
-    for p in nz[1:]:
+    for xs in lists[1:]:
         if g == [1]:
             break
-        g = zx_gcd(g, _to_list(p))
-    result = LaurentPoly.of_list(g).normalized()
-    for p in nz:
-        if not divides(result, p):
+        g = zx_gcd(g, xs)
+    for xs in lists:
+        if poly_divmod(xs, g)[1]:
             raise AssertionError("gcd candidate fails exact division")
-    return result
+    return LaurentPoly.of_list(g)
 
 
 # ---------------------------------------------------------------------------

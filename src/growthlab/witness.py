@@ -450,16 +450,24 @@ def _case(engine, elems, u, d, i, cand):
 
 def _commutators(engine, elems):
     """The candidates (j, k, sj, sk, c) of the search, c = [a_j^sj, a_k^sk]
-    for j < k and c != e, in search order, each built when asked for."""
-    identity, invert, multiply = engine.identity, engine.invert, engine.multiply
+    for j < k and c != e, in search order, each built when asked for.
+
+    a and b commute iff a^+-1 and b^+-1 do: ab = ba gives a^-1 b = b a^-1
+    on multiplying by a^-1 on both sides, and likewise for b.  So when
+    [a_j, a_k] = e the other three signs are skipped, and otherwise all
+    four commutators are nontrivial: a commuting pair costs one
+    commutator.  Each generator is inverted once, when first needed."""
+    identity, multiply = engine.identity, engine.multiply
+    inverse = functools.cache(lambda i: engine.invert(elems[i]))
     for j in range(len(elems)):
         for k in range(j + 1, len(elems)):
             for sj, sk in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
-                aj = elems[j] if sj > 0 else invert(elems[j])
-                ak = elems[k] if sk > 0 else invert(elems[k])
-                c_el = multiply(multiply(aj, ak), multiply(invert(aj), invert(ak)))
-                if c_el != identity:
-                    yield (j, k, sj, sk, c_el)
+                aj, bj = (elems[j], inverse(j)) if sj > 0 else (inverse(j), elems[j])
+                ak, bk = (elems[k], inverse(k)) if sk > 0 else (inverse(k), elems[k])
+                c_el = multiply(multiply(aj, ak), multiply(bj, bk))
+                if c_el == identity:
+                    break  # only at the first signs, by the lemma above
+                yield (j, k, sj, sk, c_el)
 
 
 def analyze(engine, gens, u: float, d: int, threads: int = 1) -> Certificate:
@@ -548,41 +556,54 @@ def _orbit_words(rank: int, max_length: int):
     it is below every rotation of its inverse; these never tie with it,
     because no element of a free group other than e is conjugate to its
     inverse.  For each length n the Fredricksen-Kessler-Maiorana
-    recursion visits the prenecklaces of length n in lex order, each
-    through its prefixes, and the Lyndon words among them are those with
-    period p == n.  A prefix of a prenecklace is a prenecklace, so a
-    prefix that ends in an inverse pair is pruned with all it extends;
-    the leaf checks the wrap-around pair and the inverse."""
+    successor step walks the prenecklaces of length n in lex order, each
+    through its prefixes: it tries the next letter at the last position,
+    backs up a position when none is left, and fills the positions after
+    a new letter with the least letters that keep a prenecklace.  The
+    Lyndon words among them are those with period p == n.  A prefix of
+    a prenecklace is a prenecklace, so a prefix that ends in an inverse
+    pair is pruned with all it extends; the leaf checks the wrap-around
+    pair and the inverse.  The walk keeps one prefix and its periods, and
+    stops where the caller stops."""
     # unit order x, x^-1, y, y^-1, ... as ranks 0, 1, 2, 3, ...; the
     # inverse of a unit flips the low bit of its rank, and rank r is the
     # generator r >> 1 to the power -1 if r is odd, else 1
     size = 2 * rank
     for n in range(1, max_length + 1):
         a = [0] * (n + 1)  # a[0] seeds the range of the first letter
-
-        def rec(t, p):
-            if t > n:
-                key = a[1:]
-                if p == n and key[-1] ^ 1 != key[0]:
+        per = [1] * (n + 1)  # per[t]: the period of the prefix a[1..t]
+        t, v = 1, 0  # v: the letter to try at position t
+        while t:
+            if v < size:
+                a[t] = v
+                per[t] = per[t - 1] if v == a[t - per[t - 1]] else t
+                if t < n:
+                    # extend by the least letter that keeps a prenecklace,
+                    # or the next one if that would cancel with a[t]
+                    t += 1
+                    v = a[t - per[t - 1]]
+                    if v == a[t - 1] ^ 1:
+                        v += 1
+                    continue
+                if per[n] == n and a[n] ^ 1 != a[1]:
+                    key = a[1:]
                     inv = [r ^ 1 for r in reversed(key)]
                     if all(inv[r:] + inv[:r] >= key for r in range(n)):
-                        yield key
-                return
-            lo = a[t - p]
-            bad = a[t - 1] ^ 1 if t > 1 else -1
-            for v in range(lo, size):
-                if v != bad:
-                    a[t] = v
-                    yield from rec(t + 1, p if v == lo else t)
-
-        for key in rec(1, 1):
-            # a key has no adjacent inverse pair, so each run of equal
-            # ranks is one syllable of the flat word and nothing cancels
-            flat = []
-            for r, run in groupby(key):
-                e = len(list(run))
-                flat += (r >> 1, -e if r & 1 else e)
-            yield tuple(flat)
+                        # a key has no adjacent inverse pair, so each run
+                        # of equal ranks is one syllable of the flat word
+                        # and nothing cancels
+                        flat = []
+                        for r, run in groupby(key):
+                            e = len(list(run))
+                            flat += (r >> 1, -e if r & 1 else e)
+                        yield tuple(flat)
+            else:
+                t -= 1
+            # the successor step: the next letter at position t, skipping
+            # the inverse of the letter before it
+            v = a[t] + 1
+            if t > 1 and v == a[t - 1] ^ 1:
+                v += 1
 
 
 def _abelian_returns(engine, max_period: int):

@@ -4,19 +4,39 @@ Syntax: whitespace-separated letters, each ``name`` or ``name^k`` with k a
 nonzero decimal integer.  A Word is a reduced run-length sequence of
 (name, exponent) pairs; reduction here only merges adjacent equal names,
 group-specific simplification happens in the engines.
+
+Each distinct letter token is parsed once: ``_letter`` is a bounded memo
+from token to (name, exponent).  Tokens repeat within a call and across
+calls (``t``, ``t^-1``, ``x^-2``), and a bad token raises on every call,
+since a memo keeps only returned values.
 """
 
 from __future__ import annotations
 
+import functools
 import re
 
 from growthlab import GrowthlabError
 
 _LETTER_RE = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)(?:\^(-?\d+))?$")
+# distinct letter tokens kept by the parse memo
+_LETTER_MEMO_SIZE = 1024
 
 
 class WordSyntaxError(GrowthlabError, ValueError):
     pass
+
+
+@functools.lru_cache(maxsize=_LETTER_MEMO_SIZE)
+def _letter(tok: str) -> tuple:
+    """The (name, exponent) pair of one letter token."""
+    m = _LETTER_RE.match(tok)
+    if m is None:
+        raise WordSyntaxError(f"bad letter {tok!r}")
+    exp = 1 if m.group(2) is None else int(m.group(2))
+    if exp == 0:
+        raise WordSyntaxError(f"zero exponent in {tok!r}")
+    return m.group(1), exp
 
 
 def _merge(pairs) -> tuple:
@@ -56,16 +76,8 @@ class Word:
 
     @staticmethod
     def parse(text: str) -> "Word":
-        pairs = []
-        for tok in text.split():
-            m = _LETTER_RE.match(tok)
-            if m is None:
-                raise WordSyntaxError(f"bad letter {tok!r}")
-            exp = 1 if m.group(2) is None else int(m.group(2))
-            if exp == 0:
-                raise WordSyntaxError(f"zero exponent in {tok!r}")
-            pairs.append((m.group(1), exp))
-        return Word.of(pairs)
+        # _merge pulls the letters in order, so the first bad token raises
+        return Word(_merge(map(_letter, text.split())))
 
     def __mul__(self, other: "Word") -> "Word":
         return Word.of(self.letters + other.letters)

@@ -50,12 +50,13 @@ def unused_imports(tree) -> set:
 
 # public names the package never uses, asserted by equality like
 # RE_EXPORTS: argparse calls the parser's error method; perfbench reads
-# canonical_key, spectral_radius and is_cyclic_pair (a benchmark change
-# may delete them); tests rebuild the declared automorphism maps for
+# canonical_key, spectral_radius, is_cyclic_pair and divides (its check
+# of a Delta against the relators; a benchmark change may delete or move
+# them); tests rebuild the declared automorphism maps for
 # reference_auto_power from spec_dict, which a rebuild from the engine's
 # levels would turn into a check of level +-1 against itself
 CALLED_FROM_OUTSIDE = {"error", "canonical_key", "spectral_radius",
-                       "is_cyclic_pair", "spec_dict"}
+                       "is_cyclic_pair", "divides", "spec_dict"}
 
 
 def callable_definitions(tree) -> dict:

@@ -1,10 +1,11 @@
 import random
+from collections import Counter
 
 import pytest
 
 from growthlab.words import Word, WordSyntaxError
 
-from util import word_inverse, word_names, word_rename
+from util import reference_parse, word_inverse, word_names, word_rename
 
 
 def test_parse_and_str_round_trip():
@@ -36,6 +37,61 @@ def test_parse_rejects_bad_letters():
         Word.parse("2x")
     with pytest.raises(WordSyntaxError):
         Word.parse("x^")
+
+
+def _outcome(parse, text):
+    """The parsed word, or the syntax error's type and message."""
+    try:
+        return parse(text)
+    except WordSyntaxError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("text", [
+    # Unicode decimal digits, leading zeros and a signed zero exponent
+    "x^\u0661", "x^-\u0663\u0660", "x^-007", "x^007 y^-0", "x^-0",
+    # keywords are names; a non-ASCII name and misplaced carets are not
+    "if", "if^2 else^-1 None", "\u00e9", "x\u00e9^2", "x^", "^2", "2x",
+    "x^+2", "x^^2", "x^2^3", "x^1.5",
+    # tabs, newlines and other whitespace separate tokens
+    "x\ty\nz^-1", "\t x \n\n y^2 \r\n", "x\u00a0y", "", " \t\n",
+    # the first bad token wins: a zero exponent before a bad letter, and
+    # a bad letter before a zero exponent
+    "x^0 2x", "y x^0 x^", "2x x^0", "x x^-1 y^0",
+    "x x^-1", "x^3 x^-3 y", "x_1^3 _y^-2 A9",
+])
+def test_parse_matches_reference_loop(text):
+    want = _outcome(reference_parse, text)
+    # twice: the letter memo keeps values, never a raised error
+    assert _outcome(Word.parse, text) == want
+    assert _outcome(Word.parse, text) == want
+
+
+def test_first_bad_token_wins():
+    with pytest.raises(WordSyntaxError, match=r"^zero exponent in 'x\^0'$"):
+        Word.parse("x^0 2x")
+    with pytest.raises(WordSyntaxError, match=r"^bad letter '2x'$"):
+        Word.parse("2x x^0")
+
+
+def test_parse_matches_reference_on_seeded_corpus():
+    rng = random.Random(24)
+    names = ["x", "y", "t", "t1", "e2", "_a", "if", "A9"]
+    exps = ["", "", "^1", "^-1", "^2", "^-12", "^0", "^-0", "^007",
+            "^\u0662", "^", "^+3"]
+    bad = ["2x", "^2", "\u00e9", "x^^2", "x-1", "x^2^2"]
+    seps = [" ", " ", "  ", "\t", "\n", " \t ", "\u00a0"]
+    kinds = Counter()
+    for _ in range(3000):
+        toks = [rng.choice(bad) if rng.random() < 0.03
+                else rng.choice(names) + rng.choice(exps)
+                for _ in range(rng.randrange(7))]
+        text = "".join(tok + rng.choice(seps) for tok in toks)
+        want = _outcome(reference_parse, text)
+        assert _outcome(Word.parse, text) == want, repr(text)
+        kinds[want[1].split()[0] if isinstance(want, tuple) else "word"] += 1
+    # the corpus reaches both errors and plenty of words
+    assert kinds["bad"] > 100 and kinds["zero"] > 100 and kinds["word"] > 1000
 
 
 def test_of_drops_zero_exponents():

@@ -1,10 +1,14 @@
 """Shared builders for the test suite: engines under test, seeded
 random words/elements, and reference versions of library searches."""
 
+import hashlib
 import json
 import math
+import random
+import re
 from fractions import Fraction
 
+from growthlab import GrowthlabError
 from growthlab._exact import eliminate
 from growthlab.engines import (
     AbelianEngine,
@@ -15,6 +19,7 @@ from growthlab.engines import (
     flat_to_units,
     units_to_flat,
 )
+from growthlab.laurent import LaurentPoly, alexander_polynomial
 from growthlab.spectra import (
     SpectraError,
     mat_identity,
@@ -32,13 +37,34 @@ from growthlab.witness import (
     PccResult,
     _case,
     _pcc_certificate,
+    analyze,
+    pcc_scan,
 )
-from growthlab.words import Word
+from growthlab.words import Word, WordSyntaxError
 
 TORUS_AUTO = ({"x": "y", "y": "x y"}, {"x": "y x^-1", "y": "x"})
 ROT4_AUTO = ({"e1": "e2", "e2": "e1^-1"}, {"e1": "e2^-1", "e2": "e1"})
 FIB_AUTO = ({"e1": "e1^2 e2", "e2": "e1 e2"},
             {"e1": "e1 e2^-1", "e2": "e1^-1 e2^2"})
+
+
+# the letter syntax of ``Word.parse``, kept apart from the library's copy
+REFERENCE_LETTER_RE = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)(?:\^(-?\d+))?$")
+
+
+def reference_parse(text: str):
+    """``Word.parse`` as a loop that matches each token as it comes, with
+    no memo: the first bad token raises."""
+    pairs = []
+    for tok in text.split():
+        m = REFERENCE_LETTER_RE.match(tok)
+        if m is None:
+            raise WordSyntaxError(f"bad letter {tok!r}")
+        exp = 1 if m.group(2) is None else int(m.group(2))
+        if exp == 0:
+            raise WordSyntaxError(f"zero exponent in {tok!r}")
+        pairs.append((m.group(1), exp))
+    return Word.of(pairs)
 
 
 def spec_id(engine) -> str:
@@ -113,6 +139,19 @@ def embed(base_el):
     """The base element ``base_el`` as an element of a split extension,
     at shift 0."""
     return (base_el, 0)
+
+
+def laurent_shift(p, k: int):
+    """p times t^k."""
+    return LaurentPoly({e + k: c for e, c in p.coeffs.items()})
+
+
+def laurent_normalized(p):
+    """p unit-normalized: bottom exponent 0, top coefficient positive."""
+    if p.is_zero():
+        return LaurentPoly()
+    q = laurent_shift(p, -p.min_exp)
+    return -q if q.coeffs[q.max_exp] < 0 else q
 
 
 def mat_det(m) -> int:
@@ -361,11 +400,10 @@ def first_of_orbit(flat) -> bool:
     return True
 
 
-def reference_analyze(engine, gens, u, d):
-    """`witness.analyze` as an eager search: every generator commutator
-    is built before the first case runs, and every case of every row
-    runs, skipped kernel pairs included.  It takes valid input only."""
-    elems = [engine.evaluate_word(Word.parse(w) if isinstance(w, str) else w) for w in gens]
+def reference_commutators(engine, elems):
+    """Every candidate (j, k, sj, sk, c) of the search, in search order:
+    all four signs of every pair j < k, each commutator built from fresh
+    inverses, kept when c != e."""
     cands = []
     for j in range(len(elems)):
         for k in range(j + 1, len(elems)):
@@ -377,6 +415,15 @@ def reference_analyze(engine, gens, u, d):
                     engine.multiply(engine.invert(aj), engine.invert(ak)))
                 if c_el != engine.identity:
                     cands.append((j, k, sj, sk, c_el))
+    return cands
+
+
+def reference_analyze(engine, gens, u, d):
+    """`witness.analyze` as an eager search: every generator commutator
+    is built before the first case runs, and every case of every row
+    runs, skipped kernel pairs included.  It takes valid input only."""
+    elems = [engine.evaluate_word(Word.parse(w) if isinstance(w, str) else w) for w in gens]
+    cands = reference_commutators(engine, elems)
     if not cands:
         return Certificate(
             VIRTUALLY_NILPOTENT_DIAGNOSIS,
@@ -558,3 +605,80 @@ def reference_apply_level(engine, el, k):
     for name, exp in reference_element_word(base, el).letters:
         out = base.multiply(out, base.power(level[name], exp))
     return out
+
+
+def _seeded_text(rng, names, max_letters):
+    """A word as text: 1..max_letters tokens, exponents +-1 and +-2."""
+    toks = []
+    for _ in range(rng.randint(1, max_letters)):
+        name, e = rng.choice(names), rng.choice((-2, -1, -1, 1, 1, 2))
+        toks.append(name if e == 1 else f"{name}^{e}")
+    return " ".join(toks)
+
+
+def certify_outputs(builders, seed=24):
+    """Encoded outputs of the certificate paths over a seeded corpus, one
+    line per call: per engine, ``analyze`` on 16 generating sets of two
+    or three words given as text (so parsing runs too) at a seeded cap d,
+    and ``pcc_scan`` at 4 seeded pairs of bounds; then
+    ``alexander_polynomial`` on 60 seeded relator lists in t and x.  A
+    call that raises a growthlab error encodes as the error's type and
+    message, so refused input is part of the record."""
+    rng = random.Random(seed)
+
+    def encode(call):
+        try:
+            return json.dumps(call())
+        except GrowthlabError as exc:
+            return f"ERR {type(exc).__name__}: {exc}"
+
+    lines = []
+    for build in builders:
+        eng = build()
+        names = list(eng.gen_names)
+        for _ in range(16):
+            gens = [_seeded_text(rng, names, 4) for _ in range(rng.randint(2, 3))]
+            d = rng.randint(1, 3)
+            lines.append(encode(lambda: analyze(eng, gens, 3.0, d).to_json()))
+        for _ in range(4):
+            bounds = rng.randint(1, 8), rng.randint(1, 4)
+
+            def scan():
+                res = pcc_scan(eng, *bounds)
+                cert = res.certificate
+                return [None if cert is None else cert.to_json(), res.exact, res.note]
+            lines.append(encode(scan))
+    for i in range(60):
+        # runs x^e at seeded t-heights, closed back to height 0, with a
+        # common content factor in some lists; every fifth list is plain
+        # seeded text in t and x, closed the same way
+        scale = rng.choice((1, 1, 2))
+        relators = []
+        for _ in range(rng.randint(1, 3)):
+            if i % 5 == 0:
+                text = _seeded_text(rng, ["t", "x"], 6)
+                total = sum(e for n, e in Word.parse(text).letters if n == "t")
+                relators.append(f"{text} t^{-total}" if total else text)
+                continue
+            toks, height = [], 0
+            for _ in range(rng.randint(1, 4)):
+                step = rng.randint(-2, 2)
+                if step:
+                    toks.append(f"t^{step}")
+                    height += step
+                toks.append(f"x^{scale * rng.choice((-3, -2, -1, 1, 2, 3))}")
+            if height:
+                toks.append(f"t^{-height}")
+            relators.append(" ".join(toks))
+
+        def delta():
+            p = alexander_polynomial(relators)
+            return [p.format(), sorted(p.coeffs.items())]
+        lines.append(encode(delta))
+    return lines
+
+
+def certify_digest(builders, seed=24) -> str:
+    """sha256 of the ``certify_outputs`` lines, newline-terminated."""
+    text = "".join(line + "\n" for line in certify_outputs(builders, seed))
+    return hashlib.sha256(text.encode()).hexdigest()
