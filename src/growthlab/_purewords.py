@@ -2,7 +2,9 @@
 
 A word is a flat tuple (g0, e0, g1, e1, ...) of generator indices and
 nonzero exponents, with adjacent generator indices distinct.  These
-functions are the hot path of ball enumeration and automorphism
+functions take reduced words and return reduced words; building one
+from arbitrary runs is ``words.Word.of``'s job, the one loop that merges
+runs.  They are the hot path of ball enumeration and automorphism
 application; a free engine's ``products`` calls ``concat_reduce``
 directly for every product of a sphere.
 
@@ -27,24 +29,6 @@ automorphism level and applies that level to many words.
 """
 
 from __future__ import annotations
-
-
-def normalize_pairs(pairs) -> tuple:
-    """Collapse an iterable of (gen, exp) pairs into a reduced flat word."""
-    out: list = []
-    for g, e in pairs:
-        if e == 0:
-            continue
-        if out and out[-2] == g:
-            s = out[-1] + e
-            if s == 0:
-                del out[-2:]
-            else:
-                out[-1] = s
-        else:
-            out.append(g)
-            out.append(e)
-    return tuple(out)
 
 
 def concat_reduce(a: tuple, b: tuple) -> tuple:

@@ -67,6 +67,8 @@ def _parse_matrix(text: str):
         rows = json.loads(text)
     except (json.JSONDecodeError, RecursionError) as exc:
         raise CliError(2, f"bad matrix literal: {exc}") from None
+    except ValueError:  # an integer past Python's int-string digit limit
+        raise CliError(2, "bad matrix literal: integer literal too long") from None
     if (not isinstance(rows, list) or not rows
             or not all(isinstance(r, list) and len(r) == len(rows) for r in rows)):
         raise CliError(2, "matrix must be a square list of row lists")

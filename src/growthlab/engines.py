@@ -70,7 +70,9 @@ def flat_to_units(flat: tuple) -> list:
 
 
 def units_to_flat(units) -> tuple:
-    return wordops.normalize_pairs((abs(u) - 1, 1 if u > 0 else -1) for u in units)
+    """Reduce signed 1-based unit letters to a flat word."""
+    runs = Word.of((abs(u) - 1, 1 if u > 0 else -1) for u in units).letters
+    return tuple(chain.from_iterable(runs))
 
 
 def cyclic_reduce_units(units):
@@ -593,8 +595,10 @@ def parse_group_spec(source):
     if isinstance(source, (str, bytes)):
         try:
             obj = json.loads(source)
-        except (json.JSONDecodeError, RecursionError) as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
             raise GroupSpecError(f"invalid JSON: {exc}") from None
+        except ValueError:  # an integer past Python's int-string digit limit
+            raise GroupSpecError("invalid JSON: integer literal too long") from None
     else:
         obj = source
     if not isinstance(obj, dict):

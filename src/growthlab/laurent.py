@@ -162,19 +162,17 @@ def rs_rewrite(relator) -> RewrittenRelator:
     each x^e emits the run (h, e), so the terms grow with the number of
     letters and not with their exponents."""
     w = Word.parse(relator) if isinstance(relator, str) else relator
-    for name, _ in w.letters:
-        if name not in ("t", "x"):
-            raise RewriteError(f"unexpected letter {name!r}: relators use t and x only")
-    total = sum(e for name, e in w.letters if name == "t")
-    if total != 0:
-        raise RewriteError(f"t-exponent sum is {total}, not 0")
     terms = []
     h = 0
     for name, e in w.letters:
         if name == "t":
             h += e
-        else:
+        elif name == "x":
             terms.append((h, e))
+        else:
+            raise RewriteError(f"unexpected letter {name!r}: relators use t and x only")
+    if h != 0:
+        raise RewriteError(f"t-exponent sum is {h}, not 0")
     return RewrittenRelator(tuple(terms))
 
 

@@ -87,13 +87,11 @@ class IntPoly:
             if not m or (not m.group(2) and not m.group(3)):
                 raise SpectraError(f"bad term {tok!r} in {text!r}")
             sign = -1 if m.group(1) == "-" else 1
-            c = int(m.group(2)) if m.group(2) else 1
-            if m.group(3) is None:
-                e = 0
-            elif m.group(4) is None:
-                e = 1
-            else:
-                e = int(m.group(4))
+            try:
+                c = int(m.group(2) or 1)
+                e = 0 if m.group(3) is None else int(m.group(4) or 1)
+            except ValueError:  # past Python's int-string digit limit
+                raise SpectraError("integer literal too long in polynomial") from None
             coeffs[e] = coeffs.get(e, 0) + sign * c
         deg = max((e for e, c in coeffs.items() if c), default=0)
         return cls.of([coeffs.get(e, 0) for e in range(deg + 1)])

@@ -322,6 +322,11 @@ def _abelian_case(engine, a_el, x0, tag):
     n_mat = engine.auto_matrix(p)
     basis = _invariant_lattice(n_mat, engine.kernel_part(x0))
     r_mat = _restricted_matrix(n_mat, basis)
+    # x0 != e has shift 0, so L != 0, and R is N on L, which N and N^-1
+    # map into L: R is square and unimodular, char(R) monic of degree >= 1
+    # with a unit constant term, and a non-cyclotomic part lies beyond the
+    # degree gap.  No structural check can fail; only the float root
+    # iteration can, and that ends this case in a diagnostic
     try:
         cls = classify_abelian_by_cyclic(r_mat)
     except SpectraError as exc:

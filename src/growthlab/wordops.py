@@ -1,4 +1,4 @@
-"""The word kernel the engines call; it lives in growthlab._purewords."""
+"""The word kernel the engines call on reduced words (growthlab._purewords)."""
 
 from __future__ import annotations
 
@@ -6,7 +6,6 @@ from growthlab._purewords import (
     concat_reduce,
     free_key_payload,
     invert_word,
-    normalize_pairs,
     pow_word,
     substitute,
 )

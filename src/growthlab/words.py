@@ -3,7 +3,9 @@
 Syntax: whitespace-separated letters, each ``name`` or ``name^k`` with k a
 nonzero decimal integer.  A Word is a reduced run-length sequence of
 (name, exponent) pairs; reduction here only merges adjacent equal names,
-group-specific simplification happens in the engines.
+group-specific simplification happens in the engines.  ``_merge`` is the
+one loop in growthlab that merges runs: a free engine's conjugators go
+through ``Word.of`` too, with generator indices as names.
 
 Each distinct letter token is parsed once: ``_letter`` is a bounded memo
 from token to (name, exponent).  Tokens repeat within a call and across
@@ -33,7 +35,10 @@ def _letter(tok: str) -> tuple:
     m = _LETTER_RE.match(tok)
     if m is None:
         raise WordSyntaxError(f"bad letter {tok!r}")
-    exp = 1 if m.group(2) is None else int(m.group(2))
+    try:
+        exp = 1 if m.group(2) is None else int(m.group(2))
+    except ValueError:  # past Python's int-string digit limit
+        raise WordSyntaxError(f"exponent of {m.group(1)!r} is too long") from None
     if exp == 0:
         raise WordSyntaxError(f"zero exponent in {tok!r}")
     return m.group(1), exp

@@ -19,7 +19,7 @@ from growthlab import VERSION_STRING, GrowthlabError
 from growthlab.cli import CliError, main
 from growthlab.engines import GroupSpecError, build_engine
 
-from util import ROT4_AUTO, TORUS_AUTO
+from util import OVER_LONG, ROT4_AUTO, TORUS_AUTO
 
 FREE2_SPEC = {"family": "free", "rank": 2}
 TORUS_SPEC = {
@@ -474,6 +474,8 @@ def test_growth_and_witness_take_deep_shifts(tmp_path, capsys):
     (["witness", "--gens", ",", "--u", "3", "--d", "2"], "no words given"),
     (["spectra", "--matrix", "[[1,"],
      "bad matrix literal: Expecting value: line 1 column 5 (char 4)"),
+    (["spectra", "--matrix", f"[[{OVER_LONG},1],[1,1]]"],
+     "bad matrix literal: integer literal too long"),
     (["spectra", "--matrix", "[[1.5]]"], "matrix entries must be integers"),
     (["spectra", "--matrix", "[[true]]"], "matrix entries must be integers"),
     (["witness", "--gens", "t,q", "--u", "3", "--d", "2"],
@@ -508,6 +510,42 @@ def test_deeply_nested_group_file(tmp_path, capsys):
 def test_deeply_nested_matrix_literal(capsys):
     assert_single_err2(*run(capsys, ["spectra", "--matrix", DEEP_JSON]),
                        "bad matrix literal: ")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["spectra", "--poly", f"t^2+{OVER_LONG}t+1"], "integer literal too long in polynomial"),
+    (["spectra", "--matrix", f"[[{OVER_LONG},1],[1,1]]"],
+     "bad matrix literal: integer literal too long"),
+    (["witness", "--group", "torus", "--gens", f"x^{OVER_LONG},y", "--u", "3", "--d", "2"],
+     "exponent of 'x' is too long"),
+    (["alexander", "--relators", f"t x t^-1 x; t x^{OVER_LONG} t^-1 x"],
+     "exponent of 'x' is too long"),
+    (["rewrite", "--relator", f"t x^-{OVER_LONG} t^-1 x"], "exponent of 'x' is too long"),
+    (["growth", "--group", "rank", "--gens", "x", "--radius", "1"],
+     "invalid JSON: integer literal too long"),
+    (["growth", "--group", "auto", "--gens", "x", "--radius", "1"],
+     "bad automorphism word: exponent of 'x' is too long"),
+], ids=["poly", "matrix", "gens", "relators", "relator", "rank", "automorphism"])
+def test_over_long_integer_literals_end_in_err2(tmp_path, argv, message):
+    # int() refuses more than 4,300 digits with a ValueError; each parser
+    # turns it into its own input error, in a fresh process
+    groups = {
+        "torus": json.dumps(TORUS_SPEC),
+        "rank": f'{{"family": "free", "rank": {OVER_LONG}}}',
+        "auto": json.dumps({**TORUS_SPEC, "automorphism": {
+            "forward": {"x": f"x^{OVER_LONG}", "y": "y"},
+            "backward": {"x": "x", "y": "y"}}}),
+    }
+    if "--group" in argv:
+        i = argv.index("--group") + 1
+        path = tmp_path / "group.json"
+        path.write_text(groups[argv[i]], encoding="utf-8")
+        argv = argv[:i] + [str(path)] + argv[i + 1:]
+    src = str(Path(growthlab.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-m", "growthlab.cli", *argv], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=src), timeout=60, check=False)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"ERR 2 {message}\n")
 
 
 def _semidirect_spec(base, forward, backward):

@@ -23,6 +23,7 @@ from growthlab.words import Word
 
 from util import (
     FIB_AUTO,
+    OVER_LONG,
     ROT4_AUTO,
     TORUS_AUTO,
     bs1_multiply_reference,
@@ -77,6 +78,16 @@ def test_units_flat_round_trip():
         units = stack_reduce(
             [rng.choice([1, -1, 2, -2, 3, -3]) for _ in range(rng.randrange(10))])
         assert flat_to_units(units_to_flat(units)) == units
+
+
+def test_units_to_flat_reduces_unreduced_units():
+    # cancellations cascade across runs: x y y^-1 x^-1 is the identity
+    assert units_to_flat([1, 2, -2, -1]) == ()
+    assert units_to_flat([1, 2, -2, 1, -3]) == (0, 2, 2, -1)
+    rng = random.Random(103)
+    for _ in range(300):
+        units = [rng.choice([1, -1, 2, -2]) for _ in range(rng.randrange(12))]
+        assert flat_to_units(units_to_flat(units)) == stack_reduce(units)
 
 
 # ---------------------------------------------------------------------------
@@ -545,6 +556,21 @@ def test_parse_group_spec_rejects_garbage():
         parse_group_spec({"family": "free", "rank": 0})
     with pytest.raises(GroupSpecError):
         parse_group_spec({"family": "free", "rank": 2, "extra": 1})
+
+
+@pytest.mark.parametrize("source, message", [
+    (f'{{"family": "free", "rank": {OVER_LONG}}}', "invalid JSON: integer literal too long"),
+    (f'{{"family": "bs1", "m": -{OVER_LONG}}}', "invalid JSON: integer literal too long"),
+    (b'{"family": "free", "rank": 2, "\xff": 1}',
+     "invalid JSON: 'utf-8' codec can't decode byte 0xff in position 31: "
+     "invalid start byte"),
+])
+def test_parse_group_spec_rejects_unreadable_json(source, message):
+    # int() past its digit limit and bytes that are not UTF-8 raise
+    # ValueErrors that are not JSONDecodeErrors
+    with pytest.raises(GroupSpecError) as info:
+        parse_group_spec(source)
+    assert str(info.value) == message
 
 
 def test_unknown_generator_raises():

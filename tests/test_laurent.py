@@ -159,6 +159,20 @@ def test_rewrite_rejects_foreign_letters():
         rs_rewrite("t z t^-1 z^-1")
 
 
+@pytest.mark.parametrize("text, message", [
+    # a foreign letter wins over an unbalanced t, wherever it stands
+    ("t x z", "unexpected letter 'z': relators use t and x only"),
+    ("z t^3", "unexpected letter 'z': relators use t and x only"),
+    ("t^2 x t^-1 y", "unexpected letter 'y': relators use t and x only"),
+    ("t^2 x t^-1", "t-exponent sum is 1, not 0"),
+    ("t^-4 x", "t-exponent sum is -4, not 0"),
+])
+def test_rewrite_error_order(text, message):
+    with pytest.raises(RewriteError) as info:
+        rs_rewrite(text)
+    assert str(info.value) == message
+
+
 def test_rewrite_conjugation_shifts_abelianization():
     rng = random.Random(43)
     letters = ["t", "t^-1", "x", "x^-1", "x^2", "x^-2"]

@@ -29,6 +29,7 @@ from growthlab.spectra import (
 )
 
 from util import (
+    OVER_LONG,
     at_matrix,
     block_diag,
     elementary_product,
@@ -70,6 +71,14 @@ def test_parse_rejects_garbage():
         IntPoly(())
     with pytest.raises(SpectraError):
         IntPoly((1, 0))
+
+
+@pytest.mark.parametrize("text", [
+    f"t^2+{OVER_LONG}t+1", f"t^{OVER_LONG}+1", f"-{OVER_LONG}", f"t^2 - {OVER_LONG}"])
+def test_parse_rejects_over_long_integers(text):
+    with pytest.raises(SpectraError) as info:
+        IntPoly.parse(text)
+    assert str(info.value) == "integer literal too long in polynomial"
 
 
 def test_poly_eval_and_format():

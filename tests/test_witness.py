@@ -20,7 +20,7 @@ from growthlab.engines import (
 )
 from growthlab._exact import eliminate
 from growthlab.subgroups import is_cyclic_pair
-from growthlab import witness, wordops
+from growthlab import spectra, witness, wordops
 from growthlab.witness import (
     INCONCLUSIVE,
     KERNEL_CHAIN_ESCAPE,
@@ -411,6 +411,52 @@ def test_find_relation_search():
     assert witness._find_relation(eng, (1, 0), (-1, 0)) == (1, 1)
     assert witness._find_relation(eng, (2, 0), (-1, 0)) == (1, 2)
     assert witness._find_relation(eng, (1, 0), (0, 1)) is None
+
+
+def test_chain_escape_beyond_the_cap_is_diagnosed():
+    # row 0 of the escape golden escapes at depth 2, past the window of
+    # d = 1, so it only diagnoses; row 1 then answers
+    eng = flip_unipotent_engine()
+    gens = ["y t t1", "t"]
+    elems = [eng.evaluate_word(Word.parse(g)) for g in gens]
+    cand = next(witness._commutators(eng, elems))
+    assert witness._case(eng, elems, 3.0, 1, 0, cand) == (None, (
+        "(i=0, [a0,a1]): chain escapes only at depth 2, beyond the certified "
+        "window for d=1"))
+    assert analyze(eng, gens, 3.0, 1).variant == PERIODIC_CONJUGACY
+
+
+def test_abelian_chain_without_relation_is_diagnosed():
+    # G = B x Z over B = Z^2 x|_A Z with A = [[2,1],[1,1]]: a0 = t t1 acts
+    # on Z^2 by A, so the chain of x0 = [a0, a1] = (1, 1) runs through
+    # A^s (1, 1), which commute, and x0, x1 = (3, 2) are independent
+    fib = fib_engine()
+    ident = {g: g for g in fib.gen_names}
+    eng = SemidirectEngine(fib, ident, dict(ident))
+    for d in (1, 2):
+        cert = analyze(eng, ["t t1", "e1"], 3.0, d)
+        assert cert.variant == INCONCLUSIVE
+        assert cert.diagnostics.split("; ") == [
+            f"(i=0, [{pair}]): chain stays abelian through depth {d + 1} and no "
+            "relation was found with exponents up to 8"
+            for pair in ("a0,a1", "a0,a1^-1", "a0^-1,a1", "a0^-1,a1^-1")]
+
+
+def test_unconverged_root_iteration_is_diagnosed(monkeypatch):
+    # R is unimodular with degree >= 1, so only the float root iteration
+    # can fail in the abelian case; with no sweeps allowed it always does
+    monkeypatch.setattr(spectra, "_ABERTH_MAX_SWEEPS", 0)
+    spectra.classify_char_poly.cache_clear()
+    try:
+        cert = analyze(fib_engine(), ["t", "e1"], 3.0, 2)
+    finally:
+        monkeypatch.undo()
+        spectra.classify_char_poly.cache_clear()
+    assert cert.variant == INCONCLUSIVE
+    assert cert.diagnostics.startswith(
+        "(i=0, [a0,a1]): root iteration did not converge; "
+        "(i=0, [a0,a1^-1]): root iteration did not converge; ")
+    assert analyze(fib_engine(), ["t", "e1"], 3.0, 2).variant == SPECTRAL_EXPONENTIAL
 
 
 # ---------------------------------------------------------------------------

@@ -6,16 +6,22 @@ them with a stack.
 """
 
 import random
+from itertools import chain
 
 from growthlab import _purewords as pure
+from growthlab.words import Word
 
 from util import word_length
 
 
+def flat_word(pairs):
+    """The reduced flat word of (gen, exp) runs, merged by ``Word.of``."""
+    return tuple(chain.from_iterable(Word.of(pairs).letters))
+
+
 def random_word(rng, rank=3, max_runs=6):
-    pairs = [(rng.randrange(rank), rng.choice([-3, -2, -1, 1, 2, 3]))
-             for _ in range(rng.randrange(max_runs + 1))]
-    return pure.normalize_pairs(pairs)
+    return flat_word((rng.randrange(rank), rng.choice([-3, -2, -1, 1, 2, 3]))
+                     for _ in range(rng.randrange(max_runs + 1)))
 
 
 def assert_reduced(w):
@@ -135,7 +141,7 @@ def test_substitute_matches_reference_on_cascades():
     for _ in range(300):
         for a, b, _ab in cascade_cases(rng):
             images = [a, b, random_word(rng)]
-            word = pure.normalize_pairs(
+            word = flat_word(
                 (rng.randrange(2), rng.choice([-2, -1, 1, 2]))
                 for _ in range(rng.randrange(1, 6)))
             seq = []

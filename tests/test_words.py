@@ -5,7 +5,7 @@ import pytest
 
 from growthlab.words import Word, WordSyntaxError
 
-from util import reference_parse, word_inverse, word_names, word_rename
+from util import OVER_LONG, reference_parse, word_inverse, word_names, word_rename
 
 
 def test_parse_and_str_round_trip():
@@ -37,6 +37,22 @@ def test_parse_rejects_bad_letters():
         Word.parse("2x")
     with pytest.raises(WordSyntaxError):
         Word.parse("x^")
+
+
+@pytest.mark.parametrize("text, message", [
+    (f"x^{OVER_LONG}", "exponent of 'x' is too long"),
+    (f"y x^-{OVER_LONG}", "exponent of 'x' is too long"),
+    # the first bad token still wins, on either side
+    (f"x^{OVER_LONG} y^0", "exponent of 'x' is too long"),
+    (f"y^0 x^{OVER_LONG}", "zero exponent in 'y^0'"),
+])
+def test_over_long_exponent_is_a_syntax_error(text, message):
+    # int() refuses the digits with a plain ValueError; the parser names
+    # the letter and does not echo the digits
+    for _ in range(2):
+        with pytest.raises(WordSyntaxError) as info:
+            Word.parse(text)
+        assert str(info.value) == message
 
 
 def _outcome(parse, text):

@@ -42,6 +42,9 @@ from growthlab.witness import (
 )
 from growthlab.words import Word, WordSyntaxError
 
+# an integer literal past Python's default int-string limit of 4,300 digits
+OVER_LONG = "1" * 5000
+
 TORUS_AUTO = ({"x": "y", "y": "x y"}, {"x": "y x^-1", "y": "x"})
 ROT4_AUTO = ({"e1": "e2", "e2": "e1^-1"}, {"e1": "e2^-1", "e2": "e1"})
 FIB_AUTO = ({"e1": "e1^2 e2", "e2": "e1 e2"},
