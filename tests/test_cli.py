@@ -474,12 +474,12 @@ def test_growth_and_witness_take_deep_shifts(tmp_path, capsys):
     (["witness", "--gens", ",", "--u", "3", "--d", "2"], "no words given"),
     (["spectra", "--matrix", "[[1,"],
      "bad matrix literal: Expecting value: line 1 column 5 (char 4)"),
-    (["spectra", "--matrix", f"[[{OVER_LONG},1],[1,1]]"],
-     "bad matrix literal: integer literal too long"),
     (["spectra", "--matrix", "[[1.5]]"], "matrix entries must be integers"),
     (["spectra", "--matrix", "[[true]]"], "matrix entries must be integers"),
     (["witness", "--gens", "t,q", "--u", "3", "--d", "2"],
      "unknown generator 'q'"),
+    (["spectra", "--matrix", f"[[{OVER_LONG},1],[1,1]]"],
+     "bad matrix literal: integer literal too long"),
 ])
 def test_cli_input_errors(tmp_path, capsys, argv, message):
     if "--gens" in argv:
