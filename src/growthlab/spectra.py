@@ -22,6 +22,7 @@ import math
 import re
 from collections import namedtuple
 from fractions import Fraction
+from operator import mul
 
 from growthlab import GrowthlabError
 from growthlab._exact import (  # cyclotomic, euler_phi: public here too
@@ -137,11 +138,7 @@ def mat_mul(a, b):
 
 
 def mat_vec(m, v):
-    return tuple(sum(c * x for c, x in zip(row, v)) for row in m)
-
-
-def mat_trace(m):
-    return sum(m[i][i] for i in range(len(m)))
+    return tuple(sum(map(mul, row, v)) for row in m)
 
 
 def mat_pow(m, k: int):
@@ -215,23 +212,26 @@ def char_poly(m) -> IntPoly:
 
     Uses the trace-of-powers recurrence whose divisions are exact:
     N_0 = I, and N_k = M N_(k-1) + c_k I, c_k = -tr(M N_(k-1)) / k, with
-    c_k added to the diagonal of the fresh product in place."""
+    c_k added to the diagonal of the fresh product in place.  M N_0 is M,
+    and N_n (zero, by Cayley-Hamilton) is not formed."""
     n = len(m)
     if any(len(row) != n for row in m):
         raise SpectraError("matrix must be square")
     coeffs = [0] * (n + 1)
     coeffs[n] = 1
-    nmat = mat_identity(n)
+    mk = [list(row) for row in m]  # M N_(k-1)
     for k in range(1, n + 1):
-        mk = mat_mul(m, nmat)
-        t = mat_trace(mk)
+        t = sum(mk[i][i] for i in range(n))
         # the division is exact at every step
         assert t % k == 0
         c = -t // k
         coeffs[n - k] = c
+        if k == n:
+            break
         for i in range(n):
             mk[i][i] += c
-        nmat = mk
+        cols = list(zip(*mk))
+        mk = [[sum(map(mul, row, col)) for col in cols] for row in m]
     return IntPoly(tuple(coeffs))
 
 
@@ -341,7 +341,11 @@ def max_root_modulus(coeffs) -> float:
         xs.pop()
     if len(xs) <= 1:
         return 0.0
-    cauchy = 1.0 + max(abs(c) for c in xs) / abs(xs[-1])
+    try:
+        cauchy = 1.0 + max(abs(c) for c in xs) / abs(xs[-1])
+    except OverflowError:  # the ratio is past the float range
+        raise SpectraError("coefficients too large for the float root "
+                           "iteration") from None
     xs = xs[next(i for i, c in enumerate(xs) if c):]  # zero roots
     if len(xs) == 1:
         return 0.0
@@ -391,6 +395,10 @@ class SpectralClassification(namedtuple(
     __slots__ = ()
 
 
+# a determinant below this is printed in its error message
+_ECHO_LIMIT = 10 ** 30
+
+
 @functools.lru_cache(maxsize=512)
 def classify_char_poly(p: IntPoly) -> SpectralClassification:
     """Classify the automorphism of Z^n with characteristic polynomial p.
@@ -411,7 +419,11 @@ def classify_char_poly(p: IntPoly) -> SpectralClassification:
         raise SpectraError("polynomial must be monic")
     det = (-1) ** n * p.coeffs[0]
     if abs(det) != 1:
-        raise SpectraError(f"determinant {det} is not a unit")
+        # a determinant of many digits is not echoed (nor can Python
+        # print one past its int-string limit)
+        if abs(det) < _ECHO_LIMIT:
+            raise SpectraError(f"determinant {det} is not a unit")
+        raise SpectraError("determinant is not a unit")
     thr = mahler_gap_threshold(n)
     rest, _ = strip_cyclotomic(p.coeffs)
     if rest == [1]:

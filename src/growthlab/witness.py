@@ -11,6 +11,15 @@ reported as inconclusive with diagnostics, never guessed.
 In the torsion-free kernel K a commuting pair spans a free abelian group,
 which never witnesses growth, so a kernel pair is certified only when it
 does not commute; the hypothesis u bounds every non-abelian subgroup of K.
+On a free base that bound is a theorem only up to 3, so there the
+hypothesis is min(u, 3): two non-commuting elements x, y of a free group
+generate a free group (Nielsen-Schreier) that is not abelian and needs
+two generators, so it is F_2, and {x, y} is a basis of it, since F_2 is
+Hopfian.  In the {x, y} metric its balls have 2 * 3^n - 1 elements, a
+growth rate of exactly 3.  A chain escape, the other use of u, cannot
+occur there: commuting is transitive on the nontrivial elements of a
+free group, so a chain whose one-step pairs commute commutes
+throughout.  On a semidirect base u is still taken on trust.
 
 Every certificate's bound is hypothesis^(1/length): the growth
 hypothesis of its branch (u for a pair or an escaping chain, 2^(1/4) for
@@ -28,13 +37,19 @@ products the search itself made.  Their certificates still carry
 ``reverified: true``, which keeps every output byte-identical, so there
 the flag claims more than runs.
 
-The exact abelian-base data (the classification of a characteristic
-polynomial, the expansion power it gives, the periodic class of an
-action matrix) is memoized in bounded caches keyed by integer tuples;
-a periodic-class certificate is still re-checked on every call.  The
-restricted matrix of an expanding-action test reads its integer
-coordinates off the Hermite basis of the orbit lattice by substitution
-down the pivots, with no rational solve.
+On an abelian base Z^n the action N = alpha^p of a row is decided from
+char(N) first: when every eigenvalue is a root of unity (char(N)
+strips to 1), the row gets its periodic class with no orbit lattice,
+since the action on any invariant lattice is then quasi-unipotent too.
+Only the other actions build the orbit lattice L of the candidate and
+classify the restricted matrix R of N on L.  The exact abelian-base
+data (the classification of a characteristic polynomial, the expansion
+power it gives, the periodic class of an action matrix and whether its
+characteristic polynomial strips to 1) is memoized in bounded caches
+keyed by integer tuples; a periodic-class certificate is still
+re-checked on every call.  R reads its integer coordinates off the
+Hermite basis of L by substitution down the pivots, with no rational
+solve.
 
 The periodic-class scan over a free base reads its words straight off
 their Lyndon keys, and tests a word k only at the n where the exponent
@@ -57,7 +72,7 @@ from itertools import groupby
 from operator import mul
 
 from growthlab import GrowthlabError
-from growthlab._exact import eliminate
+from growthlab._exact import eliminate, strip_cyclotomic
 from growthlab.engines import UnsupportedFamilyError
 from growthlab.growth import rescale_lower_bound
 from growthlab.words import Word
@@ -71,6 +86,9 @@ INCONCLUSIVE = "Inconclusive"
 
 # chain relations are searched within this exponent window
 RELATION_SEARCH_BOUND = 8
+# growth rate of a rank-2 free group on a basis: a non-commuting pair in
+# a free kernel grows at exactly this rate
+FREE_PAIR_RATE = 3.0
 # required margin over 2 for the expanding-action word argument
 EXPANSION_MARGIN = Fraction(41, 20)
 _EXPANSION_POWER_CAP = 128
@@ -206,9 +224,11 @@ def _find_relation(engine, x0, x1):
 # the abelian-kernel track
 
 
-def _lattice_coords(basis_rows, target):
-    """Integer coordinates of target in a Hermite basis (``hermite_rows``:
-    echelon rows, positive pivots), by substitution down the pivots.
+def _lattice_coords(basis_rows, targets):
+    """Integer coordinates of each target in a Hermite basis
+    (``hermite_rows``: echelon rows, positive pivots), by substitution
+    down the pivots; the pivots and their product are found once for
+    all targets.
 
     Each row's pivot column is zero in the rows below it, so the
     coordinate of row i is the remaining target at pivot i over that
@@ -222,20 +242,23 @@ def _lattice_coords(basis_rows, target):
     pivots = []
     for row in basis_rows:
         col = next(j for j, x in enumerate(row) if x)
-        pivots.append(col)
+        pivots.append((row, col, row[col]))
         scale *= row[col]
-    rest = [scale * x for x in target]
-    coords = []
-    for row, col in zip(basis_rows, pivots):
-        c = rest[col] // row[col]
-        if c:
-            rest = [x - c * y for x, y in zip(rest, row)]
-        coords.append(c)
-    if any(rest):
-        raise AssertionError("target vector lies outside the lattice")
-    if any(c % scale for c in coords):
-        raise AssertionError("lattice coordinates are not integral")
-    return [c // scale for c in coords]
+    out = []
+    for target in targets:
+        rest = [scale * x for x in target]
+        coords = []
+        for row, col, piv in pivots:
+            c = rest[col] // piv
+            if c:
+                rest = [x - c * y for x, y in zip(rest, row)]
+            coords.append(c)
+        if any(rest):
+            raise AssertionError("target vector lies outside the lattice")
+        if any(c % scale for c in coords):
+            raise AssertionError("lattice coordinates are not integral")
+        out.append([c // scale for c in coords])
+    return out
 
 
 def _invariant_lattice(n_mat, v):
@@ -254,7 +277,7 @@ def _invariant_lattice(n_mat, v):
 
 def _restricted_matrix(n_mat, basis_rows):
     from growthlab.spectra import mat_vec
-    cols = [_lattice_coords(basis_rows, mat_vec(n_mat, b)) for b in basis_rows]
+    cols = _lattice_coords(basis_rows, [mat_vec(n_mat, b) for b in basis_rows])
     return [list(row) for row in zip(*cols)]
 
 
@@ -295,19 +318,22 @@ def _expansion_power(char_coeffs) -> int:
 
 @functools.lru_cache(maxsize=_MEMO_SIZE)
 def _periodic_class(rows):
-    """(d, k) for the integer matrix with these rows (a tuple of
+    """(d, k, finite) for the integer matrix with these rows (a tuple of
     tuples): the least d whose d-th cyclotomic polynomial divides its
-    characteristic polynomial, and a primitive vector k that its d-th
-    power fixes; (None, None) when there is no such d."""
+    characteristic polynomial, a primitive vector k that its d-th power
+    fixes, and whether the characteristic polynomial strips to 1, that
+    is, whether every eigenvalue is a root of unity; (None, None, False)
+    when there is no such d."""
     from growthlab.spectra import (
         char_poly,
         fixed_vector_of_power,
         smallest_cyclotomic_order,
     )
-    d = smallest_cyclotomic_order(char_poly(rows))
+    char = char_poly(rows)
+    d = smallest_cyclotomic_order(char)
     if d is None:
-        return None, None
-    return d, fixed_vector_of_power(rows, d)
+        return None, None, False
+    return d, fixed_vector_of_power(rows, d), strip_cyclotomic(char.coeffs)[0] == [1]
 
 
 def _abelian_case(engine, a_el, x0, tag):
@@ -320,32 +346,40 @@ def _abelian_case(engine, a_el, x0, tag):
     # the engine checked backward . forward = id on every generator, so
     # B M = I over Z and det M = +-1: no determinant check is needed
     n_mat = engine.auto_matrix(p)
-    basis = _invariant_lattice(n_mat, engine.kernel_part(x0))
-    r_mat = _restricted_matrix(n_mat, basis)
-    # x0 != e has shift 0, so L != 0, and R is N on L, which N and N^-1
-    # map into L: R is square and unimodular, char(R) monic of degree >= 1
-    # with a unit constant term, and a non-cyclotomic part lies beyond the
-    # degree gap.  No structural check can fail; only the float root
-    # iteration can, and that ends this case in a diagnostic
-    try:
-        cls = classify_abelian_by_cyclic(r_mat)
-    except SpectraError as exc:
-        return None, f"{tag}: {exc}"
-    if cls.kind == EXPONENTIAL:
-        k_pow = _expansion_power(cls.char.coeffs)
-        cert = _growth_certificate(
-            SPECTRAL_EXPONENTIAL, 2.0, 4 + k_pow,
-            matrix=tuple(tuple(row) for row in r_mat),
-            m=cls.m,
-            diagnostics=(
-                f"orbit lattice rank {len(basis)}; expansion power {k_pow}"),
-        )
-        return cert, None
-    # quasi-unipotent action: produce the explicit periodic class.  R is
-    # N on an N- and N^-1-invariant lattice, so char(R) divides char(N)
-    # (Gauss's lemma, both monic) and the cyclotomic factors of char(R)
-    # are factors of char(N): d_full is never None here
-    d_full, k_el = _periodic_class(n_mat)
+    d_full, k_el, finite = _periodic_class(n_mat)
+    if not finite:
+        basis = _invariant_lattice(n_mat, engine.kernel_part(x0))
+        r_mat = _restricted_matrix(n_mat, basis)
+        # x0 != e has shift 0, so L != 0, and R is N on L, which N and N^-1
+        # map into L: R is square and unimodular, char(R) monic of degree
+        # >= 1 with a unit constant term, and a non-cyclotomic part lies
+        # beyond the degree gap.  No structural check can fail; only the
+        # float root iteration can, and that ends this case in a diagnostic
+        try:
+            cls = classify_abelian_by_cyclic(r_mat)
+        except SpectraError as exc:
+            return None, f"{tag}: {exc}"
+        if cls.kind == EXPONENTIAL:
+            k_pow = _expansion_power(cls.char.coeffs)
+            cert = _growth_certificate(
+                SPECTRAL_EXPONENTIAL, 2.0, 4 + k_pow,
+                matrix=tuple(tuple(row) for row in r_mat),
+                m=cls.m,
+                diagnostics=(
+                    f"orbit lattice rank {len(basis)}; expansion power {k_pow}"),
+            )
+            return cert, None
+    # quasi-unipotent action on L: produce the explicit periodic class.
+    # R is N on an N- and N^-1-invariant lattice L, so in a basis of Z^n
+    # that extends one of L over Q, N is block triangular with R as a
+    # block, and char(R) divides char(N) in Q[t]; both are monic with
+    # integer coefficients, so by Gauss's lemma it divides in Z[t].
+    # Hence when char(N) strips to 1, so does char(R): every root of
+    # char(R) is a root of unity, the classification of R could only
+    # answer VirtuallyNilpotent (its only raise, the float root
+    # iteration, runs on a non-cyclotomic part, and there is none), and
+    # the lattice is never built.  Otherwise the cyclotomic factors of
+    # char(R) are factors of char(N), so d_full is never None here
     cert = _pcc_certificate(engine, k_el, d_full * abs(p), engine.base.identity,
                             diagnostics=f"{tag}: root-of-unity action")
     return cert, None
@@ -462,13 +496,15 @@ def _commutators(engine, elems):
     [a_j, a_k] = e the other three signs are skipped, and otherwise all
     four commutators are nontrivial: a commuting pair costs one
     commutator.  Each generator is inverted once, when first needed."""
-    identity, multiply = engine.identity, engine.multiply
-    inverse = functools.cache(lambda i: engine.invert(elems[i]))
+    identity, multiply, invert = engine.identity, engine.multiply, engine.invert
+    inverses = []  # inverses[i] = a_i^-1, for the generators reached so far
     for j in range(len(elems)):
         for k in range(j + 1, len(elems)):
+            while len(inverses) <= k:
+                inverses.append(invert(elems[len(inverses)]))
             for sj, sk in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
-                aj, bj = (elems[j], inverse(j)) if sj > 0 else (inverse(j), elems[j])
-                ak, bk = (elems[k], inverse(k)) if sk > 0 else (inverse(k), elems[k])
+                aj, bj = (elems[j], inverses[j]) if sj > 0 else (inverses[j], elems[j])
+                ak, bk = (elems[k], inverses[k]) if sk > 0 else (inverses[k], elems[k])
                 c_el = multiply(multiply(aj, ak), multiply(bj, bk))
                 if c_el == identity:
                     break  # only at the first signs, by the lemma above
@@ -497,6 +533,8 @@ def analyze(engine, gens, u: float, d: int, threads: int = 1) -> Certificate:
         raise WitnessError("growth hypothesis u must be finite and exceed 1")
     if d < 1:
         raise WitnessError("abelian cap d must be at least 1")
+    if engine.base.family == "free":
+        u = min(u, FREE_PAIR_RATE)  # the theorem in the module docstring
     words = [Word.parse(w) if isinstance(w, str) else w for w in gens]
     if not words:
         raise WitnessError("generating set is empty")
@@ -713,7 +751,7 @@ def pcc_scan(engine, max_period: int, max_length: int) -> PccResult:
         raise WitnessError("scan bounds must be positive")
     base = engine.base
     if base.family == "abelian":
-        d, k_vec = _periodic_class(engine.auto_matrix(1))
+        d, k_vec, _ = _periodic_class(engine.auto_matrix(1))
         if d is None or d > max_period:
             return PccResult(
                 None, True,

@@ -548,6 +548,26 @@ def test_over_long_integer_literals_end_in_err2(tmp_path, argv, message):
     assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"ERR 2 {message}\n")
 
 
+# 3,000 nines: a legal integer literal, past the float range
+NINES = "9" * 3000
+
+
+@pytest.mark.parametrize("matrix, message", [
+    (f"[[{NINES},1],[1,0]]", "coefficients too large for the float root iteration"),
+    (f"[[{NINES},{NINES}],[1,{NINES}]]", "determinant is not a unit"),
+], ids=["root-bound", "determinant"])
+def test_huge_matrix_entries_end_in_err2(matrix, message):
+    # the first is unimodular with char t^2 - N t - 1, whose root bound
+    # overflows a float; the second has a 6,000-digit determinant, which
+    # the message does not echo
+    src = str(Path(growthlab.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-m", "growthlab.cli", "spectra", "--matrix", matrix],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
+        timeout=60, check=False)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"ERR 2 {message}\n")
+
+
 def _semidirect_spec(base, forward, backward):
     return {"family": "semidirect", "base": base,
             "automorphism": {"forward": forward, "backward": backward}}

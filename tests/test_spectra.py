@@ -215,6 +215,23 @@ def test_max_root_modulus_repeated_roots():
     assert abs(spectral_radius(fib3) - golden) < 1e-12 * golden
 
 
+def test_max_root_modulus_past_the_float_range():
+    # a coefficient past the float range is an input error, not an
+    # OverflowError, and the message does not echo it
+    big = 10 ** 400
+    with pytest.raises(SpectraError) as info:
+        max_root_modulus([-1, -big, 1])
+    assert str(info.value) == "coefficients too large for the float root iteration"
+
+
+def test_determinant_message_echoes_only_short_determinants():
+    with pytest.raises(SpectraError, match="^determinant 4 is not a unit$"):
+        classify_char_poly(IntPoly.of([4, 0, 1]))
+    huge = 10 ** 5000  # past Python's int-string limit
+    with pytest.raises(SpectraError, match="^determinant is not a unit$"):
+        classify_char_poly(IntPoly.of([huge, 0, 1]))
+
+
 def test_max_root_modulus_zero_roots():
     assert max_root_modulus([0, 0, 1]) == 0.0
     assert abs(max_root_modulus([0, 0, -2, 1]) - 2.0) < 1e-12

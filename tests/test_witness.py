@@ -18,7 +18,7 @@ from growthlab.engines import (
     UnsupportedFamilyError,
     flat_to_units,
 )
-from growthlab._exact import eliminate
+from growthlab._exact import eliminate, poly_divmod, strip_cyclotomic
 from growthlab.subgroups import is_cyclic_pair
 from growthlab import spectra, witness, wordops
 from growthlab.witness import (
@@ -35,11 +35,14 @@ from growthlab.witness import (
 )
 from growthlab.spectra import (
     EXPONENTIAL,
+    VIRTUALLY_NILPOTENT,
+    char_poly,
     classify_abelian_by_cyclic,
     classify_char_poly,
     mat_mul,
     mat_vec,
 )
+from growthlab.growth import rescale_lower_bound
 from growthlab.words import Word
 
 from util import (
@@ -193,6 +196,20 @@ def test_torus_noncyclic_pair():
     assert cert.bound == pytest.approx(3.0 ** (1.0 / 6.0), rel=0, abs=1e-12)
 
 
+def test_free_base_pair_hypothesis_is_capped_at_three():
+    # <x, y> is F2 on a basis, whose growth rate is exactly 3, so u = 100
+    # is not trusted on a free base: the bound is 3^(1/4), not 100^(1/4)
+    eng = torus_engine()
+    cert = analyze(eng, ["x", "y"], 100.0, 2)
+    assert cert.to_json() == {
+        "variant": NON_CYCLIC_PAIR, "bound": 1.3160740129524924, "u": "x",
+        "v": "x y x^-1 y^-1", "max_A_length": 4, "reverified": True}
+    assert cert.bound == rescale_lower_bound(3.0, 4)
+    # the one-step pair of a chain takes the same cap; u <= 3 is kept
+    assert analyze(eng, ["t", "x"], 100.0, 2).bound == rescale_lower_bound(3.0, 6)
+    assert analyze(eng, ["x", "y"], 2.5, 2).bound == rescale_lower_bound(2.5, 4)
+
+
 def test_torus_accepts_word_objects():
     eng = torus_engine()
     cert = analyze(eng, [Word.parse("t"), Word.parse("x")], 3.0, 2)
@@ -212,6 +229,23 @@ def test_rot4_periodic_class():
     assert eng.auto_power(k_el, cert.n) == k_el
 
 
+@pytest.mark.parametrize("build, gens", [
+    (rot4_engine, ["t", "e1"]), (shear_engine, ["t", "e2"]),
+], ids=["rot4", "shear"])
+def test_root_of_unity_action_builds_no_orbit_lattice(monkeypatch, build, gens):
+    # char(alpha^p) strips to 1, so the periodic class is returned from
+    # it alone: no Hermite basis and no classification of R
+    want = analyze(build(), gens, 3.0, 2).to_json()
+    assert want["variant"] == PERIODIC_CONJUGACY
+
+    def refuse(*args):
+        raise AssertionError("the orbit lattice path ran")
+    monkeypatch.setattr(spectra, "hermite_rows", refuse)
+    monkeypatch.setattr(spectra, "classify_abelian_by_cyclic", refuse)
+    witness._periodic_class.cache_clear()
+    assert analyze(build(), gens, 3.0, 2).to_json() == want
+
+
 def test_shear_periodic_class():
     # unipotent action fixes e1, so the class is periodic with n = 1
     cert = analyze(shear_engine(), ["t", "e2"], 3.0, 2)
@@ -228,6 +262,30 @@ def test_fib_spectral_certificate():
     assert cert.max_A_length == 5
     assert cert.matrix == ((2, 1), (1, 1))
     assert cert.reverified is True
+
+
+def fib_flip_engine():
+    # N = fib + [-1]: char(N) = (t^2 - 3t + 1)(t + 1) has a cyclotomic
+    # factor and does not strip to 1
+    return SemidirectEngine(
+        AbelianEngine(3),
+        {"e1": "e1^2 e2", "e2": "e1 e2", "e3": "e3^-1"},
+        {"e1": "e1 e2^-1", "e2": "e1^-1 e2^2", "e3": "e3^-1"})
+
+
+@pytest.mark.parametrize("gens, payload", [
+    (["t", "e1"], {
+        "variant": SPECTRAL_EXPONENTIAL, "bound": 1.148698354997035,
+        "max_A_length": 5, "matrix": [[2, 1], [1, 1]], "m": 2.618033988749895,
+        "diagnostics": "orbit lattice rank 2; expansion power 1", "reverified": True}),
+    (["t", "e3"], {
+        "variant": PERIODIC_CONJUGACY, "k": "e3", "n": 2, "c": "<identity>",
+        "diagnostics": "(i=0, [a0,a1]): root-of-unity action", "reverified": True}),
+], ids=["expanding-block", "finite-block"])
+def test_mixed_action_is_decided_on_the_orbit_lattice(gens, payload):
+    # a cyclotomic factor of char(N) alone decides nothing: the candidate
+    # in the fib block expands, the one in the -1 block has period 2
+    assert analyze(fib_flip_engine(), gens, 3.0, 2).to_json() == payload
 
 
 def test_slow_expansion_takes_a_power():
@@ -975,13 +1033,20 @@ def test_memos_are_bounded():
 SLOW_MATRICES = ([[0, 1], [1, 1]], [[0, 0, 1], [1, 0, 1], [0, 1, 0]])
 
 
+# finite-order actions: rot4 and the 3-cycle perm3
+FINITE_ORDER = ([[0, -1], [1, 0]], [[0, 0, 1], [1, 0, 0], [0, 1, 0]])
+SHEAR = [[1, 1], [0, 1]]
+
+
 def _orbit_cases(rng):
     """(N, v) pairs as ``_abelian_case`` meets them: seeded unimodular
     2x2 and 3x3 matrices M, some conjugates of SLOW_MATRICES, with
     random v; M + -M, whose eigenvalues lambda and -lambda collide under
     R^2, with v random or inside the first block; and P (A + [+-1]) P^-1
     with v in P's image of A's block, whose orbit lattice has rank 2 of
-    3."""
+    3.  Then root-of-unity actions with random v: conjugates of rot4,
+    perm3, the unipotent shear and the block sum of a finite-order block
+    and the shear."""
     def vec(n):
         return [rng.randint(-2, 2) for _ in range(n)]
 
@@ -1000,6 +1065,10 @@ def _orbit_cases(rng):
         yield (mat_mul(mat_mul(p, block_diag(a, [[rng.choice((-1, 1))]])),
                        mat_inv_unimodular(p)),
                list(mat_vec(p, vec(2) + [0])))
+    for _ in range(20):
+        for m in FINITE_ORDER + (SHEAR, block_diag(rng.choice(FINITE_ORDER), SHEAR)):
+            p = elementary_product(rng, len(m), rng.randint(1, 5))
+            yield mat_mul(mat_mul(p, m), mat_inv_unimodular(p)), vec(len(m))
 
 
 def test_expansion_power_matches_krylov_reference():
@@ -1026,11 +1095,39 @@ def test_expansion_power_matches_krylov_reference():
     assert exponential > 150 and deficient > 40 and collided > 10
 
 
+def test_root_of_unity_action_restricts_to_a_virtually_nilpotent_one():
+    # the theorem behind the shortcut in _abelian_case: R is N on an N-
+    # and N^-1-invariant lattice, so char(R) divides char(N) in Z[t]
+    # (Gauss's lemma), and when char(N) strips to 1 the lattice path can
+    # only classify R as VirtuallyNilpotent
+    rng = random.Random(25)
+    finite = deficient = 0
+    for n_mat, v in _orbit_cases(rng):
+        if not any(v):
+            continue
+        char_n = char_poly(n_mat).coeffs
+        is_finite = witness._periodic_class(tuple(map(tuple, n_mat)))[2]
+        assert is_finite == (strip_cyclotomic(char_n)[0] == [1]), n_mat
+        basis = witness._invariant_lattice(n_mat, v)
+        r_mat = witness._restricted_matrix(n_mat, basis)
+        char_r = char_poly(r_mat).coeffs
+        assert not any(poly_divmod(list(char_n), list(char_r))[1]), (n_mat, v)
+        if is_finite:
+            assert classify_abelian_by_cyclic(r_mat).kind == VIRTUALLY_NILPOTENT, (n_mat, v)
+            finite += 1
+            deficient += len(basis) < len(v)
+    assert finite > 200 and deficient > 100
+
+
 def _outcome(coords, basis, target):
     try:
         return coords(basis, target)
     except AssertionError as exc:
         return str(exc)
+
+
+def _one_target_coords(basis, target):
+    return witness._lattice_coords(basis, [target])[0]
 
 
 def test_lattice_coords_match_fraction_reference():
@@ -1049,7 +1146,7 @@ def test_lattice_coords_match_fraction_reference():
         targets += [[rng.randint(-3, 3) for _ in v] for _ in range(3)]
         for target in targets:
             want = _outcome(reference_lattice_coords, basis, target)
-            assert _outcome(witness._lattice_coords, basis, target) == want, (basis, target)
+            assert _outcome(_one_target_coords, basis, target) == want, (basis, target)
             outcomes[want if isinstance(want, str) else "coords"] += 1
     assert outcomes["lattice coordinates are not integral"] > 200
     assert outcomes["target vector lies outside the lattice"] > 300
