@@ -445,7 +445,8 @@ def fixed_vector_of_power(m, r: int):
     if r < 1:
         raise SpectraError("power must be at least 1")
     n = len(m)
-    rows, pivots, d, _ = eliminate(mat_sub(mat_pow(m, r), mat_identity(n)))
+    power = mat_pow(m, r)
+    rows, pivots, d, _ = eliminate(mat_sub(power, mat_identity(n)))
     j0 = next((c for c in range(n) if c not in pivots), None)
     if j0 is None:
         return None
@@ -459,6 +460,6 @@ def fixed_vector_of_power(m, r: int):
     if next(c for c in v if c) < 0:
         g = -g
     v = tuple(c // g for c in v)
-    if mat_vec(mat_pow(m, r), v) != v:
+    if mat_vec(power, v) != v:
         raise AssertionError("fixed-vector witness failed re-verification")
     return v

@@ -11,7 +11,10 @@ reported as inconclusive with diagnostics, never guessed.
 In the torsion-free kernel K a commuting pair spans a free abelian group,
 which never witnesses growth, so a kernel pair is certified only when it
 does not commute; the hypothesis u bounds every non-abelian subgroup of K.
-On a free base that bound is a theorem only up to 3, so there the
+``_PAIR_RATE`` holds this pair rule per base family, and one verdict,
+``_kernel_pair``, answers it for the shift-0 rows and the one-step
+chain pairs alike; a family absent from the table has no pair test.
+On a free base the bound is a theorem only up to 3, so there the
 hypothesis is min(u, 3): two non-commuting elements x, y of a free group
 generate a free group (Nielsen-Schreier) that is not abelian and needs
 two generators, so it is F_2, and {x, y} is a basis of it, since F_2 is
@@ -19,7 +22,11 @@ Hopfian.  In the {x, y} metric its balls have 2 * 3^n - 1 elements, a
 growth rate of exactly 3.  A chain escape, the other use of u, cannot
 occur there: commuting is transitive on the nontrivial elements of a
 free group, so a chain whose one-step pairs commute commutes
-throughout.  On a semidirect base u is still taken on trust.
+throughout.  On a semidirect base the table caps u at inf, so u is
+still taken on trust, and a non-commuting pair with equal squares,
+which may span a Klein-bottle group of polynomial growth, is only
+diagnosed.  A free base needs no such guard: roots in a free group are
+unique, so equal squares there mean equal, hence commuting, elements.
 
 Every certificate's bound is hypothesis^(1/length): the growth
 hypothesis of its branch (u for a pair or an escaping chain, 2^(1/4) for
@@ -86,9 +93,11 @@ INCONCLUSIVE = "Inconclusive"
 
 # chain relations are searched within this exponent window
 RELATION_SEARCH_BOUND = 8
-# growth rate of a rank-2 free group on a basis: a non-commuting pair in
-# a free kernel grows at exactly this rate
-FREE_PAIR_RATE = 3.0
+# the pair rule per base family: the cap on the hypothesis u for a
+# non-commuting kernel pair.  A rank-2 free group on a basis grows at
+# exactly 3; a semidirect base takes u on trust; the other families are
+# absent, and their shift-0 rows run no pair test
+_PAIR_RATE = {"free": 3.0, "semidirect": math.inf}
 # required margin over 2 for the expanding-action word argument
 EXPANSION_MARGIN = Fraction(41, 20)
 _EXPANSION_POWER_CAP = 128
@@ -158,6 +167,28 @@ def _noncyclic_certificate(engine, uel, vel, max_len: int, u: float):
     return _growth_certificate(NON_CYCLIC_PAIR, u, max_len,
                                u_word=_word_str(engine, uel),
                                v_word=_word_str(engine, vel))
+
+
+_KLEIN_SUSPECT = ("KleinBottleSuspect: one-step subgroup is non-abelian "
+                  "with x0^2 = x1^2")
+
+
+def _kernel_pair(engine, x, y, length: int, u: float, tag):
+    """(cert, diag) for a pair x, y of shift-0 elements of G, whose
+    witness words have A-length ``length``: a NonCyclicPair when they do
+    not commute, (None, None) when they do.  Shift-0 elements multiply
+    as their kernel parts, so the pair commutes in G iff its kernel
+    parts commute in the base, and has equal squares iff they do.  A
+    non-commuting pair with equal squares may span a Klein-bottle group,
+    which grows polynomially, so it gets a diagnostic instead; the test
+    is skipped on a free base, where roots are unique."""
+    base = engine.base
+    kx, ky = engine.kernel_part(x), engine.kernel_part(y)
+    if base.commute(kx, ky):
+        return None, None
+    if base.family != "free" and base.power(kx, 2) == base.power(ky, 2):
+        return None, f"{tag}: {_KLEIN_SUSPECT}"
+    return _noncyclic_certificate(engine, x, y, length, u), None
 
 
 def _verify_pcc(engine, k_el, n: int, c_el) -> bool:
@@ -389,28 +420,13 @@ def _abelian_case(engine, a_el, x0, tag):
 # the conjugation chain track
 
 
-_KLEIN_SUSPECT = ("KleinBottleSuspect: one-step subgroup is non-abelian "
-                  "with x0^2 = x1^2")
-
-
-def _klein_suspect(engine, x0, x1) -> bool:
-    return (not engine.commute(x0, x1)
-            and engine.power(x0, 2) == engine.power(x1, 2))
-
-
 def _chain_case(engine, a_el, x0, u, d, tag):
     x1 = _conj(engine, a_el, x0)
     xm1 = _conj(engine, engine.invert(a_el), x0)
-    # shift-0 elements multiply as their kernel parts, so the pairs
-    # commute in G iff their kernel parts commute in the base
-    k0 = engine.kernel_part(x0)
     for other in (x1, xm1):
-        if not engine.base.commute(k0, engine.kernel_part(other)):
-            # a Klein-bottle shaped pair grows polynomially, so it
-            # must not be certified as a growth witness
-            if _klein_suspect(engine, x0, other):
-                return None, f"{tag}: {_KLEIN_SUSPECT}"
-            return _noncyclic_certificate(engine, x0, other, 6, u), None
+        cert, diag = _kernel_pair(engine, x0, other, 6, u, tag)
+        if cert or diag:
+            return cert, diag
     if x1 == x0:
         return _pcc_from_stable(engine, a_el, x0, 1, f"{tag}: conjugation fixes x0"), None
     if x1 == engine.invert(x0):
@@ -465,19 +481,15 @@ def _case(engine, elems, u, d, i, cand):
     sgn = lambda s: "" if s > 0 else "^-1"
     tag = f"(i={i}, [a{j}{sgn(sj)},a{k}{sgn(sk)}])"
     a_el = elems[i]
-    p = engine.shift(a_el)
     base_fam = engine.base.family
-    if p == 0:
-        if base_fam in ("free", "semidirect"):
-            # the pair commutes iff its kernel parts do (see _chain_case)
-            if engine.base.commute(engine.kernel_part(a_el), engine.kernel_part(c_el)):
-                return None, None
-            return _noncyclic_certificate(engine, a_el, c_el, 4, u), None
+    if engine.shift(a_el) == 0:
+        if base_fam in _PAIR_RATE:
+            return _kernel_pair(engine, a_el, c_el, 4, u, tag)
         return None, (f"{tag}: kernel pair skipped for {base_fam} base "
                       "(kernel may have polynomial growth)")
     if base_fam == "abelian":
         return _abelian_case(engine, a_el, c_el, tag)
-    if base_fam in ("free", "semidirect"):
+    if base_fam in _PAIR_RATE:
         return _chain_case(engine, a_el, c_el, u, d, tag)
     # klein or bs1 base.  No Klein-bottle suspect x0 = c, a x0 a^-1 can
     # arise.  Klein: the t-exponent f has f o alpha = +-f, so f mod 2 is a
@@ -519,10 +531,11 @@ def analyze(engine, gens, u: float, d: int, threads: int = 1) -> Certificate:
     Row i pairs a_i with every candidate commutator in turn.  A
     commutator is built only when a row first reads it, and kept for
     the rows after it, so a search that certifies early builds few.
-    On a klein, bs1 or abelian base a row whose a_i has shift 0 never
-    certifies: ``_case`` runs no test there, since a pair of kernel
-    elements in a base of polynomial growth (abelian, klein) spans no
-    free subgroup, and bs1 has no pair test.  Its one diagnostic per
+    The klein, bs1 and abelian families are absent from ``_PAIR_RATE``,
+    so on such a base a row whose a_i has shift 0 is skipped: it never
+    certifies, since ``_case`` runs no pair test there (a pair of kernel
+    elements in a base of polynomial growth, abelian or klein, spans no
+    free subgroup, and bs1 has no pair test).  Its one diagnostic per
     candidate names only the candidate's tag.  So such a row only marks
     its place, and is spelled out, in the same order, when the search
     ends Inconclusive."""
@@ -533,8 +546,7 @@ def analyze(engine, gens, u: float, d: int, threads: int = 1) -> Certificate:
         raise WitnessError("growth hypothesis u must be finite and exceed 1")
     if d < 1:
         raise WitnessError("abelian cap d must be at least 1")
-    if engine.base.family == "free":
-        u = min(u, FREE_PAIR_RATE)  # the theorem in the module docstring
+    u = min(u, _PAIR_RATE.get(engine.base.family, u))  # see the module docstring
     words = [Word.parse(w) if isinstance(w, str) else w for w in gens]
     if not words:
         raise WitnessError("generating set is empty")
@@ -554,7 +566,7 @@ def analyze(engine, gens, u: float, d: int, threads: int = 1) -> Certificate:
             built.append(cand)
             yield cand
 
-    skip_rows = engine.base.family not in ("free", "semidirect")
+    skip_rows = engine.base.family not in _PAIR_RATE
     diags = []
     for i, a_el in enumerate(elems):
         if skip_rows and engine.shift(a_el) == 0:

@@ -422,19 +422,27 @@ def test_klein_base_inconclusive():
 
 
 def test_klein_bottle_pair_is_not_certified():
-    # inside K = Z^2 x|_{-I} Z the elements t1 and its e1-conjugate have
-    # equal squares without commuting; that subgroup grows polynomially
+    # inside K = Z^2 x|_{-I} Z the elements t1 and e1 t1 have equal
+    # squares without commuting; that subgroup grows polynomially, so
+    # the one pair verdict withholds it on both paths that reach it: a
+    # shift-0 row (length 4) and a one-step chain pair (length 6)
     eng = suspect_host_engine()
-    x0 = eng.evaluate_word(Word.parse("t1"))
+    x, y = (eng.evaluate_word(Word.parse(w)) for w in ("t1", "e1 t1"))
+    assert not eng.commute(x, y)
+    assert eng.power(x, 2) == eng.power(y, 2)
+    assert not is_cyclic_pair(eng, x, y)
+    suspect = ("(tag): KleinBottleSuspect: one-step subgroup is non-abelian "
+               "with x0^2 = x1^2")
+    for length in (4, 6):
+        assert witness._kernel_pair(eng, x, y, length, 3.0, "(tag)") == (None, suspect)
+    # _case reaches the verdict on both paths: row t1 against y, and row
+    # a = e1 t, which conjugates x to e1^2 t1, another Klein-bottle pair
+    assert witness._case(eng, [x], 3.0, 2, 0, (0, 0, 1, 1, y)) == (
+        None, suspect.replace("(tag)", "(i=0, [a0,a0])"))
     a_el = eng.evaluate_word(Word.parse("e1 t"))
-    x1 = eng.multiply(eng.multiply(a_el, x0), eng.invert(a_el))
-    assert not eng.commute(x0, x1)
-    assert eng.power(x0, 2) == eng.power(x1, 2)
-    assert not is_cyclic_pair(eng, x0, x1)
-    assert witness._klein_suspect(eng, x0, x1)
-    cert, diag = witness._case(eng, [a_el], 3.0, 2, 0, (0, 0, 1, 1, x0))
-    assert cert is None
-    assert "KleinBottleSuspect" in diag
+    assert witness._conj(eng, a_el, x) == eng.evaluate_word(Word.parse("e1^2 t1"))
+    assert witness._case(eng, [a_el], 3.0, 2, 0, (0, 0, 1, 1, x)) == (
+        None, suspect.replace("(tag)", "(i=0, [a0,a0])"))
 
 
 def test_suspect_host_commuting_kernel_pair_is_not_certified():
@@ -450,18 +458,34 @@ def test_suspect_host_commuting_kernel_pair_is_not_certified():
 
 
 def test_klein_suspect_cannot_arise_over_klein_or_bs1_bases():
-    # the proof at the klein/bs1 branch of witness._case, sampled: x0 a
-    # commutator of G and x1 = a x0 a^-1 never form a Klein-bottle pair
+    # the proof at the klein/bs1 branch of witness._case, and the unique
+    # roots that let witness._kernel_pair skip its guard on a free base,
+    # sampled on the kernel parts of x0, a commutator of G, and x1 = a x0
+    # a^-1.  Over a klein base both lie in the abelian <a, t^2>, so they
+    # commute.  Over a bs1 or free base roots are unique, so a
+    # non-commuting pair of the base, these two or two random elements,
+    # has unequal squares; some sampled pairs do not commute
     rng = random.Random(23)
     flip = {"a": "a^-1", "t": "t"}
     engines = [SemidirectEngine(KleinEngine(), *auto) for auto in klein_automorphisms()]
     engines += [SemidirectEngine(BS1Engine(m), flip, flip) for m in (2, 3, -2)]
+    engines += [torus_engine(), unipotent_free_engine()]
     for eng in engines:
+        base = eng.base
+        pairs = []
         for _ in range(20):
             g, h, a_el = (random_element(rng, eng, 3) for _ in range(3))
             x0 = eng.multiply(eng.multiply(g, h),
                               eng.multiply(eng.invert(g), eng.invert(h)))
-            assert not witness._klein_suspect(eng, x0, witness._conj(eng, a_el, x0))
+            x1 = witness._conj(eng, a_el, x0)
+            assert eng.shift(x0) == eng.shift(x1) == 0
+            pairs.append((eng.kernel_part(x0), eng.kernel_part(x1)))
+            if base.family != "klein":
+                pairs.append((random_element(rng, base, 3), random_element(rng, base, 3)))
+        noncommuting = [(x, y) for x, y in pairs if not base.commute(x, y)]
+        assert bool(noncommuting) == (base.family != "klein"), spec_id(eng)
+        for x, y in noncommuting:
+            assert base.power(x, 2) != base.power(y, 2), spec_id(eng)
 
 
 def test_find_relation_search():
