@@ -1,10 +1,12 @@
 """The exact integer algebra under `spectra`, `laurent` and `witness`.
 
-Three decisions live here and nowhere else:
+Four decisions live here and nowhere else:
 
 * `eliminate`: fraction-free Gauss-Jordan elimination over Z (Bareiss,
-  Math. Comp. 22, 1968), from which rank, determinant, inverse and null
-  vectors are read off.
+  Math. Comp. 22, 1968), from which rank, determinant, inverse, null
+  vectors and the integer coordinates of a vector in a lattice basis
+  are read off.
+* `mat_mul` and `mat_vec`: the one integer matrix product.
 * `poly_divmod`: division of integer polynomials; the Z[t] gcd, the
   Laurent divisibility test and the cyclotomic polynomials use it.
 * `strip_cyclotomic`: one ascending pass over the orders k that divides
@@ -18,6 +20,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
+from operator import mul
 
 
 # ---------------------------------------------------------------------------
@@ -64,6 +67,16 @@ def eliminate(rows, ncols=None):
         pivots.append(col)
         prev = piv
     return a, pivots, prev, sign
+
+
+def mat_mul(a, b):
+    """The product of integer matrices, r x n times n x m."""
+    cols = list(zip(*b))
+    return [[sum(map(mul, row, col)) for col in cols] for row in a]
+
+
+def mat_vec(m, v):
+    return tuple(sum(map(mul, row, v)) for row in m)
 
 
 # ---------------------------------------------------------------------------

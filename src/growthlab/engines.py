@@ -40,6 +40,9 @@ TAG_ABELIAN = b"\x02"
 TAG_KLEIN = b"\x03"
 TAG_BS1 = b"\x04"
 TAG_SEMIDIRECT = b"\x05"
+# the highest rank a group file may give a free or abelian group: the
+# engines build tables with one entry per generator
+MAX_RANK = 10_000
 
 
 class GroupSpecError(GrowthlabError, ValueError):
@@ -620,6 +623,8 @@ def parse_group_spec(source):
         rank = obj.get("rank")
         if not isinstance(rank, int) or isinstance(rank, bool) or rank < 1:
             raise GroupSpecError("rank must be a positive integer")
+        if rank > MAX_RANK:
+            raise GroupSpecError(f"rank is above the ceiling {MAX_RANK}")
     if family == "bs1":
         m = obj.get("m")
         if not isinstance(m, int) or isinstance(m, bool) or abs(m) < 2:

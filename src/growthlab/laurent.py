@@ -27,6 +27,8 @@ from growthlab.words import Word
 
 NOT_FG = "NotFG"
 POSSIBLY_FG = "PossiblyFG"
+# the most letters RewrittenRelator.format spells out
+MAX_PRINTED_LETTERS = 10 ** 6
 
 
 class LaurentError(GrowthlabError):
@@ -150,6 +152,9 @@ class RewrittenRelator(namedtuple("RewrittenRelator", "terms")):
         """The runs spelled out letter by letter."""
         if not self.terms:
             return "<empty>"
+        if sum(abs(e) for _, e in self.terms) > MAX_PRINTED_LETTERS:
+            raise RewriteError("rewritten relator has more letters than the "
+                               f"print ceiling {MAX_PRINTED_LETTERS}")
         out = []
         for i, e in self.terms:
             out.extend([f"x_{i}" if e > 0 else f"x_{i}^-1"] * abs(e))

@@ -10,8 +10,10 @@ reported radius `m` is a float, from an Aberth iteration on the
 square-free part.
 
 Fixed vectors are read off the one fraction-free elimination
-`_exact.eliminate`; `hermite_rows` is a lattice normal form over Z and
-keeps its own reduction.
+`_exact.eliminate`, and matrix powers use its one product `mat_mul`;
+`hermite_rows` is a lattice normal form over Z and keeps its own
+reduction, whose unimodular gcd steps fix the printed basis.  The least
+cyclotomic order of a polynomial is `strip_cyclotomic(coeffs)[1]`.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ import math
 import re
 from collections import namedtuple
 from fractions import Fraction
-from operator import mul
 
 from growthlab import GrowthlabError
 from growthlab._exact import (  # cyclotomic, euler_phi: public here too
@@ -30,12 +31,17 @@ from growthlab._exact import (  # cyclotomic, euler_phi: public here too
     eliminate,
     euler_phi,
     format_terms,
+    mat_mul,
+    mat_vec,
     poly_divmod,
     strip_cyclotomic,
     zx_gcd,
 )
 
 LOG_BASE = "e"  # base of the logarithm in the gap threshold
+# the highest degree a parsed polynomial may have: the cyclotomic pass
+# and the root iteration take time growing faster than d^2
+MAX_DEGREE = 128
 
 VIRTUALLY_NILPOTENT = "VirtuallyNilpotent"
 EXPONENTIAL = "Exponential"
@@ -95,6 +101,8 @@ class IntPoly:
                 raise SpectraError("integer literal too long in polynomial") from None
             coeffs[e] = coeffs.get(e, 0) + sign * c
         deg = max((e for e, c in coeffs.items() if c), default=0)
+        if deg > MAX_DEGREE:
+            raise SpectraError(f"polynomial degree is above the ceiling {MAX_DEGREE}")
         return cls.of([coeffs.get(e, 0) for e in range(deg + 1)])
 
     @property
@@ -120,25 +128,6 @@ def mat_identity(n):
 
 def mat_sub(a, b):
     return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_mul(a, b):
-    n, k, m = len(a), len(b), len(b[0])
-    out = [[0] * m for _ in range(n)]
-    for i in range(n):
-        ai = a[i]
-        oi = out[i]
-        for p in range(k):
-            c = ai[p]
-            if c:
-                bp = b[p]
-                for j in range(m):
-                    oi[j] += c * bp[j]
-    return out
-
-
-def mat_vec(m, v):
-    return tuple(sum(map(mul, row, v)) for row in m)
 
 
 def mat_pow(m, k: int):
@@ -205,7 +194,7 @@ def hermite_rows(rows):
 
 
 # ---------------------------------------------------------------------------
-# characteristic polynomial and cyclotomic factors
+# characteristic polynomial
 
 def char_poly(m) -> IntPoly:
     """Monic characteristic polynomial det(t*I - M), exact integers.
@@ -230,17 +219,8 @@ def char_poly(m) -> IntPoly:
             break
         for i in range(n):
             mk[i][i] += c
-        cols = list(zip(*mk))
-        mk = [[sum(map(mul, row, col)) for col in cols] for row in m]
+        mk = mat_mul(m, mk)
     return IntPoly(tuple(coeffs))
-
-
-def smallest_cyclotomic_order(p: IntPoly) -> int:
-    """Least k whose k-th cyclotomic polynomial divides p, or None.
-
-    A hit at k means p has a primitive k-th root of unity among its
-    roots, so the matrix it came from has a fixed vector at power k."""
-    return strip_cyclotomic(p.coeffs)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -322,11 +302,24 @@ def _aberth_roots(xs):
         if not still:
             return zs
         live = still
-    raise SpectraError("root iteration did not converge")
+    # a root whose corrections never fall below the step tolerance is
+    # kept if Horner's rule cannot tell its value from 0: |p(z)| within
+    # the rounding bound u * sum (4i+1) |a_i| |z|^i (Bini, Numer.
+    # Algorithms 13, 1996), as in a cluster of close real roots
+    for k in live:
+        z, pv, bound = zs[k], 0j, 0.0
+        for i, c in enumerate(cs):
+            pv = pv * z + c
+            bound = bound * abs(z) + (4 * (n - i) + 1) * abs(c)
+        if abs(pv) > 2.0 ** -53 * bound:
+            raise SpectraError("root iteration did not converge")
+    return zs
 
 
-# absolute slack of the radius estimate over the Cauchy bound
+# absolute slack of the radius estimate over the Cauchy bound, and the
+# relative slack under the lower bounds, as a logarithm
 _CAUCHY_SLACK = 1e-9
+_LOWER_LOG_SLACK = math.log1p(-1e-9)
 
 
 def max_root_modulus(coeffs) -> float:
@@ -335,7 +328,13 @@ def max_root_modulus(coeffs) -> float:
 
     The iteration runs on the square-free part p / gcd(p, p'), whose
     roots are simple: at a repeated root an iteration converges only
-    linearly and to a fraction of the working precision."""
+    linearly and to a fraction of the working precision.  The estimate
+    must lie within bounds that follow from the coefficients: Cauchy's
+    above, and below the two that the square-free part a_0 + ... + a_n
+    t^n gives, the geometric mean |a_0/a_n|^(1/n) of its root moduli
+    and their mean, at least |a_(n-1)|/(n |a_n|).  The lower bounds are
+    compared as logarithms, which take integers of any size.  An
+    estimate outside the bounds is an error, never a printed radius."""
     xs = list(coeffs)
     while xs and xs[-1] == 0:
         xs.pop()
@@ -356,6 +355,12 @@ def max_root_modulus(coeffs) -> float:
     r = max(abs(z) for z in _aberth_roots(xs))
     if r > cauchy + _CAUCHY_SLACK:
         raise SpectraError("radius estimate exceeds the Cauchy bound")
+    n, lead = len(xs) - 1, abs(xs[-1])
+    low = (math.log(abs(xs[0])) - math.log(lead)) / n
+    if xs[-2]:
+        low = max(low, math.log(abs(xs[-2])) - math.log(n * lead))
+    if r == 0 or math.log(r) < low + _LOWER_LOG_SLACK:
+        raise SpectraError("radius estimate is below the exact lower bound")
     return r
 
 

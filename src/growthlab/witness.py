@@ -54,9 +54,9 @@ data (the classification of a characteristic polynomial, the expansion
 power it gives, the periodic class of an action matrix and whether its
 characteristic polynomial strips to 1) is memoized in bounded caches
 keyed by integer tuples; a periodic-class certificate is still
-re-checked on every call.  R reads its integer coordinates off the
-Hermite basis of L by substitution down the pivots, with no rational
-solve.
+re-checked on every call.  R reads its integer coordinates in the
+Hermite basis of L off one ``_exact.eliminate`` of the basis augmented
+by the images, with no rational solve.
 
 The periodic-class scan over a free base reads its words straight off
 their Lyndon keys, and tests a word k only at the n where the exponent
@@ -75,11 +75,10 @@ import functools
 import math
 from collections import namedtuple
 from fractions import Fraction
-from itertools import groupby
-from operator import mul
+from itertools import accumulate, groupby, repeat
 
 from growthlab import GrowthlabError
-from growthlab._exact import eliminate, strip_cyclotomic
+from growthlab._exact import eliminate, mat_mul, mat_vec, strip_cyclotomic
 from growthlab.engines import UnsupportedFamilyError
 from growthlab.growth import rescale_lower_bound
 from growthlab.words import Word
@@ -256,39 +255,24 @@ def _find_relation(engine, x0, x1):
 
 
 def _lattice_coords(basis_rows, targets):
-    """Integer coordinates of each target in a Hermite basis
-    (``hermite_rows``: echelon rows, positive pivots), by substitution
-    down the pivots; the pivots and their product are found once for
-    all targets.
+    """Integer coordinates of each target in a lattice basis of r
+    independent rows, read off one elimination of the system whose
+    columns are the basis rows and then the targets.
 
-    Each row's pivot column is zero in the rows below it, so the
-    coordinate of row i is the remaining target at pivot i over that
-    pivot.  The rational coordinates of a target in the span have
-    denominators dividing the product D of the pivots, so the
-    substitution runs on D * target and every division is exact for
-    such a target; a remainder left after the last row means it is
-    outside the span, and a coordinate D does not divide means it is
-    in the span but not in the lattice."""
-    scale = 1
-    pivots = []
-    for row in basis_rows:
-        col = next(j for j, x in enumerate(row) if x)
-        pivots.append((row, col, row[col]))
-        scale *= row[col]
+    The basis columns hold every pivot, so the first r rows come back
+    as d * [I | X], X the rational coordinates of the targets.  A row
+    below them that does not vanish on a target means that target is
+    outside the span; a coordinate d does not divide means it is in the
+    span but not in the lattice."""
+    r = len(basis_rows)
+    rows, _, d, _ = eliminate(list(zip(*basis_rows, *targets)), r)
     out = []
-    for target in targets:
-        rest = [scale * x for x in target]
-        coords = []
-        for row, col, piv in pivots:
-            c = rest[col] // piv
-            if c:
-                rest = [x - c * y for x, y in zip(rest, row)]
-            coords.append(c)
-        if any(rest):
+    for col in list(zip(*rows))[r:]:
+        if any(col[r:]):
             raise AssertionError("target vector lies outside the lattice")
-        if any(c % scale for c in coords):
+        if any(c % d for c in col[:r]):
             raise AssertionError("lattice coordinates are not integral")
-        out.append([c // scale for c in coords])
+        out.append([c // d for c in col[:r]])
     return out
 
 
@@ -299,7 +283,7 @@ def _invariant_lattice(n_mat, v):
     combinations of I, ..., N^(n-1), so N and N^-1 map L into L.  The
     Hermite form of a lattice is unique, so the basis is the one a
     saturation under N and N^-1 reaches."""
-    from growthlab.spectra import hermite_rows, mat_vec
+    from growthlab.spectra import hermite_rows
     vs = [v]
     for _ in range(len(v) - 1):
         vs.append(mat_vec(n_mat, vs[-1]))
@@ -307,7 +291,6 @@ def _invariant_lattice(n_mat, v):
 
 
 def _restricted_matrix(n_mat, basis_rows):
-    from growthlab.spectra import mat_vec
     cols = _lattice_coords(basis_rows, [mat_vec(n_mat, b) for b in basis_rows])
     return [list(row) for row in zip(*cols)]
 
@@ -335,7 +318,7 @@ def _expansion_power(char_coeffs) -> int:
     roots are algebraic integers.  A root z with |z| = 41/20 would make
     z * conj(z) = 1681/400 an algebraic integer, and a rational
     algebraic integer is an integer."""
-    from growthlab.spectra import char_poly, mat_mul, roots_inside
+    from growthlab.spectra import char_poly, roots_inside
     n = len(char_coeffs) - 1
     comp = [[int(i == j + 1) for j in range(n - 1)] + [-char_coeffs[i]]
             for i in range(n)]
@@ -355,16 +338,11 @@ def _periodic_class(rows):
     fixes, and whether the characteristic polynomial strips to 1, that
     is, whether every eigenvalue is a root of unity; (None, None, False)
     when there is no such d."""
-    from growthlab.spectra import (
-        char_poly,
-        fixed_vector_of_power,
-        smallest_cyclotomic_order,
-    )
-    char = char_poly(rows)
-    d = smallest_cyclotomic_order(char)
+    from growthlab.spectra import char_poly, fixed_vector_of_power
+    rest, d = strip_cyclotomic(char_poly(rows).coeffs)
     if d is None:
         return None, None, False
-    return d, fixed_vector_of_power(rows, d), strip_cyclotomic(char.coeffs)[0] == [1]
+    return d, fixed_vector_of_power(rows, d), rest == [1]
 
 
 def _abelian_case(engine, a_el, x0, tag):
@@ -678,22 +656,19 @@ def _abelian_returns(engine, max_period: int):
         v = [0] * rank
         for i in range(0, len(w), 2):
             v[w[i]] += w[i + 1]
-        return v
+        return tuple(v)
 
-    cols = [sums(engine.auto_power(base.generator(g), 1)) for g in base.gen_names]
+    m = list(zip(*[sums(engine.auto_power(base.generator(g), 1))
+                   for g in base.gen_names]))
 
-    def powers():
-        # M^n for n = 1, 2, ..., or None where M^n - I is nonsingular;
-        # column j of M^(n+1) = M^n M is M^n applied to cols[j]
-        mn = [list(row) for row in zip(*cols)]
-        while True:
-            shifted = [[x - (i == j) for j, x in enumerate(row)]
-                       for i, row in enumerate(mn)]
-            yield mn if len(eliminate(shifted)[1]) < rank else None
-            mn = [[sum(map(mul, row, col)) for col in cols] for row in mn]
+    def singular(mn):
+        # M^n, or None where M^n - I is nonsingular
+        shifted = [[x - (i == j) for j, x in enumerate(row)]
+                   for i, row in enumerate(mn)]
+        return mn if len(eliminate(shifted)[1]) < rank else None
 
-    pending = powers()
-    decided = []  # decided[n - 1]: the yield of powers() at n
+    pending = map(singular, accumulate(repeat(m), mat_mul))  # n = 1, 2, ...
+    decided = []  # decided[n - 1]: the answer of singular at n
 
     def returns(k_el):
         v = sums(k_el)
@@ -704,7 +679,7 @@ def _abelian_returns(engine, max_period: int):
             if len(decided) < n:
                 decided.append(next(pending))
             mn = decided[n - 1]
-            if mn is not None and [sum(map(mul, row, v)) for row in mn] == v:
+            if mn is not None and mat_vec(mn, v) == v:
                 yield n
 
     return returns

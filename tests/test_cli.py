@@ -568,6 +568,46 @@ def test_huge_matrix_entries_end_in_err2(matrix, message):
     assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"ERR 2 {message}\n")
 
 
+def test_spectral_radius_refuted_by_an_exact_bound_ends_in_err2(capsys):
+    # char t^2 - 10^15 t - 1: the roots sum to 10^15, so the radius is at
+    # least 5 * 10^14, and the 1.5 the root iteration stops at is refused
+    code, out, err = run(capsys, [
+        "spectra", "--matrix", "[[1000000000000000,1],[1,0]]"])
+    assert (code, out, err) == (
+        2, "", "ERR 2 radius estimate is below the exact lower bound\n")
+    code, out, err = run(capsys, [
+        "spectra", "--matrix", "[[10000000000000,1],[1,0]]"])
+    assert (code, err) == (0, "")
+    assert json.loads(out)["spectral_radius"] == 1e13
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["growth", "--group", '{"family": "free", "rank": 100000000000000000000}',
+      "--gens", "x", "--radius", "1"], "rank is above the ceiling 10000"),
+    (["growth", "--group", '{"family": "abelian", "rank": 100000000000000000000}',
+      "--gens", "e1", "--radius", "1"], "rank is above the ceiling 10000"),
+    (["spectra", "--poly", "t^1000000000+1"],
+     "polynomial degree is above the ceiling 128"),
+    (["rewrite", "--relator", "t x^100000000 t^-1 x"],
+     "rewritten relator has more letters than the print ceiling 1000000"),
+], ids=["free-rank", "abelian-rank", "degree", "letters"])
+def test_inputs_past_a_size_ceiling_end_in_err2(tmp_path, argv, message):
+    # each input asks for a table, a coefficient list or a string of its
+    # own size; past the ceiling it is one ERR 2 line, in a fresh process
+    # held to 512 MiB of address space
+    if "--group" in argv:
+        i = argv.index("--group") + 1
+        path = tmp_path / "group.json"
+        path.write_text(argv[i], encoding="utf-8")
+        argv = argv[:i] + [str(path)] + argv[i + 1:]
+    src = str(Path(growthlab.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-m", "growthlab.cli", *argv], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=src), timeout=60, check=False,
+        preexec_fn=_limit_memory)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"ERR 2 {message}\n")
+
+
 def _semidirect_spec(base, forward, backward):
     return {"family": "semidirect", "base": base,
             "automorphism": {"forward": forward, "backward": backward}}

@@ -10,6 +10,8 @@ from fractions import Fraction
 from growthlab._exact import (
     eliminate,
     format_terms,
+    mat_mul,
+    mat_vec,
     poly_divmod,
     strip_cyclotomic,
 )
@@ -19,11 +21,8 @@ from growthlab.spectra import (
     cyclotomic,
     fixed_vector_of_power,
     mat_identity,
-    mat_mul,
     mat_pow,
     mat_sub,
-    mat_vec,
-    smallest_cyclotomic_order,
 )
 
 from util import (
@@ -149,6 +148,23 @@ def test_mat_det_matches_leibniz():
     assert singular >= 100
 
 
+def test_mat_mul_of_non_square_shapes():
+    # r x n times n x m against the entrywise sum, and a matrix times a
+    # vector as the product with a one-column matrix
+    assert mat_mul([[1, 2, 3], [4, 5, 6]], [[1, 0], [0, 1], [1, -1]]) == \
+        [[4, -1], [10, -1]]
+    rng = random.Random(70)
+    for _ in range(200):
+        r, n, m = (rng.randint(1, 5) for _ in range(3))
+        a = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(r)]
+        b = [[rng.randint(-5, 5) for _ in range(m)] for _ in range(n)]
+        assert mat_mul(a, b) == [
+            [sum(a[i][k] * b[k][j] for k in range(n)) for j in range(m)]
+            for i in range(r)]
+        v = [row[0] for row in b]
+        assert list(mat_vec(a, v)) == [row[0] for row in mat_mul(a, b)]
+
+
 def test_mat_inv_unimodular_of_elementary_products():
     rng = random.Random(64)
     for _ in range(300):
@@ -232,7 +248,7 @@ def test_cyclotomic_pass_on_chosen_products():
             continue
         least = min(orders) if orders else None
         assert strip_cyclotomic(coeffs) == (rest, least)
-        assert smallest_cyclotomic_order(IntPoly.of(coeffs)) == least
+        assert strip_cyclotomic(IntPoly.of(coeffs).coeffs)[1] == least
 
 
 IRREDUCIBLE = [(-2, 1), (3, 1), (1, 0, 1), (-1, -1, 1), (1, 2), (-1, -1, 0, 1),

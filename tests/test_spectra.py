@@ -24,7 +24,6 @@ from growthlab.spectra import (
     mat_vec,
     max_root_modulus,
     roots_inside,
-    smallest_cyclotomic_order,
     spectral_radius,
 )
 
@@ -177,11 +176,12 @@ def test_random_cyclotomic_products_classify_as_unity():
 
 
 def test_smallest_cyclotomic_order():
-    assert smallest_cyclotomic_order(IntPoly.parse("t^2+1")) == 4
-    assert smallest_cyclotomic_order(IntPoly.parse("t-1")) == 1
-    assert smallest_cyclotomic_order(IntPoly.parse("t^2-3t+1")) is None
+    # the least k whose k-th cyclotomic polynomial divides p
+    assert strip_cyclotomic(IntPoly.parse("t^2+1").coeffs)[1] == 4
+    assert strip_cyclotomic(IntPoly.parse("t-1").coeffs)[1] == 1
+    assert strip_cyclotomic(IntPoly.parse("t^2-3t+1").coeffs)[1] is None
     p = IntPoly.of(_poly_mul([1, 1], [1, -3, 1]))  # (t+1)(t^2-3t+1)
-    assert smallest_cyclotomic_order(IntPoly.of(list(p.coeffs))) == 2
+    assert strip_cyclotomic(p.coeffs)[1] == 2
 
 
 # ---------------------------------------------------------------------------
@@ -222,6 +222,38 @@ def test_max_root_modulus_past_the_float_range():
     with pytest.raises(SpectraError) as info:
         max_root_modulus([-1, -big, 1])
     assert str(info.value) == "coefficients too large for the float root iteration"
+
+
+def test_max_root_modulus_never_returns_a_refuted_radius():
+    # t^2 - N t - 1 has roots near N and -1/N.  From 10^15 up the
+    # iteration stops near 1.5, which the mean root modulus N/2 refutes:
+    # an error, not a wrong radius.  Up to 10^13 the radius is right
+    for k in (9, 11, 13, 15, 16, 50, 300):
+        n = 10 ** k
+        try:
+            r = max_root_modulus([-1, -n, 1])
+        except SpectraError as exc:
+            assert k > 13, k
+            assert str(exc) == "radius estimate is below the exact lower bound"
+        else:
+            assert abs(r - n) <= 1e-12 * n, (k, r)
+
+
+def test_max_root_modulus_lower_bounds_pass_true_radii():
+    # products of t - k over small nonzero integers k, repeated roots
+    # and equal moduli included: the radius max |k| meets both lower
+    # bounds, with equality for the geometric mean when all |k| agree
+    rng = random.Random(57)
+    for _ in range(300):
+        roots = [rng.choice([-1, 1]) * rng.randint(1, 30)
+                 for _ in range(rng.randint(1, 6))]
+        if rng.random() < 0.2:
+            roots = [roots[0] * rng.choice([-1, 1]) for _ in roots]
+        coeffs = [1]
+        for k in roots:
+            coeffs = _poly_mul(coeffs, [-k, 1])
+        want = max(abs(k) for k in roots)
+        assert abs(max_root_modulus(coeffs) - want) < 1e-9 * want, roots
 
 
 def test_determinant_message_echoes_only_short_determinants():

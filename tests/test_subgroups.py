@@ -38,8 +38,8 @@ def _small_shift_element(rng, eng):
 
 def test_cyclic_pair_is_symmetric_and_accepts_powers():
     rng = random.Random(24)
-    engines = [FREE2, AbelianEngine(2), KleinEngine(), torus_engine(),
-               rot4_engine()]
+    engines = [FREE2, AbelianEngine(2), KleinEngine(), BS1Engine(2),
+               BS1Engine(-3), torus_engine(), rot4_engine()]
     for eng in engines:
         for _ in range(60):
             if eng.family == "semidirect":
@@ -83,11 +83,15 @@ def test_cyclic_pair_semidirect_mixed_shift():
     assert is_cyclic_pair(eng, t, eng.power(t, 3))
 
 
-def test_cyclic_pair_bs1_nonzero_shift_unsupported():
+def test_cyclic_pair_bs1_nonzero_shift():
+    # BS(1, m) is torsion-free, so a pair with a nonzero shift is cyclic
+    # iff it commutes and u^q v^-p = e
     eng = BS1Engine(2)
     a = eng.generator("a")
     t = eng.generator("t")
-    with pytest.raises(UnsupportedFamilyError):
-        is_cyclic_pair(eng, t, eng.multiply(a, t))
+    at = eng.multiply(a, t)
+    assert not is_cyclic_pair(eng, t, at)
+    assert is_cyclic_pair(eng, t, eng.power(t, 3))
+    assert is_cyclic_pair(eng, at, eng.power(at, -2))
     # kernel-only pairs stay decidable
     assert is_cyclic_pair(eng, a, eng.power(a, 3))

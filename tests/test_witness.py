@@ -637,6 +637,21 @@ def test_noncyclic_pairs_on_seeded_sets_do_not_commute():
     assert pairs > 0
 
 
+def test_noncyclic_pairs_over_a_nested_bs1_base_are_decided_non_cyclic():
+    # the cyclic-pair decision answers every certified pair inside the
+    # nested bs1 kernel, whose shifts in bs1 are nonzero, and agrees
+    eng = nested_identity_engine()
+    pairs = 0
+    for gens in seeded_sets(eng, 60):
+        cert = analyze(eng, gens, 3.0, 2)
+        if cert.variant == NON_CYCLIC_PAIR:
+            u, v = (eng.evaluate_word(Word.parse(w))
+                    for w in (cert.u_word, cert.v_word))
+            assert not is_cyclic_pair(eng, u, v), gens
+            pairs += 1
+    assert pairs == 27
+
+
 def test_certificate_bounds_are_hypothesis_to_one_over_length():
     # bound = hypothesis^(1/max_A_length) on every branch: u for a pair
     # or a chain escape, 2 for an expanding action and 2^(1/4) for a
