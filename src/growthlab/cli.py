@@ -131,12 +131,17 @@ def _cmd_alexander(args) -> int:
 
 def _cmd_spectra(args) -> int:
     from growthlab.spectra import (
-        VIRTUALLY_NILPOTENT, IntPoly, classify_abelian_by_cyclic, classify_char_poly)
+        MAX_DEGREE, VIRTUALLY_NILPOTENT, IntPoly, classify_abelian_by_cyclic,
+        classify_char_poly)
 
     if (args.matrix is None) == (args.poly is None):
         raise CliError(2, "give exactly one of --matrix or --poly")
     if args.matrix is not None:
-        cls = classify_abelian_by_cyclic(_parse_matrix(args.matrix))
+        rows = _parse_matrix(args.matrix)
+        # the characteristic polynomial has degree len(rows)
+        if len(rows) > MAX_DEGREE:
+            raise CliError(2, f"matrix dimension is above the ceiling {MAX_DEGREE}")
+        cls = classify_abelian_by_cyclic(rows)
     else:
         cls = classify_char_poly(IntPoly.parse(args.poly))
     unity = cls.kind == VIRTUALLY_NILPOTENT

@@ -19,8 +19,8 @@ class GrowthError(GrowthlabError):
     pass
 
 
-class GrowthTable(namedtuple("GrowthTable", "radius counts gens truncated notes",
-                             defaults=((), False, ()))):
+class GrowthTable(namedtuple("GrowthTable", "radius counts truncated notes",
+                             defaults=(False, ()))):
     """counts[n] = gamma(n), n = 0..radius."""
 
     __slots__ = ()
@@ -114,7 +114,7 @@ def ball_sizes(engine, gens, radius: int, budget: int = DEFAULT_BUDGET,
         previous, sphere = sphere, nxt
         counts.append(counts[-1] + len(nxt))
     table = GrowthTable(radius=len(counts) - 1, counts=counts,
-                        gens=list(gens), truncated=truncated, notes=notes)
+                        truncated=truncated, notes=notes)
     table.validate()
     return table
 

@@ -13,7 +13,7 @@ which never witnesses growth, so a kernel pair is certified only when it
 does not commute; the hypothesis u bounds every non-abelian subgroup of K.
 ``_PAIR_RATE`` holds this pair rule per base family, and one verdict,
 ``_kernel_pair``, answers it for the shift-0 rows and the one-step
-chain pairs alike; a family absent from the table has no pair test.
+chain pair alike; a family absent from the table has no pair test.
 On a free base the bound is a theorem only up to 3, so there the
 hypothesis is min(u, 3): two non-commuting elements x, y of a free group
 generate a free group (Nielsen-Schreier) that is not abelian and needs
@@ -21,12 +21,17 @@ two generators, so it is F_2, and {x, y} is a basis of it, since F_2 is
 Hopfian.  In the {x, y} metric its balls have 2 * 3^n - 1 elements, a
 growth rate of exactly 3.  A chain escape, the other use of u, cannot
 occur there: commuting is transitive on the nontrivial elements of a
-free group, so a chain whose one-step pairs commute commutes
+free group, so a chain whose one-step pair commutes commutes
 throughout.  On a semidirect base the table caps u at inf, so u is
 still taken on trust, and a non-commuting pair with equal squares,
 which may span a Klein-bottle group of polynomial growth, is only
 diagnosed.  A free base needs no such guard: roots in a free group are
 unique, so equal squares there mean equal, hence commuting, elements.
+
+A chain x_s = a^s x0 a^-s is moved along itself by conjugation with
+a, an automorphism of G, so x_r and x_s commute iff x_0 and x_(s-r) do:
+an escape is always read at offsets 0 and s, and a relation
+x0^a x1^b = e is looked up in one table of the powers of x0.
 
 Every certificate's bound is hypothesis^(1/length): the growth
 hypothesis of its branch (u for a pair or an escaping chain, 2^(1/4) for
@@ -137,10 +142,6 @@ class Certificate(namedtuple(
 # shared helpers
 
 
-def _word_str(engine, el) -> str:
-    return str(engine.element_to_word(el))
-
-
 def _conj(engine, a, x):
     return engine.multiply(engine.multiply(a, x), engine.invert(a))
 
@@ -158,14 +159,6 @@ def _growth_certificate(variant, hypothesis: float, max_A_length: int, **fields)
     """A growth certificate whose bound is hypothesis^(1/max_A_length)."""
     return Certificate(variant, bound=rescale_lower_bound(hypothesis, max_A_length),
                        max_A_length=max_A_length, reverified=True, **fields)
-
-
-def _noncyclic_certificate(engine, uel, vel, max_len: int, u: float):
-    if not _reverify_noncyclic(engine, uel, vel):
-        raise AssertionError("non-commuting pair failed independent re-verification")
-    return _growth_certificate(NON_CYCLIC_PAIR, u, max_len,
-                               u_word=_word_str(engine, uel),
-                               v_word=_word_str(engine, vel))
 
 
 _KLEIN_SUSPECT = ("KleinBottleSuspect: one-step subgroup is non-abelian "
@@ -187,66 +180,58 @@ def _kernel_pair(engine, x, y, length: int, u: float, tag):
         return None, None
     if base.family != "free" and base.power(kx, 2) == base.power(ky, 2):
         return None, f"{tag}: {_KLEIN_SUSPECT}"
-    return _noncyclic_certificate(engine, x, y, length, u), None
-
-
-def _verify_pcc(engine, k_el, n: int, c_el) -> bool:
-    base = engine.base
-    lhs = engine.auto_power(k_el, n)
-    rhs = base.multiply(base.multiply(c_el, k_el), base.invert(c_el))
-    return lhs == rhs
+    if not _reverify_noncyclic(engine, x, y):
+        raise AssertionError("non-commuting pair failed independent re-verification")
+    return _growth_certificate(NON_CYCLIC_PAIR, u, length,
+                               u_word=str(engine.element_to_word(x)),
+                               v_word=str(engine.element_to_word(y))), None
 
 
 def _pcc_certificate(engine, k_el, n: int, c_el, diagnostics=None):
-    if k_el == engine.base.identity:
+    """The periodic class alpha^n(k) = c k c^-1, checked through the
+    engine before it is returned."""
+    base = engine.base
+    if k_el == base.identity:
         raise AssertionError("periodic-class witness must be nontrivial")
-    if not _verify_pcc(engine, k_el, n, c_el):
+    if engine.auto_power(k_el, n) != base.multiply(base.multiply(c_el, k_el),
+                                                   base.invert(c_el)):
         raise AssertionError("periodic conjugacy failed engine re-verification")
     return Certificate(
         PERIODIC_CONJUGACY,
-        k_word=str(engine.base.element_to_word(k_el)),
+        k_word=str(base.element_to_word(k_el)),
         n=n,
-        c_word=str(engine.base.element_to_word(c_el)),
+        c_word=str(base.element_to_word(c_el)),
         diagnostics=diagnostics,
         reverified=True,
     )
 
 
-def _pcc_from_stable(engine, a_el, x0, eps: int, diagnostics: str):
-    """x1 = x0^eps exactly: conjugation by a fixes the class of x0, so
-    the kernel part of x0 lies on a periodic conjugacy class."""
-    base = engine.base
-    w = engine.kernel_part(a_el)
-    p = engine.shift(a_el)
-    v = engine.kernel_part(x0)
-    if eps == 1:
-        n = abs(p)
-        if p > 0:
-            c = base.invert(w)
-        else:
-            c = engine.auto_power(w, -p)
-    else:
-        n = 2 * abs(p)
-        cpos = base.invert(base.multiply(w, engine.auto_power(w, p)))
-        if p > 0:
-            c = cpos
-        else:
-            c = engine.auto_power(base.invert(cpos), -2 * p)
-    return _pcc_certificate(engine, v, n, c, diagnostics=diagnostics)
+def _pcc_from_stable(engine, fixer, x0, diagnostics: str):
+    """The periodic class of the kernel part v of x0, from an element
+    ``fixer`` = (w, p) of nonzero shift with fixer x0 fixer^-1 = x0, that
+    is w alpha^p(v) w^-1 = v: a when x1 = x0, a^2 when x1 = x0^-1.  So
+    alpha^p(v) = c v c^-1 with c = w^-1 when p > 0, and applying
+    alpha^-p gives alpha^-p(v) = c v c^-1 with c = alpha^-p(w) when
+    p < 0; n = |p| either way."""
+    w, p = engine.kernel_part(fixer), engine.shift(fixer)
+    c = engine.base.invert(w) if p > 0 else engine.auto_power(w, -p)
+    return _pcc_certificate(engine, engine.kernel_part(x0), abs(p), c,
+                            diagnostics=diagnostics)
 
 
 def _find_relation(engine, x0, x1):
     """Smallest relation x0^a x1^b = e with b >= 1 and gcd(|a|, b) = 1
-    inside the search window, or None."""
-    identity = engine.identity
-    for b in range(1, RELATION_SEARCH_BOUND + 1):
-        xb = engine.power(x1, b)
-        for aa in range(1, RELATION_SEARCH_BOUND + 1):
-            if math.gcd(aa, b) != 1:
-                continue
-            for a in (aa, -aa):
-                if engine.multiply(engine.power(x0, a), xb) == identity:
-                    return (a, b)
+    inside the search window, or None.
+
+    G is torsion-free and x0 != e, so a -> x0^a is injective: for each b
+    at most one a has x0^a = x1^-b, and it is read off one table of the
+    powers of x0."""
+    bound = RELATION_SEARCH_BOUND
+    exponent = {engine.power(x0, a): a for a in range(-bound, bound + 1) if a}
+    for b in range(1, bound + 1):
+        a = exponent.get(engine.power(x1, -b))
+        if a is not None and math.gcd(a, b) == 1:
+            return a, b
     return None
 
 
@@ -399,34 +384,38 @@ def _abelian_case(engine, a_el, x0, tag):
 
 
 def _chain_case(engine, a_el, x0, u, d, tag):
+    """The chain x_s = a^s x0 a^-s of a row a of nonzero shift.
+
+    Conjugation by a is an automorphism of G that maps (x_r, x_s) to
+    (x_(r+1), x_(s+1)).  So (x0, x_-1), moved by a, is (x1, x0): the one
+    pair (x0, x1) decides both one-step pairs.  And x_r, x_s commute iff
+    x0, x_(s-r) do, so once x0 commutes with x1, ..., x_(s-1), the first
+    pair at depth s that can fail is (x0, x_s)."""
     x1 = _conj(engine, a_el, x0)
-    xm1 = _conj(engine, engine.invert(a_el), x0)
-    for other in (x1, xm1):
-        cert, diag = _kernel_pair(engine, x0, other, 6, u, tag)
-        if cert or diag:
-            return cert, diag
+    cert, diag = _kernel_pair(engine, x0, x1, 6, u, tag)
+    if cert or diag:
+        return cert, diag
     if x1 == x0:
-        return _pcc_from_stable(engine, a_el, x0, 1, f"{tag}: conjugation fixes x0"), None
+        return _pcc_from_stable(engine, a_el, x0, f"{tag}: conjugation fixes x0"), None
     if x1 == engine.invert(x0):
-        return _pcc_from_stable(engine, a_el, x0, -1, f"{tag}: conjugation inverts x0"), None
-    # both one-step pairs commute yet x1 is not x0 or its inverse:
+        return _pcc_from_stable(engine, engine.multiply(a_el, a_el), x0,
+                                f"{tag}: conjugation inverts x0"), None
+    # the one-step pair commutes yet x1 is not x0 or its inverse:
     # grow the conjugation chain up to depth d+1
-    xs = [x0, x1]
+    xs = x1
     for s in range(2, d + 2):
-        xs.append(_conj(engine, a_el, xs[-1]))
-        for r in range(len(xs) - 1):
-            if not engine.commute(xs[r], xs[-1]):
-                if s <= d:
-                    return _growth_certificate(
-                        KERNEL_CHAIN_ESCAPE, u, 2 * s + 4,
-                        depth=s,
-                        diagnostics=(
-                            f"{tag}: chain elements at offsets {r} and {s} "
-                            "do not commute"),
-                    ), None
-                return None, (
-                    f"{tag}: chain escapes only at depth {s}, beyond the "
-                    f"certified window for d={d}")
+        xs = _conj(engine, a_el, xs)
+        if engine.commute(x0, xs):
+            continue
+        if s <= d:
+            return _growth_certificate(
+                KERNEL_CHAIN_ESCAPE, u, 2 * s + 4,
+                depth=s,
+                diagnostics=f"{tag}: chain elements at offsets 0 and {s} do not commute",
+            ), None
+        return None, (
+            f"{tag}: chain escapes only at depth {s}, beyond the "
+            f"certified window for d={d}")
     rel = _find_relation(engine, x0, x1)
     if rel is None:
         return None, (
@@ -516,7 +505,8 @@ def analyze(engine, gens, u: float, d: int, threads: int = 1) -> Certificate:
     free subgroup, and bs1 has no pair test).  Its one diagnostic per
     candidate names only the candidate's tag.  So such a row only marks
     its place, and is spelled out, in the same order, when the search
-    ends Inconclusive."""
+    ends Inconclusive.  Each diagnostic line starts with the tag of its
+    own (row, candidate) pair, so no two lines are equal."""
     if engine.family != "semidirect":
         raise WitnessError("analysis requires a split-extension engine")
     # NaN fails both comparisons; inf would print as non-JSON "Infinity"
@@ -562,10 +552,9 @@ def analyze(engine, gens, u: float, d: int, threads: int = 1) -> Certificate:
             lines.extend(_case(engine, elems, u, d, entry, cand)[1] for cand in cands())
         else:
             lines.append(entry)
-    uniq = list(dict.fromkeys(lines))
     return Certificate(
         INCONCLUSIVE,
-        diagnostics="; ".join(uniq) if uniq else
+        diagnostics="; ".join(lines) if lines else
         "no candidate case produced a certificate")
 
 

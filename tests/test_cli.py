@@ -590,7 +590,10 @@ def test_spectral_radius_refuted_by_an_exact_bound_ends_in_err2(capsys):
      "polynomial degree is above the ceiling 128"),
     (["rewrite", "--relator", "t x^100000000 t^-1 x"],
      "rewritten relator has more letters than the print ceiling 1000000"),
-], ids=["free-rank", "abelian-rank", "degree", "letters"])
+    (["spectra", "--matrix", json.dumps([[int(i == j) for j in range(129)]
+                                         for i in range(129)])],
+     "matrix dimension is above the ceiling 128"),
+], ids=["free-rank", "abelian-rank", "degree", "letters", "matrix-dimension"])
 def test_inputs_past_a_size_ceiling_end_in_err2(tmp_path, argv, message):
     # each input asks for a table, a coefficient list or a string of its
     # own size; past the ceiling it is one ERR 2 line, in a fresh process

@@ -60,6 +60,7 @@ from util import (
     nested_torus_engine,
     random_element,
     reference_analyze,
+    reference_chain_case,
     reference_commutators,
     reference_expansion_power,
     reference_klein_pcc,
@@ -493,6 +494,66 @@ def test_find_relation_search():
     assert witness._find_relation(eng, (1, 0), (-1, 0)) == (1, 1)
     assert witness._find_relation(eng, (2, 0), (-1, 0)) == (1, 2)
     assert witness._find_relation(eng, (1, 0), (0, 1)) is None
+
+
+def _chain_path(eng, a_el, cert, diag):
+    """The branch of the chain track that gave (cert, diag)."""
+    if cert is None:
+        return ("past window" if "beyond the certified window" in diag else
+                "no relation" if "no relation was found" in diag else "klein")
+    if cert.variant == NON_CYCLIC_PAIR:
+        return NON_CYCLIC_PAIR
+    if cert.variant == PERIODIC_CONJUGACY:
+        eps = 1 if cert.diagnostics.endswith("fixes x0") else -1
+        return ("stable", eps, eng.shift(a_el) > 0)
+    if "do not commute" in cert.diagnostics:
+        assert cert.depth >= 2
+        return "escape"
+    return "relation b=1" if "conjugation relation" in cert.diagnostics else "relation b>=2"
+
+
+def test_chain_case_matches_reference():
+    # the chain track decides each fact once (one one-step pair, one
+    # commute test per depth, a table of the powers of x0, one conjugator
+    # formula); the reference searches every pair, product and sign case.
+    # Both answer alike on seeded rows a of nonzero shift and nontrivial
+    # commutators x0, and the sweep reaches every branch of the track
+    builders = [torus_engine, unipotent_free_engine, flip_free_engine,
+                nested_torus_engine, nested_identity_engine, suspect_host_engine,
+                nested_bs1_engine, tower_engine, flip_unipotent_engine]
+    paths = Counter()
+
+    def check(eng, a_el, x0, d):
+        got = witness._chain_case(eng, a_el, x0, 3.0, d, "(tag)")
+        assert got == reference_chain_case(eng, a_el, x0, 3.0, d, "(tag)"), \
+            (spec_id(eng), a_el, x0, d)
+        paths[_chain_path(eng, a_el, *got)] += 1
+        return got[0]
+
+    for build in builders:
+        eng = build()
+        rng = random.Random(29)
+        for _ in range(300):
+            a_el, g, h = (random_element(rng, eng, 4) for _ in range(3))
+            x0 = eng.multiply(eng.multiply(g, h),
+                              eng.multiply(eng.invert(g), eng.invert(h)))
+            if eng.shift(a_el) == 0 or x0 == eng.identity:
+                continue
+            for d in (1, 2, 3, 5):
+                check(eng, a_el, x0, d)
+    # the seeded classes at p < 0 all have alpha^2 = 1, where alpha^-p(w)
+    # = alpha^p(w); over the nested torus alpha is conjugation by x, of
+    # infinite order, and on these two rows alpha^p(w) fails the re-check
+    eng = nested_torus_engine()
+    x0 = eng.evaluate_word(Word.parse("x y x^-1 y^-1"))
+    for a, n, c in (("x y x^-1 y^-1 x t^-1", 1, "x^2 y x^-1 y^-1"),
+                    ("t1 x t^-1", 2, "x^2 t^2")):
+        cert = check(eng, eng.evaluate_word(Word.parse(a)), x0, 2)
+        assert (cert.n, cert.c_word) == (n, c)
+    assert set(paths) >= {
+        NON_CYCLIC_PAIR, "escape", "past window", "relation b=1",
+        "relation b>=2", "no relation",
+        *(("stable", eps, p_pos) for eps in (1, -1) for p_pos in (True, False))}, paths
 
 
 def test_chain_escape_beyond_the_cap_is_diagnosed():

@@ -32,10 +32,15 @@ from growthlab.witness import (
     _EXPANSION_POWER_CAP,
     EXPANSION_MARGIN,
     INCONCLUSIVE,
+    KERNEL_CHAIN_ESCAPE,
+    RELATION_SEARCH_BOUND,
     VIRTUALLY_NILPOTENT_DIAGNOSIS,
     Certificate,
     PccResult,
     _case,
+    _conj,
+    _growth_certificate,
+    _kernel_pair,
     _pcc_certificate,
     analyze,
     pcc_scan,
@@ -446,6 +451,100 @@ def reference_analyze(engine, gens, u, d):
         diagnostics="; ".join(uniq) if uniq else
         "no candidate case produced a certificate")
 
+
+def _reference_pcc_from_stable(engine, a_el, x0, eps: int, diagnostics: str):
+    """x1 = x0^eps exactly: conjugation by a fixes the class of x0, so
+    the kernel part of x0 lies on a periodic conjugacy class."""
+    base = engine.base
+    w = engine.kernel_part(a_el)
+    p = engine.shift(a_el)
+    v = engine.kernel_part(x0)
+    if eps == 1:
+        n = abs(p)
+        if p > 0:
+            c = base.invert(w)
+        else:
+            c = engine.auto_power(w, -p)
+    else:
+        n = 2 * abs(p)
+        cpos = base.invert(base.multiply(w, engine.auto_power(w, p)))
+        if p > 0:
+            c = cpos
+        else:
+            c = engine.auto_power(base.invert(cpos), -2 * p)
+    return _pcc_certificate(engine, v, n, c, diagnostics=diagnostics)
+
+
+def _reference_find_relation(engine, x0, x1):
+    """Smallest relation x0^a x1^b = e with b >= 1 and gcd(|a|, b) = 1
+    inside the search window, or None."""
+    identity = engine.identity
+    for b in range(1, RELATION_SEARCH_BOUND + 1):
+        xb = engine.power(x1, b)
+        for aa in range(1, RELATION_SEARCH_BOUND + 1):
+            if math.gcd(aa, b) != 1:
+                continue
+            for a in (aa, -aa):
+                if engine.multiply(engine.power(x0, a), xb) == identity:
+                    return (a, b)
+    return None
+
+
+def reference_chain_case(engine, a_el, x0, u, d, tag):
+    """`witness._chain_case` as a search of every pair: both one-step
+    pairs (x0, x1) and (x0, x_-1), every pair of chain elements at each
+    depth, every product x0^a x1^b of the relation window, and the
+    periodic class by four branches on the sign of the shift and on
+    whether conjugation fixes or inverts x0."""
+    x1 = _conj(engine, a_el, x0)
+    xm1 = _conj(engine, engine.invert(a_el), x0)
+    for other in (x1, xm1):
+        cert, diag = _kernel_pair(engine, x0, other, 6, u, tag)
+        if cert or diag:
+            return cert, diag
+    if x1 == x0:
+        return _reference_pcc_from_stable(engine, a_el, x0, 1, f"{tag}: conjugation fixes x0"), None
+    if x1 == engine.invert(x0):
+        return _reference_pcc_from_stable(engine, a_el, x0, -1, f"{tag}: conjugation inverts x0"), None
+    # both one-step pairs commute yet x1 is not x0 or its inverse:
+    # grow the conjugation chain up to depth d+1
+    xs = [x0, x1]
+    for s in range(2, d + 2):
+        xs.append(_conj(engine, a_el, xs[-1]))
+        for r in range(len(xs) - 1):
+            if not engine.commute(xs[r], xs[-1]):
+                if s <= d:
+                    return _growth_certificate(
+                        KERNEL_CHAIN_ESCAPE, u, 2 * s + 4,
+                        depth=s,
+                        diagnostics=(
+                            f"{tag}: chain elements at offsets {r} and {s} "
+                            "do not commute"),
+                    ), None
+                return None, (
+                    f"{tag}: chain escapes only at depth {s}, beyond the "
+                    f"certified window for d={d}")
+    rel = _reference_find_relation(engine, x0, x1)
+    if rel is None:
+        return None, (
+            f"{tag}: chain stays abelian through depth {d + 1} and no "
+            f"relation was found with exponents up to {RELATION_SEARCH_BOUND}")
+    a, b = rel
+    if b == 1:
+        # |a| >= 2: |a| = 1 would mean x1 = x0^-+1, and both of those
+        # cases returned a PeriodicConjugacy above
+        detail = (f"conjugation relation x1 = x0^{-a}: polynomial invariant "
+                  f"t - {-a} is not monic at both ends, kernel not finitely "
+                  "generated")
+    else:
+        # b >= 2 and gcd(|a|, b) = 1, and sticking_contradiction finds a
+        # contradiction for every coprime pair with |beta| >= 2
+        from growthlab.laurent import sticking_contradiction
+        detail = (f"sticking relation x0^{a} x1^{b} = e: "
+                  f"{sticking_contradiction(a, b).detail}")
+    cert = _growth_certificate(KERNEL_CHAIN_ESCAPE, 2.0 ** 0.25, 4,
+                               depth=d + 1, diagnostics=f"{tag}: {detail}")
+    return cert, None
 
 def reference_pcc_scans(engine, max_period, max_length):
     """The periodic-class scan on a free base over every word of the
