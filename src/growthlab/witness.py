@@ -8,25 +8,33 @@ degenerate outcomes are certified too where they are decidable (a
 periodic conjugacy class, an abelian generating set); anything else is
 reported as inconclusive with diagnostics, never guessed.
 
-In the torsion-free kernel K a commuting pair spans a free abelian group,
+The paper's hypothesis on the kernel K is all the search knows about a
+base, and ``_BASES`` holds it, one row per base family: the cap on u
+for a non-commuting kernel pair, or None where the shift-0 rows run no
+pair test, and the track for a row of nonzero shift.  In the
+torsion-free kernel K a commuting pair spans a free abelian group,
 which never witnesses growth, so a kernel pair is certified only when it
 does not commute; the hypothesis u bounds every non-abelian subgroup of K.
-``_PAIR_RATE`` holds this pair rule per base family, and one verdict,
-``_kernel_pair``, answers it for the shift-0 rows and the one-step
-chain pair alike; a family absent from the table has no pair test.
-On a free base the bound is a theorem only up to 3, so there the
-hypothesis is min(u, 3): two non-commuting elements x, y of a free group
-generate a free group (Nielsen-Schreier) that is not abelian and needs
-two generators, so it is F_2, and {x, y} is a basis of it, since F_2 is
-Hopfian.  In the {x, y} metric its balls have 2 * 3^n - 1 elements, a
-growth rate of exactly 3.  A chain escape, the other use of u, cannot
-occur there: commuting is transitive on the nontrivial elements of a
-free group, so a chain whose one-step pair commutes commutes
-throughout.  On a semidirect base the table caps u at inf, so u is
-still taken on trust, and a non-commuting pair with equal squares,
-which may span a Klein-bottle group of polynomial growth, is only
-diagnosed.  A free base needs no such guard: roots in a free group are
-unique, so equal squares there mean equal, hence commuting, elements.
+One verdict, ``_kernel_pair``, answers it for the shift-0 rows and the
+one-step chain pair alike.  On a free base the bound is a theorem only
+up to 3, so there the cap is 3: two non-commuting elements x, y of a
+free group generate a free group (Nielsen-Schreier) that is not abelian
+and needs two generators, so it is F_2, and {x, y} is a basis of it,
+since F_2 is Hopfian.  In the {x, y} metric its balls have 2 * 3^n - 1
+elements, a growth rate of exactly 3.  A chain escape, the other use of
+u, cannot occur there: commuting is transitive on the nontrivial
+elements of a free group, so a chain whose one-step pair commutes
+commutes throughout.  On a semidirect base the cap is inf, so u is
+still taken on trust.  On every base with a pair test a non-commuting
+pair with equal squares, which may span a Klein-bottle group of
+polynomial growth, is only diagnosed; over a free base that never
+happens, since roots in a free group are unique, so equal squares there
+mean equal, hence commuting, elements.  The abelian, klein and bs1 rows
+have no pair test: an abelian or klein kernel grows polynomially, and
+bs1 has no rule yet.  A row of nonzero shift takes the conjugation
+chain track over a free or semidirect base, the abelian-kernel track
+over Z^n, and over a klein or bs1 base ends in a "no decision
+procedure" diagnostic.
 
 A chain x_s = a^s x0 a^-s is moved along itself by conjugation with
 a, an automorphism of G, so x_r and x_s commute iff x_0 and x_(s-r) do:
@@ -97,11 +105,6 @@ INCONCLUSIVE = "Inconclusive"
 
 # chain relations are searched within this exponent window
 RELATION_SEARCH_BOUND = 8
-# the pair rule per base family: the cap on the hypothesis u for a
-# non-commuting kernel pair.  A rank-2 free group on a basis grows at
-# exactly 3; a semidirect base takes u on trust; the other families are
-# absent, and their shift-0 rows run no pair test
-_PAIR_RATE = {"free": 3.0, "semidirect": math.inf}
 # required margin over 2 for the expanding-action word argument
 EXPANSION_MARGIN = Fraction(41, 20)
 _EXPANSION_POWER_CAP = 128
@@ -146,15 +149,6 @@ def _conj(engine, a, x):
     return engine.multiply(engine.multiply(a, x), engine.invert(a))
 
 
-def _reverify_noncyclic(engine, uel, vel) -> bool:
-    """Independent confirmation that u and v do not commute: the
-    commutator u v u^-1 v^-1, multiplied in G rather than in the base,
-    is not the identity."""
-    invert, multiply = engine.invert, engine.multiply
-    comm = multiply(multiply(uel, vel), multiply(invert(uel), invert(vel)))
-    return comm != engine.identity
-
-
 def _growth_certificate(variant, hypothesis: float, max_A_length: int, **fields):
     """A growth certificate whose bound is hypothesis^(1/max_A_length)."""
     return Certificate(variant, bound=rescale_lower_bound(hypothesis, max_A_length),
@@ -172,15 +166,17 @@ def _kernel_pair(engine, x, y, length: int, u: float, tag):
     as their kernel parts, so the pair commutes in G iff its kernel
     parts commute in the base, and has equal squares iff they do.  A
     non-commuting pair with equal squares may span a Klein-bottle group,
-    which grows polynomially, so it gets a diagnostic instead; the test
-    is skipped on a free base, where roots are unique."""
-    base = engine.base
+    which grows polynomially, so it gets a diagnostic instead; on a free
+    base, where roots are unique, the test never fires.  A certified pair
+    is confirmed independently: its commutator, multiplied in G rather
+    than in the base, is not the identity."""
+    base, invert, multiply = engine.base, engine.invert, engine.multiply
     kx, ky = engine.kernel_part(x), engine.kernel_part(y)
     if base.commute(kx, ky):
         return None, None
-    if base.family != "free" and base.power(kx, 2) == base.power(ky, 2):
+    if base.power(kx, 2) == base.power(ky, 2):
         return None, f"{tag}: {_KLEIN_SUSPECT}"
-    if not _reverify_noncyclic(engine, x, y):
+    if multiply(multiply(x, y), multiply(invert(x), invert(y))) == engine.identity:
         raise AssertionError("non-commuting pair failed independent re-verification")
     return _growth_certificate(NON_CYCLIC_PAIR, u, length,
                                u_word=str(engine.element_to_word(x)),
@@ -330,7 +326,7 @@ def _periodic_class(rows):
     return d, fixed_vector_of_power(rows, d), rest == [1]
 
 
-def _abelian_case(engine, a_el, x0, tag):
+def _abelian_case(engine, a_el, x0, u, d, tag):
     from growthlab.spectra import (
         EXPONENTIAL,
         SpectraError,
@@ -443,27 +439,37 @@ def _chain_case(engine, a_el, x0, u, d, tag):
 # the analyzer
 
 
+def _undecided_case(engine, a_el, x0, u, d, tag):
+    """The row of nonzero shift over a klein or bs1 base, which has no
+    track yet.  A chain track there would meet no Klein-bottle suspect
+    x0, x1 = a x0 a^-1.  Klein: the t-exponent f has f o alpha = +-f, so
+    f mod 2 is a homomorphism of G; both have even f, so lie in the
+    abelian <a, t^2>.  bs1: square roots are unique ((s, b)^2 = (2s,
+    (m^s + 1) b) in the affine action z -> m^s z + b), so equal squares
+    mean equal elements."""
+    return None, f"{tag}: no decision procedure for {engine.base.family} base"
+
+
+# the hypothesis on K per base family (see the module docstring): the
+# cap on u for a non-commuting kernel pair, None where the shift-0 rows
+# run no pair test, and the track for a row of nonzero shift
+_BASES = {"free": (3.0, _chain_case), "semidirect": (math.inf, _chain_case),
+          "abelian": (None, _abelian_case), "klein": (None, _undecided_case),
+          "bs1": (None, _undecided_case)}
+
+
 def _case(engine, elems, u, d, i, cand):
     j, k, sj, sk, c_el = cand
     sgn = lambda s: "" if s > 0 else "^-1"
     tag = f"(i={i}, [a{j}{sgn(sj)},a{k}{sgn(sk)}])"
     a_el = elems[i]
-    base_fam = engine.base.family
-    if engine.shift(a_el) == 0:
-        if base_fam in _PAIR_RATE:
-            return _kernel_pair(engine, a_el, c_el, 4, u, tag)
-        return None, (f"{tag}: kernel pair skipped for {base_fam} base "
+    cap, track = _BASES[engine.base.family]
+    if engine.shift(a_el) != 0:
+        return track(engine, a_el, c_el, u, d, tag)
+    if cap is None:
+        return None, (f"{tag}: kernel pair skipped for {engine.base.family} base "
                       "(kernel may have polynomial growth)")
-    if base_fam == "abelian":
-        return _abelian_case(engine, a_el, c_el, tag)
-    if base_fam in _PAIR_RATE:
-        return _chain_case(engine, a_el, c_el, u, d, tag)
-    # klein or bs1 base.  No Klein-bottle suspect x0 = c, a x0 a^-1 can
-    # arise.  Klein: the t-exponent f has f o alpha = +-f, so f mod 2 is a
-    # homomorphism of G; both have even f, so lie in the abelian <a, t^2>.
-    # bs1: square roots are unique ((s, b)^2 = (2s, (m^s + 1) b) in the
-    # affine action z -> m^s z + b), so equal squares mean equal elements.
-    return None, f"{tag}: no decision procedure for {base_fam} base"
+    return _kernel_pair(engine, a_el, c_el, 4, u, tag)
 
 
 def _commutators(engine, elems):
@@ -498,14 +504,14 @@ def analyze(engine, gens, u: float, d: int, threads: int = 1) -> Certificate:
     Row i pairs a_i with every candidate commutator in turn.  A
     commutator is built only when a row first reads it, and kept for
     the rows after it, so a search that certifies early builds few.
-    The klein, bs1 and abelian families are absent from ``_PAIR_RATE``,
-    so on such a base a row whose a_i has shift 0 is skipped: it never
-    certifies, since ``_case`` runs no pair test there (a pair of kernel
-    elements in a base of polynomial growth, abelian or klein, spans no
-    free subgroup, and bs1 has no pair test).  Its one diagnostic per
-    candidate names only the candidate's tag.  So such a row only marks
-    its place, and is spelled out, in the same order, when the search
-    ends Inconclusive.  Each diagnostic line starts with the tag of its
+    The base's row of ``_BASES`` caps u, and where it has no cap, as on
+    the abelian, klein and bs1 bases, a row whose a_i has shift 0 is
+    skipped: it never certifies, since ``_case`` runs no pair test there
+    (a pair of kernel elements in a base of polynomial growth, abelian
+    or klein, spans no free subgroup, and bs1 has no pair test).  Its
+    one diagnostic per candidate names only the candidate's tag.  So
+    such a row only marks its place, and is spelled out, in the same
+    order, when the search ends Inconclusive.  Each diagnostic line starts with the tag of its
     own (row, candidate) pair, so no two lines are equal."""
     if engine.family != "semidirect":
         raise WitnessError("analysis requires a split-extension engine")
@@ -514,7 +520,8 @@ def analyze(engine, gens, u: float, d: int, threads: int = 1) -> Certificate:
         raise WitnessError("growth hypothesis u must be finite and exceed 1")
     if d < 1:
         raise WitnessError("abelian cap d must be at least 1")
-    u = min(u, _PAIR_RATE.get(engine.base.family, u))  # see the module docstring
+    cap = _BASES[engine.base.family][0]
+    u = u if cap is None else min(u, cap)  # see the module docstring
     words = [Word.parse(w) if isinstance(w, str) else w for w in gens]
     if not words:
         raise WitnessError("generating set is empty")
@@ -534,10 +541,9 @@ def analyze(engine, gens, u: float, d: int, threads: int = 1) -> Certificate:
             built.append(cand)
             yield cand
 
-    skip_rows = engine.base.family not in _PAIR_RATE
     diags = []
     for i, a_el in enumerate(elems):
-        if skip_rows and engine.shift(a_el) == 0:
+        if cap is None and engine.shift(a_el) == 0:
             diags.append(i)
             continue
         for cand in cands():

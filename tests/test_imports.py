@@ -213,6 +213,58 @@ def test_private_definition_finder():
     assert unused({"length": True}, loaded, attributes) == {"length"}
 
 
+def family_comparisons(tree, skip=()) -> set:
+    """(function, operand) for each operand that a family is compared
+    with, outside the functions in `skip`: a family is an attribute named
+    ``family`` or a name bound to one."""
+    aliases = {t.id for node in ast.walk(tree) if isinstance(node, ast.Assign)
+               and isinstance(node.value, ast.Attribute) and node.value.attr == "family"
+               for t in node.targets if isinstance(t, ast.Name)}
+
+    def is_family(node):
+        return (isinstance(node, ast.Attribute) and node.attr == "family"
+                or isinstance(node, ast.Name) and node.id in aliases)
+
+    found = set()
+
+    def visit(node, where):
+        if isinstance(node, ast.FunctionDef):
+            if node.name in skip:
+                return
+            where = node.name
+        if isinstance(node, ast.Compare):
+            operands = [node.left, *node.comparators]
+            if any(map(is_family, operands)):
+                found.update((where, ast.unparse(o)) for o in operands if not is_family(o))
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(tree, None)
+    return found
+
+
+def test_family_comparison_finder():
+    tree = ast.parse(
+        "def guard(engine):\n"
+        "    return engine.family != 'semidirect'\n"
+        "def branch(engine):\n"
+        "    fam = engine.base.family\n"
+        "    return fam == 'abelian' or engine.base.family in TABLE\n"
+        "def lookup(engine):\n"
+        "    return TABLE[engine.base.family]\n")
+    assert family_comparisons(tree) == {
+        ("guard", "'semidirect'"), ("branch", "'abelian'"), ("branch", "TABLE")}
+    assert family_comparisons(tree, skip={"branch"}) == {("guard", "'semidirect'")}
+
+
+def test_witness_search_tests_no_family():
+    # what the search knows about a base is its row of witness._BASES, so
+    # outside pcc_scan a family is compared only in the input guards
+    tree = ast.parse((SRC / "witness.py").read_text(encoding="utf-8"))
+    assert {other for _, other in family_comparisons(tree, skip={"pcc_scan"})} == {
+        "'semidirect'"}
+
+
 @functools.cache
 def loaded_modules(statement: str = "") -> frozenset:
     """``sys.modules`` after `statement` runs in a fresh interpreter."""

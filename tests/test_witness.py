@@ -9,6 +9,7 @@ from collections import Counter
 
 import pytest
 
+from growthlab import engines
 from growthlab.engines import (
     AbelianEngine,
     BS1Engine,
@@ -405,6 +406,11 @@ def test_analyze_validation():
         analyze(eng, [], 3.0, 2)
 
 
+def test_every_base_family_has_a_row():
+    # a new family fails here instead of raising KeyError in a search
+    assert set(witness._BASES) == engines._FAMILIES
+
+
 # ---------------------------------------------------------------------------
 # bases without a decision procedure stay inconclusive
 
@@ -459,11 +465,11 @@ def test_suspect_host_commuting_kernel_pair_is_not_certified():
 
 
 def test_klein_suspect_cannot_arise_over_klein_or_bs1_bases():
-    # the proof at the klein/bs1 branch of witness._case, and the unique
-    # roots that let witness._kernel_pair skip its guard on a free base,
-    # sampled on the kernel parts of x0, a commutator of G, and x1 = a x0
-    # a^-1.  Over a klein base both lie in the abelian <a, t^2>, so they
-    # commute.  Over a bs1 or free base roots are unique, so a
+    # the proof in witness._undecided_case, the klein and bs1 track, and
+    # the unique roots that keep witness._kernel_pair's guard from ever
+    # firing on a free base, sampled on the kernel parts of x0, a
+    # commutator of G, and x1 = a x0 a^-1.  Over a klein base both lie
+    # in the abelian <a, t^2>, so they commute.  Over a bs1 or free base roots are unique, so a
     # non-commuting pair of the base, these two or two random elements,
     # has unequal squares; some sampled pairs do not commute
     rng = random.Random(23)
@@ -926,8 +932,9 @@ def test_pcc_scan_validation():
         pcc_scan(torus_engine(), 0, 3)
     with pytest.raises(WitnessError):
         pcc_scan(torus_engine(), 5, 0)
-    with pytest.raises(UnsupportedFamilyError):
-        pcc_scan(bs1_flip_engine(), 5, 3)
+    for eng in (bs1_flip_engine(), nested_torus_engine()):
+        with pytest.raises(UnsupportedFamilyError):
+            pcc_scan(eng, 5, 3)
 
 
 def test_cyclically_reduced_word_stream():
