@@ -19,6 +19,14 @@ its own form: ``level`` builds it from the generator images and
 ``apply_level`` applies it, so a split extension never reads its base's
 element format.
 
+Each class is its family's row in ``_FAMILIES``: ``family`` names it,
+``spec_keys`` lists its group-file keys (for every family but the split
+extension, its ``__init__`` arguments in order), one ``spec_dict``
+prints them back, and ``relators`` holds the defining relators that a
+split extension over it checks each map against, every relator in
+``base.relators``: one on klein and bs1, none on free and abelian, and
+none on a split extension, so a nested base is still unchecked.
+
 Normal forms are canonical, so plain tuple equality is group equality,
 and canonical_key produces an injective bytes key: one family tag byte
 followed by a decimal payload (semidirect keys embed the base key, a
@@ -112,9 +120,10 @@ def _offset(column, x, op=add):
 
 class _EngineBase:
     family = ""
-    # the defining relator of a one-relator family whose generator
-    # images must be checked to give a homomorphism, or None
-    relator = None
+    # the group-file keys besides "family", read in this order
+    spec_keys = ()
+    # the defining relators whose images a split extension checks
+    relators = ()
 
     def products(self, elements, letters):
         """Every product x * a for x in ``elements`` and a in ``letters``,
@@ -184,9 +193,15 @@ class _EngineBase:
         except KeyError:
             raise UnknownGeneratorError(name) from None
 
+    def spec_dict(self) -> dict:
+        """The group file of this engine: its family and, in order, each
+        of its ``spec_keys`` read off the attribute of the same name."""
+        return {"family": self.family, **{k: getattr(self, k) for k in self.spec_keys}}
+
 
 class FreeEngine(_EngineBase):
     family = "free"
+    spec_keys = ("rank",)
 
     def __init__(self, rank: int):
         if rank < 1:
@@ -229,9 +244,6 @@ class FreeEngine(_EngineBase):
     def canonical_key(self, a) -> bytes:
         return TAG_FREE + wordops.free_key_payload(a)
 
-    def spec_dict(self) -> dict:
-        return {"family": "free", "rank": self.rank}
-
     def conjugacy_test(self, a, b):
         """Conjugator c with c a c^-1 = b, or None.  Conjugate words have
         cyclic reductions that are rotations of each other."""
@@ -255,6 +267,7 @@ class AbelianEngine(_EngineBase):
     hold rank^2 integers, 10^10 for rank 10^5, just to build the engine."""
 
     family = "abelian"
+    spec_keys = ("rank",)
 
     def __init__(self, rank: int):
         if rank < 1:
@@ -301,15 +314,12 @@ class AbelianEngine(_EngineBase):
     def canonical_key(self, a) -> bytes:
         return TAG_ABELIAN + ",".join(str(v) for v in a).encode()
 
-    def spec_dict(self) -> dict:
-        return {"family": "abelian", "rank": self.rank}
-
 
 class KleinEngine(_EngineBase):
     """<a, t | t a t^-1 = a^-1> with normal form a^i t^j stored as (i, j)."""
 
     family = "klein"
-    relator = Word.parse("t a t^-1 a")
+    relators = (Word.parse("t a t^-1 a"),)
 
     def __init__(self):
         self._gens = {"a": (1, 0), "t": (0, 1)}
@@ -342,35 +352,21 @@ class KleinEngine(_EngineBase):
     def canonical_key(self, a) -> bytes:
         return TAG_KLEIN + f"{a[0]},{a[1]}".encode()
 
-    def spec_dict(self) -> dict:
-        return {"family": "klein"}
-
 
 class BS1Engine(_EngineBase):
     """<a, t | t a t^-1 = a^m>, elements (num, e, shift) = (num/m^e, t^shift)."""
 
     family = "bs1"
+    spec_keys = ("m",)
 
     def __init__(self, m: int):
         if abs(m) < 2:
             raise GroupSpecError("bs1 multiplier must satisfy |m| >= 2")
         self.m = m
-        self.relator = Word.of((("t", 1), ("a", 1), ("t", -1), ("a", -m)))
+        self.relators = (Word.of((("t", 1), ("a", 1), ("t", -1), ("a", -m))),)
         self._gens = {"a": (1, 0, 0), "t": (0, 0, 1)}
         self.gen_names = tuple(self._gens)
         self.identity = (0, 0, 0)
-
-    def _norm(self, num, e):
-        m = self.m
-        if num == 0:
-            return (0, 0)
-        if e < 0:
-            num *= m ** (-e)
-            e = 0
-        while e > 0 and num % m == 0:
-            num //= m
-            e -= 1
-        return (num, e)
 
     def multiply(self, a, b):
         # The product is (num / m^ee, s1 + s2) with ee = max(e1, d2, 0)
@@ -381,14 +377,16 @@ class BS1Engine(_EngineBase):
         # If d2 > e1 and e2 > 0, then ee = d2 and num = n2 + (a multiple
         # of m), which m cannot divide either.  Only e1 == d2, or d2 > e1
         # with e2 == 0, can leave factors m to cancel; in both ee = d2.
+        # A zero numerator is scaled by no power of m, so a product with
+        # a pure shift t^k costs no m^|k|.
         n1, e1, s1 = a
         n2, e2, s2 = b
         m = self.m
         d2 = e2 - s1
         if e1 > d2:
-            return (n1 + n2 * m ** (e1 - d2), e1, s1 + s2)
+            return (n1 + n2 * m ** (e1 - d2) if n2 else n1, e1, s1 + s2)
         if d2 > e1:
-            num = n1 * m ** (d2 - e1) + n2
+            num = n1 * m ** (d2 - e1) + n2 if n1 else n2
             if e2:
                 return (num, d2, s1 + s2)
         else:
@@ -401,9 +399,10 @@ class BS1Engine(_EngineBase):
         return (num, d2, s1 + s2)
 
     def invert(self, a):
+        """a = t^-e a^n t^(e+s), so a^-1 = t^-s (t^-e a^-n t^e), a
+        product of two normal forms."""
         n, e, s = a
-        num, ee = self._norm(-n, e + s)
-        return (num, ee, -s)
+        return self.multiply((0, 0, -s), (-n, e, 0))
 
     def word_letters(self, a) -> list:
         # num = 0 forces e = 0, so the two t letters never meet
@@ -412,9 +411,6 @@ class BS1Engine(_EngineBase):
 
     def canonical_key(self, a) -> bytes:
         return TAG_BS1 + f"{a[0]},{a[1]},{a[2]}".encode()
-
-    def spec_dict(self) -> dict:
-        return {"family": "bs1", "m": self.m}
 
 
 def _bump_stable_name(name: str) -> str:
@@ -430,9 +426,10 @@ class SemidirectEngine(_EngineBase):
 
     The automorphism comes with generator images in both directions; the
     two maps are checked inverse on every generator at construction, and
-    on a klein or bs1 base each map is checked to send the defining
-    relator to the identity, so that it is a homomorphism (a free or
-    abelian base needs no such check; nested bases are not checked).
+    each map is checked to send every relator in ``base.relators`` to the
+    identity, so that it is a homomorphism (von Dyck's theorem).  Only
+    klein and bs1 list a relator: a free or abelian base needs no such
+    check, and a nested base is not checked.
     Powers of the automorphism are applied through ``_levels``, a memo
     of one level per exponent k != 0, filled on first use by composing
     with level +-1; each level is in the form of the base's ``level``.
@@ -444,6 +441,7 @@ class SemidirectEngine(_EngineBase):
     """
 
     family = "semidirect"
+    spec_keys = ("base", "automorphism")
 
     def __init__(self, base, forward: dict, backward: dict):
         self.base = base
@@ -466,12 +464,12 @@ class SemidirectEngine(_EngineBase):
                 raise GroupSpecError(f"backward(forward({g})) != {g}: maps are not inverse")
             if base.apply_level(self._levels[1], bwd[g]) != gen:
                 raise GroupSpecError(f"forward(backward({g})) != {g}: maps are not inverse")
-        if base.relator is not None:
+        for rel in base.relators:
             for label, images in (("forward", fwd), ("backward", bwd)):
-                out = base.evaluate(base.relator.letters, images.__getitem__)
+                out = base.evaluate(rel.letters, images.__getitem__)
                 if out != base.identity:
                     raise GroupSpecError(
-                        f"{label} map sends the relator {base.relator} to "
+                        f"{label} map sends the relator {rel} to "
                         f"{base.element_to_word(out)}: not a homomorphism")
 
         # the base names come from the families, and _bump_stable_name is
@@ -585,7 +583,8 @@ class SemidirectEngine(_EngineBase):
 # ---------------------------------------------------------------------------
 # spec parsing
 
-_FAMILIES = {"free", "abelian", "klein", "bs1", "semidirect"}
+_FAMILIES = {cls.family: cls for cls in (
+    FreeEngine, AbelianEngine, KleinEngine, BS1Engine, SemidirectEngine)}
 
 
 def parse_group_spec(source):
@@ -595,6 +594,14 @@ def parse_group_spec(source):
     validated dict.  Deep validation of automorphisms happens in
     build_engine, which parse callers normally follow with.
     """
+    return _parse(source)[-1]
+
+
+def _parse(source) -> list:
+    """The validated dicts of a group description and of its nested
+    bases, innermost first.  The keys a family allows are its class's
+    ``spec_keys``, and each key has one rule; a base is validated whole
+    before the automorphism over it."""
     if isinstance(source, (str, bytes)):
         try:
             obj = json.loads(source)
@@ -607,62 +614,55 @@ def parse_group_spec(source):
     if not isinstance(obj, dict):
         raise GroupSpecError("group spec must be a JSON object")
     family = obj.get("family")
-    if family not in _FAMILIES:
+    # every family name is a string, and a list or dict is unhashable
+    cls = _FAMILIES.get(family) if isinstance(family, str) else None
+    if cls is None:
         raise GroupSpecError(f"unknown family {family!r}")
-    allowed = {
-        "free": {"family", "rank"},
-        "abelian": {"family", "rank"},
-        "klein": {"family"},
-        "bs1": {"family", "m"},
-        "semidirect": {"family", "base", "automorphism"},
-    }[family]
-    extra = set(obj) - allowed
+    keys = cls.spec_keys
+    extra = set(obj) - {"family", *keys}
     if extra:
         raise GroupSpecError(f"unexpected keys {sorted(extra)} for family {family!r}")
-    if family in ("free", "abelian"):
+    if "rank" in keys:
         rank = obj.get("rank")
         if not isinstance(rank, int) or isinstance(rank, bool) or rank < 1:
             raise GroupSpecError("rank must be a positive integer")
         if rank > MAX_RANK:
             raise GroupSpecError(f"rank is above the ceiling {MAX_RANK}")
-    if family == "bs1":
+    if "m" in keys:
         m = obj.get("m")
         if not isinstance(m, int) or isinstance(m, bool) or abs(m) < 2:
             raise GroupSpecError("bs1 multiplier m must be an integer with |m| >= 2")
-    if family == "semidirect":
-        if "base" not in obj:
-            raise GroupSpecError("semidirect spec needs a base")
-        parse_group_spec(obj["base"])
-        auto = obj.get("automorphism")
-        if not isinstance(auto, dict) or set(auto) != {"forward", "backward"}:
-            raise GroupSpecError("automorphism must have exactly forward and backward maps")
-        for side in ("forward", "backward"):
-            mapping = auto[side]
-            if not isinstance(mapping, dict) or not all(
-                isinstance(k, str) and isinstance(v, str) for k, v in mapping.items()
-            ):
-                raise GroupSpecError(f"automorphism {side} map must be a dict of words")
-    return obj
+    if "base" not in keys:
+        return [obj]
+    if "base" not in obj:
+        raise GroupSpecError("semidirect spec needs a base")
+    levels = _parse(obj["base"])
+    auto = obj.get("automorphism")
+    if not isinstance(auto, dict) or set(auto) != {"forward", "backward"}:
+        raise GroupSpecError("automorphism must have exactly forward and backward maps")
+    for side in ("forward", "backward"):
+        mapping = auto[side]
+        if not isinstance(mapping, dict) or not all(
+            isinstance(k, str) and isinstance(v, str) for k, v in mapping.items()
+        ):
+            raise GroupSpecError(f"automorphism {side} map must be a dict of words")
+    levels.append(obj)
+    return levels
 
 
 def build_engine(spec):
-    spec = parse_group_spec(spec)
-    family = spec["family"]
-    if family == "free":
-        return FreeEngine(spec["rank"])
-    if family == "abelian":
-        return AbelianEngine(spec["rank"])
-    if family == "klein":
-        return KleinEngine()
-    if family == "bs1":
-        return BS1Engine(spec["m"])
-    base = build_engine(spec["base"])
-    auto = spec["automorphism"]
-    try:
-        return SemidirectEngine(base, auto["forward"], auto["backward"])
-    except UnknownGeneratorError as exc:
-        raise GroupSpecError(f"automorphism references unknown generator {exc}") from None
-    except WordSyntaxError as exc:
-        raise GroupSpecError(f"bad automorphism word: {exc}") from None
-
-
+    """The engine of a group description, validated whole first: the
+    innermost base from its family's ``spec_keys``, then each split
+    extension over the engine below it."""
+    bottom, *extensions = _parse(spec)
+    cls = _FAMILIES[bottom["family"]]
+    engine = cls(*[bottom[k] for k in cls.spec_keys])
+    for level in extensions:
+        auto = level["automorphism"]
+        try:
+            engine = SemidirectEngine(engine, auto["forward"], auto["backward"])
+        except UnknownGeneratorError as exc:
+            raise GroupSpecError(f"automorphism references unknown generator {exc}") from None
+        except WordSyntaxError as exc:
+            raise GroupSpecError(f"bad automorphism word: {exc}") from None
+    return engine

@@ -449,6 +449,22 @@ def test_pcc_long_period_bound(tmp_path):
         assert json.loads(proc.stdout)["certificate"] == cert
 
 
+def test_bs1_pure_shift_costs_no_power_of_m(tmp_path):
+    # t^k with a 400-digit k: a product of pure shifts scales only zero
+    # numerators, so it forms no 3^|k|, and the ball is a path; in a
+    # fresh process held to 512 MiB of address space
+    group = spec_file(tmp_path, "bs1.json", {"family": "bs1", "m": 3})
+    src = str(Path(growthlab.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-m", "growthlab.cli", "growth", "--group", group,
+         "--gens", f"t^{'7' * 400}", "--radius", "3"],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
+        timeout=60, check=False, preexec_fn=_limit_memory)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert [int(line.split("\t")[1]) for line in proc.stdout.splitlines()[1:]] \
+        == [1, 3, 5, 7]
+
+
 def test_growth_and_witness_take_deep_shifts(tmp_path, capsys):
     # generators of shift 26 need automorphism level 26, whose images
     # run to ~300 k flat entries; both commands answer as before
@@ -647,6 +663,8 @@ def _semidirect_spec(base, forward, backward):
                       {"a": "t", "t": "a"}),
      "forward map sends the relator t a t^-1 a^-2 to a^-1 t^-1: not a "
      "homomorphism"),
+    # an unhashable family is no family, not a TypeError
+    ({"family": []}, "unknown family []"),
 ])
 def test_group_spec_errors(tmp_path, capsys, spec, message):
     with pytest.raises(GroupSpecError) as info:

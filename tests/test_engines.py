@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import random
 from collections import Counter
 
@@ -14,6 +15,7 @@ from growthlab.engines import (
     SemidirectEngine,
     UnknownGeneratorError,
     UnsupportedFamilyError,
+    _FAMILIES,
     build_engine,
     flat_to_units,
     parse_group_spec,
@@ -226,7 +228,7 @@ def test_klein_defining_relation():
     t = eng.generator("t")
     lhs = eng.multiply(eng.multiply(t, a), eng.invert(t))
     assert lhs == eng.invert(a)
-    assert eng.evaluate_word(eng.relator) == eng.identity
+    assert [eng.evaluate_word(r) for r in eng.relators] == [eng.identity]
 
 
 @pytest.mark.parametrize("m", [2, -2, 3, 5, -7])
@@ -236,7 +238,7 @@ def test_bs1_defining_relation(m):
     t = eng.generator("t")
     lhs = eng.multiply(eng.multiply(t, a), eng.invert(t))
     assert lhs == eng.power(a, m)
-    assert eng.evaluate_word(eng.relator) == eng.identity
+    assert [eng.evaluate_word(r) for r in eng.relators] == [eng.identity]
 
 
 def bs1_branch(m, a, b):
@@ -541,10 +543,27 @@ def test_semidirect_renames_clashing_base_generator():
 
 
 def test_spec_round_trip_through_build():
-    for engine in family_engines():
+    engines = family_engines()
+    assert {engine.family for engine in engines} == set(_FAMILIES)
+    for engine in engines:
         again = build_engine(engine.spec_dict())
         assert again.spec_dict() == engine.spec_dict()
         assert spec_id(again) == spec_id(engine)
+
+
+@pytest.mark.parametrize("family", sorted(_FAMILIES))
+def test_family_table_names_each_class(family):
+    # the table is keyed by each class's own family name; every class
+    # but the split extension is built from its spec_keys in the order
+    # __init__ takes them, while the split extension's spec holds a base
+    # spec and one automorphism where __init__ takes the built base and
+    # the two maps
+    cls = _FAMILIES[family]
+    assert cls.family == family
+    if family != "semidirect":
+        assert cls.spec_keys == tuple(inspect.signature(cls).parameters)
+    else:
+        assert cls.spec_keys == ("base", "automorphism")
 
 
 def test_parse_group_spec_rejects_garbage():

@@ -54,9 +54,12 @@ def unused_imports(tree) -> set:
 # of a Delta against the relators; a benchmark change may delete or move
 # them); tests rebuild the declared automorphism maps for
 # reference_auto_power from spec_dict, which a rebuild from the engine's
-# levels would turn into a check of level +-1 against itself
+# levels would turn into a check of level +-1 against itself; tests
+# check the errors of parse_group_spec, the validation that
+# build_engine runs on the whole spec before it builds
 CALLED_FROM_OUTSIDE = {"error", "canonical_key", "spectral_radius",
-                       "is_cyclic_pair", "divides", "spec_dict"}
+                       "is_cyclic_pair", "divides", "spec_dict",
+                       "parse_group_spec"}
 
 
 def callable_definitions(tree) -> dict:
@@ -213,16 +216,30 @@ def test_private_definition_finder():
     assert unused({"length": True}, loaded, attributes) == {"length"}
 
 
+def is_family_read(node) -> bool:
+    """An attribute named ``family``, a ``.get("family")`` call or a
+    ``["family"]`` subscript."""
+    def is_key(arg):
+        return isinstance(arg, ast.Constant) and arg.value == "family"
+
+    if isinstance(node, ast.Attribute):
+        return node.attr == "family"
+    if isinstance(node, ast.Call):
+        return (isinstance(node.func, ast.Attribute) and node.func.attr == "get"
+                and bool(node.args) and is_key(node.args[0]))
+    return isinstance(node, ast.Subscript) and is_key(node.slice)
+
+
 def family_comparisons(tree, skip=()) -> set:
     """(function, operand) for each operand that a family is compared
-    with, outside the functions in `skip`: a family is an attribute named
-    ``family`` or a name bound to one."""
+    with, outside the functions in `skip`: a family is a family read
+    (``is_family_read``) or a name bound to one."""
     aliases = {t.id for node in ast.walk(tree) if isinstance(node, ast.Assign)
-               and isinstance(node.value, ast.Attribute) and node.value.attr == "family"
+               and is_family_read(node.value)
                for t in node.targets if isinstance(t, ast.Name)}
 
     def is_family(node):
-        return (isinstance(node, ast.Attribute) and node.attr == "family"
+        return (is_family_read(node)
                 or isinstance(node, ast.Name) and node.id in aliases)
 
     found = set()
@@ -251,10 +268,17 @@ def test_family_comparison_finder():
         "    fam = engine.base.family\n"
         "    return fam == 'abelian' or engine.base.family in TABLE\n"
         "def lookup(engine):\n"
-        "    return TABLE[engine.base.family]\n")
+        "    return TABLE[engine.base.family]\n"
+        "def parse(obj, spec):\n"
+        "    family = obj.get('family')\n"
+        "    return family in KNOWN or spec['family'] == 'free' or obj.get('rank') == 1\n"
+        "def read(spec):\n"
+        "    return TABLE.get(spec.get('family')) is None\n")
     assert family_comparisons(tree) == {
-        ("guard", "'semidirect'"), ("branch", "'abelian'"), ("branch", "TABLE")}
-    assert family_comparisons(tree, skip={"branch"}) == {("guard", "'semidirect'")}
+        ("guard", "'semidirect'"), ("branch", "'abelian'"), ("branch", "TABLE"),
+        ("parse", "KNOWN"), ("parse", "'free'")}
+    assert family_comparisons(tree, skip={"branch", "parse"}) == {
+        ("guard", "'semidirect'")}
 
 
 def test_witness_search_tests_no_family():
@@ -263,6 +287,14 @@ def test_witness_search_tests_no_family():
     tree = ast.parse((SRC / "witness.py").read_text(encoding="utf-8"))
     assert {other for _, other in family_comparisons(tree, skip={"pcc_scan"})} == {
         "'semidirect'"}
+
+
+def test_engines_dispatch_on_no_family():
+    # each family's facts sit on its class, which engines._FAMILIES finds
+    # by name, so parsing and building make one lookup; the one family
+    # comparison left is auto_matrix's, which serves only an abelian base
+    tree = ast.parse((SRC / "engines.py").read_text(encoding="utf-8"))
+    assert family_comparisons(tree) == {("auto_matrix", "'abelian'")}
 
 
 @functools.cache
