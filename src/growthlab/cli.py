@@ -95,15 +95,11 @@ def _emit(text: str, out_path):
 
 
 def _cmd_growth(args) -> int:
-    from growthlab.engines import UnknownGeneratorError
     from growthlab.growth import DEFAULT_BUDGET, ball_sizes
 
     engine = _load_engine(args.group)
     words = _parse_words(args.gens, ",")
-    try:
-        elems = [engine.evaluate_word(w) for w in words]
-    except UnknownGeneratorError as exc:
-        raise CliError(2, f"unknown generator {exc}") from None
+    elems = [engine.evaluate_word(w) for w in words]
     budget = DEFAULT_BUDGET if args.budget is None else args.budget
     table = ball_sizes(engine, elems, args.radius, budget=budget)
     _emit(table.to_tsv(), args.out)
@@ -158,15 +154,11 @@ def _cmd_spectra(args) -> int:
 
 
 def _cmd_witness(args) -> int:
-    from growthlab.engines import UnknownGeneratorError
     from growthlab.witness import analyze
 
     engine = _load_engine(args.group)
     words = _parse_words(args.gens, ",")
-    try:
-        cert = analyze(engine, words, args.u, args.d)
-    except UnknownGeneratorError as exc:
-        raise CliError(2, f"unknown generator {exc}") from None
+    cert = analyze(engine, words, args.u, args.d)
     payload = cert.to_json()
     if args.json:
         text = json.dumps(payload, sort_keys=True) + "\n"

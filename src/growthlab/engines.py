@@ -17,15 +17,19 @@ Families:
 Each engine stores a power of an automorphism of itself, a level, in
 its own form: ``level`` builds it from the generator images and
 ``apply_level`` applies it, so a split extension never reads its base's
-element format.
+element format.  A split extension's ``level_at(k)`` returns the
+base's level for alpha^k; over an abelian base that is the rows of the
+integer matrix of alpha^k, which the abelian-kernel searches read.
 
 Each class is its family's row in ``_FAMILIES``: ``family`` names it,
 ``spec_keys`` lists its group-file keys (for every family but the split
-extension, its ``__init__`` arguments in order), one ``spec_dict``
-prints them back, and ``relators`` holds the defining relators that a
-split extension over it checks each map against, every relator in
-``base.relators``: one on klein and bs1, none on free and abelian, and
-none on a split extension, so a nested base is still unchecked.
+extension, its ``__init__`` arguments in order), the one ``spec_dict``
+prints them back from the attributes of the same names, a ``base`` as
+its own ``spec_dict``, and ``relators`` holds the defining relators
+that a split extension over it checks each map against, every relator
+in ``base.relators``: one on klein and bs1, none on free and abelian,
+and none on a split extension, so a nested base is still unchecked.
+No code here compares a family name.
 
 Normal forms are canonical, so plain tuple equality is group equality,
 and canonical_key produces an injective bytes key: one family tag byte
@@ -51,6 +55,11 @@ TAG_SEMIDIRECT = b"\x05"
 # the highest rank a group file may give a free or abelian group: the
 # engines build tables with one entry per generator
 MAX_RANK = 10_000
+# the most generators the base of a split extension may have: the action
+# on an abelian base is a square matrix of this dimension, whose
+# characteristic polynomial has degree at most spectra.MAX_DEGREE, and
+# building the extension checks the maps inverse at a cost of about r^2.8
+MAX_BASE_RANK = 128
 
 
 class GroupSpecError(GrowthlabError, ValueError):
@@ -58,7 +67,10 @@ class GroupSpecError(GrowthlabError, ValueError):
 
 
 class UnknownGeneratorError(GrowthlabError, KeyError):
-    pass
+    """A word names a generator the engine does not have."""
+
+    def __str__(self):
+        return f"unknown generator {self.args[0]!r}"
 
 
 class UnsupportedFamilyError(GrowthlabError, NotImplementedError):
@@ -66,7 +78,7 @@ class UnsupportedFamilyError(GrowthlabError, NotImplementedError):
 
 
 # ---------------------------------------------------------------------------
-# free-word helpers shared with the conjugacy test and the periodic-class scan
+# free-word helpers of the free engine's conjugacy test
 
 
 def flat_to_units(flat: tuple) -> list:
@@ -195,8 +207,13 @@ class _EngineBase:
 
     def spec_dict(self) -> dict:
         """The group file of this engine: its family and, in order, each
-        of its ``spec_keys`` read off the attribute of the same name."""
-        return {"family": self.family, **{k: getattr(self, k) for k in self.spec_keys}}
+        of its ``spec_keys`` read off the attribute of the same name, a
+        ``base`` printed as its own ``spec_dict``.  Every value is a
+        copy, so editing the result leaves the engine as it was."""
+        from copy import deepcopy
+        return {"family": self.family, **{
+            k: self.base.spec_dict() if k == "base" else deepcopy(getattr(self, k))
+            for k in self.spec_keys}}
 
 
 class FreeEngine(_EngineBase):
@@ -294,9 +311,6 @@ class AbelianEngine(_EngineBase):
 
     def invert(self, a):
         return tuple(map(neg, a))
-
-    def power(self, a, k):
-        return tuple(k * x for x in a)
 
     def level(self, images):
         """The rows of the integer matrix, the images of the generators
@@ -430,9 +444,15 @@ class SemidirectEngine(_EngineBase):
     identity, so that it is a homomorphism (von Dyck's theorem).  Only
     klein and bs1 list a relator: a free or abelian base needs no such
     check, and a nested base is not checked.
-    Powers of the automorphism are applied through ``_levels``, a memo
-    of one level per exponent k != 0, filled on first use by composing
-    with level +-1; each level is in the form of the base's ``level``.
+    The maps are kept once, as ``automorphism``: the normalized image
+    words by generator, ``forward`` and ``backward``, in the given order,
+    which the one ``spec_dict`` prints back.  Before any map is read the
+    base's generator count is checked against ``MAX_BASE_RANK``.
+    Powers of the automorphism are applied through ``level_at(k)``, a
+    memo of one level per exponent k != 0, filled on first use by
+    composing with level +-1; each level is in the form of the base's
+    ``level``, so over an abelian base it is the rows of the matrix of
+    alpha^k.
 
     ``products`` needs alpha^k(w2) once per shift k of the elements and
     letter (w2, k2), so it keeps no memo of these images: a sphere has
@@ -444,6 +464,10 @@ class SemidirectEngine(_EngineBase):
     spec_keys = ("base", "automorphism")
 
     def __init__(self, base, forward: dict, backward: dict):
+        if len(base.gen_names) > MAX_BASE_RANK:
+            raise GroupSpecError(
+                f"split extension base has {len(base.gen_names)} generators, "
+                f"above the ceiling {MAX_BASE_RANK}")
         self.base = base
         need = set(base.gen_names)
         for label, mapping in (("forward", forward), ("backward", backward)):
@@ -452,10 +476,11 @@ class SemidirectEngine(_EngineBase):
                     f"automorphism {label} map must cover exactly the base "
                     f"generators {sorted(need)}, got {sorted(mapping)}"
                 )
-        self._fwd_words = {g: w if isinstance(w, Word) else Word.parse(w) for g, w in forward.items()}
-        self._bwd_words = {g: w if isinstance(w, Word) else Word.parse(w) for g, w in backward.items()}
-        fwd = {g: base.evaluate_word(w) for g, w in self._fwd_words.items()}
-        bwd = {g: base.evaluate_word(w) for g, w in self._bwd_words.items()}
+        words = [{g: w if isinstance(w, Word) else Word.parse(w) for g, w in m.items()}
+                 for m in (forward, backward)]
+        self.automorphism = {side: {g: str(w) for g, w in m.items()}
+                             for side, m in zip(("forward", "backward"), words)}
+        fwd, bwd = ({g: base.evaluate_word(w) for g, w in m.items()} for m in words)
         # no level 0: auto_power returns early at k = 0
         self._levels = {1: base.level(fwd), -1: base.level(bwd)}
         for g in base.gen_names:
@@ -483,9 +508,11 @@ class SemidirectEngine(_EngineBase):
 
     # -- automorphism ------------------------------------------------------
 
-    def _level_at(self, k: int):
-        """Level k, built from the nearest stored level towards 0 by
-        alpha^j = alpha^(j - step) o alpha^step, one step at a time."""
+    def level_at(self, k: int):
+        """The base's level of alpha^k, k != 0, in the form of its
+        ``level``: the stored one, or one built from the nearest stored
+        level towards 0 by alpha^j = alpha^(j - step) o alpha^step, one
+        step at a time.  The same object on every call."""
         levels = self._levels
         hit = levels.get(k)
         if hit is not None:
@@ -507,20 +534,7 @@ class SemidirectEngine(_EngineBase):
         """alpha^k applied to a base element."""
         if k == 0 or el == self.base.identity:
             return el
-        return self.base.apply_level(self._level_at(k), el)
-
-    def auto_matrix(self, k: int):
-        """The rows of the integer matrix of alpha^k on an abelian base,
-        column g the image of generator g: the stored level k, so the
-        same tuple of tuples on every call."""
-        base = self.base
-        if base.family != "abelian":
-            raise UnsupportedFamilyError(
-                f"alpha acts by an integer matrix only on an abelian base, "
-                f"not on a {base.family} base")
-        if k == 0:
-            return base.level({g: base.generator(g) for g in base.gen_names})
-        return self._level_at(k)
+        return self.base.apply_level(self.level_at(k), el)
 
     # -- group operations --------------------------------------------------
 
@@ -568,16 +582,6 @@ class SemidirectEngine(_EngineBase):
     def canonical_key(self, a) -> bytes:
         w, k = a
         return TAG_SEMIDIRECT + self.base.canonical_key(w) + b"|" + str(k).encode()
-
-    def spec_dict(self) -> dict:
-        return {
-            "family": "semidirect",
-            "base": self.base.spec_dict(),
-            "automorphism": {
-                "forward": {g: str(w) for g, w in self._fwd_words.items()},
-                "backward": {g: str(w) for g, w in self._bwd_words.items()},
-            },
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -662,7 +666,7 @@ def build_engine(spec):
         try:
             engine = SemidirectEngine(engine, auto["forward"], auto["backward"])
         except UnknownGeneratorError as exc:
-            raise GroupSpecError(f"automorphism references unknown generator {exc}") from None
+            raise GroupSpecError(f"automorphism references {exc}") from None
         except WordSyntaxError as exc:
             raise GroupSpecError(f"bad automorphism word: {exc}") from None
     return engine

@@ -11,7 +11,8 @@ reported as inconclusive with diagnostics, never guessed.
 The paper's hypothesis on the kernel K is all the search knows about a
 base, and ``_BASES`` holds it, one row per base family: the cap on u
 for a non-commuting kernel pair, or None where the shift-0 rows run no
-pair test, and the track for a row of nonzero shift.  In the
+pair test, the track for a row of nonzero shift, and the reason a
+skipped shift-0 row prints.  In the
 torsion-free kernel K a commuting pair spans a free abelian group,
 which never witnesses growth, so a kernel pair is certified only when it
 does not commute; the hypothesis u bounds every non-abelian subgroup of K.
@@ -335,7 +336,7 @@ def _abelian_case(engine, a_el, x0, u, d, tag):
     p = engine.shift(a_el)
     # the engine checked backward . forward = id on every generator, so
     # B M = I over Z and det M = +-1: no determinant check is needed
-    n_mat = engine.auto_matrix(p)
+    n_mat = engine.level_at(p)
     d_full, k_el, finite = _periodic_class(n_mat)
     if not finite:
         basis = _invariant_lattice(n_mat, engine.kernel_part(x0))
@@ -452,10 +453,15 @@ def _undecided_case(engine, a_el, x0, u, d, tag):
 
 # the hypothesis on K per base family (see the module docstring): the
 # cap on u for a non-commuting kernel pair, None where the shift-0 rows
-# run no pair test, and the track for a row of nonzero shift
-_BASES = {"free": (3.0, _chain_case), "semidirect": (math.inf, _chain_case),
-          "abelian": (None, _abelian_case), "klein": (None, _undecided_case),
-          "bs1": (None, _undecided_case)}
+# run no pair test; the track for a row of nonzero shift; and why a
+# shift-0 row with no pair test is skipped.  BS(1, m) with |m| >= 2
+# grows exponentially, but no rule certifies a pair in it yet
+_POLYNOMIAL = "kernel may have polynomial growth"
+_BASES = {"free": (3.0, _chain_case, None),
+          "semidirect": (math.inf, _chain_case, None),
+          "abelian": (None, _abelian_case, _POLYNOMIAL),
+          "klein": (None, _undecided_case, _POLYNOMIAL),
+          "bs1": (None, _undecided_case, "no pair rule for a bs1 kernel yet")}
 
 
 def _case(engine, elems, u, d, i, cand):
@@ -463,12 +469,11 @@ def _case(engine, elems, u, d, i, cand):
     sgn = lambda s: "" if s > 0 else "^-1"
     tag = f"(i={i}, [a{j}{sgn(sj)},a{k}{sgn(sk)}])"
     a_el = elems[i]
-    cap, track = _BASES[engine.base.family]
+    cap, track, skip = _BASES[engine.base.family]
     if engine.shift(a_el) != 0:
         return track(engine, a_el, c_el, u, d, tag)
     if cap is None:
-        return None, (f"{tag}: kernel pair skipped for {engine.base.family} base "
-                      "(kernel may have polynomial growth)")
+        return None, f"{tag}: kernel pair skipped for {engine.base.family} base ({skip})"
     return _kernel_pair(engine, a_el, c_el, 4, u, tag)
 
 
@@ -733,7 +738,7 @@ def pcc_scan(engine, max_period: int, max_length: int) -> PccResult:
         raise WitnessError("scan bounds must be positive")
     base = engine.base
     if base.family == "abelian":
-        d, k_vec, _ = _periodic_class(engine.auto_matrix(1))
+        d, k_vec, _ = _periodic_class(engine.level_at(1))
         if d is None or d > max_period:
             return PccResult(
                 None, True,

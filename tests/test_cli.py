@@ -40,6 +40,11 @@ NESTED_BS1_SPEC = {
 }
 
 
+def _semidirect_spec(base, forward, backward):
+    return {"family": "semidirect", "base": base,
+            "automorphism": {"forward": forward, "backward": backward}}
+
+
 def spec_file(tmp_path, name, spec):
     path = tmp_path / name
     path.write_text(json.dumps(spec), encoding="utf-8")
@@ -609,11 +614,17 @@ def test_spectral_radius_refuted_by_an_exact_bound_ends_in_err2(capsys):
     (["spectra", "--matrix", json.dumps([[int(i == j) for j in range(129)]
                                          for i in range(129)])],
      "matrix dimension is above the ceiling 128"),
-], ids=["free-rank", "abelian-rank", "degree", "letters", "matrix-dimension"])
+    (["growth", "--group", json.dumps(_semidirect_spec(
+        {"family": "abelian", "rank": 10_000}, *[{f"e{i}": f"e{i}" for i in range(1, 10_001)}] * 2)),
+      "--gens", "t", "--radius", "1"],
+     "split extension base has 10000 generators, above the ceiling 128"),
+], ids=["free-rank", "abelian-rank", "degree", "letters", "matrix-dimension",
+        "split-base-rank"])
 def test_inputs_past_a_size_ceiling_end_in_err2(tmp_path, argv, message):
     # each input asks for a table, a coefficient list or a string of its
     # own size; past the ceiling it is one ERR 2 line, in a fresh process
-    # held to 512 MiB of address space
+    # held to 512 MiB of address space.  The split extension over Z^10000
+    # would hold each of its two levels as 10^8 matrix entries
     if "--group" in argv:
         i = argv.index("--group") + 1
         path = tmp_path / "group.json"
@@ -625,11 +636,6 @@ def test_inputs_past_a_size_ceiling_end_in_err2(tmp_path, argv, message):
         env=dict(os.environ, PYTHONPATH=src), timeout=60, check=False,
         preexec_fn=_limit_memory)
     assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"ERR 2 {message}\n")
-
-
-def _semidirect_spec(base, forward, backward):
-    return {"family": "semidirect", "base": base,
-            "automorphism": {"forward": forward, "backward": backward}}
 
 
 @pytest.mark.parametrize("spec, message", [

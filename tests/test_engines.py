@@ -5,7 +5,6 @@ from collections import Counter
 
 import pytest
 
-from growthlab import GrowthlabError
 from growthlab.engines import (
     AbelianEngine,
     BS1Engine,
@@ -13,14 +12,15 @@ from growthlab.engines import (
     GroupSpecError,
     KleinEngine,
     SemidirectEngine,
+    MAX_BASE_RANK,
     UnknownGeneratorError,
-    UnsupportedFamilyError,
     _FAMILIES,
     build_engine,
     flat_to_units,
     parse_group_spec,
     units_to_flat,
 )
+from growthlab.spectra import MAX_DEGREE
 from growthlab.words import Word
 
 from util import (
@@ -460,22 +460,13 @@ MATRIX_AUTOS = [
 
 @pytest.mark.parametrize("auto, m", MATRIX_AUTOS, ids=["rot4", "fib", "rank3"])
 def test_auto_matrix_rows_are_matrix_powers(auto, m):
+    # over an abelian base level k is the rows of the matrix of alpha^k
     eng = SemidirectEngine(AbelianEngine(len(m)), *auto)
-    for k in (3, -3, 0, 1, -1, 2, -2):
-        rows = eng.auto_matrix(k)
+    for k in (3, -3, 1, -1, 2, -2):
+        rows = eng.level_at(k)
         assert rows == tuple(map(tuple, mat_pow_signed(m, k))), k
-        if k:
-            # the stored level itself, not a copy
-            assert eng.auto_matrix(k) is rows
-
-
-@pytest.mark.parametrize("engine", [torus_engine(), nested_bs1_engine(),
-                                    SemidirectEngine(KleinEngine(), *klein_automorphisms()[0])],
-                         ids=spec_id)
-def test_auto_matrix_needs_an_abelian_base(engine):
-    with pytest.raises(UnsupportedFamilyError) as err:
-        engine.auto_matrix(1)
-    assert isinstance(err.value, GrowthlabError)
+        # the stored level itself, not a copy
+        assert eng.level_at(k) is rows
 
 
 def test_deep_free_levels():
@@ -594,8 +585,38 @@ def test_parse_group_spec_rejects_unreadable_json(source, message):
 
 def test_unknown_generator_raises():
     eng = FreeEngine(2)
-    with pytest.raises(UnknownGeneratorError):
+    with pytest.raises(UnknownGeneratorError) as info:
         eng.evaluate_word(Word.parse("z"))
+    # the error names itself, so every caller prints it as it is
+    assert str(info.value) == "unknown generator 'z'"
+
+
+def test_spec_dict_is_a_fresh_copy():
+    # editing one result, down to a map's image word, changes neither
+    # the engine nor the next result
+    eng = nested_torus_engine()
+    spec = eng.spec_dict()
+    spec["automorphism"]["forward"]["t"] = "x"
+    spec["base"]["automorphism"]["backward"].clear()
+    spec["base"]["base"]["rank"] = 5
+    again = eng.spec_dict()
+    assert again != spec
+    assert again == build_engine(again).spec_dict()
+    assert eng.base.automorphism["backward"] == {"x": "y x^-1", "y": "x"}
+
+
+def test_split_base_ceiling_is_the_spectral_degree_ceiling():
+    # the action on an abelian base of rank r has a characteristic
+    # polynomial of degree r, which spectra bounds by MAX_DEGREE
+    assert MAX_BASE_RANK == MAX_DEGREE
+    ident = {f"e{i + 1}": f"e{i + 1}" for i in range(MAX_BASE_RANK)}
+    SemidirectEngine(AbelianEngine(MAX_BASE_RANK), ident, ident)
+    # the count is checked before the maps are read
+    with pytest.raises(GroupSpecError) as info:
+        SemidirectEngine(AbelianEngine(MAX_BASE_RANK + 1), ident, ident)
+    assert str(info.value) == (
+        f"split extension base has {MAX_BASE_RANK + 1} generators, "
+        f"above the ceiling {MAX_BASE_RANK}")
 
 
 def test_torus_auto_spec_survives_json():

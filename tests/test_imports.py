@@ -24,6 +24,8 @@ import pytest
 
 import growthlab
 
+from util import code_lines
+
 SRC = Path(growthlab.__file__).parent
 
 # names a module imports only so that callers can import them from it;
@@ -291,10 +293,10 @@ def test_witness_search_tests_no_family():
 
 def test_engines_dispatch_on_no_family():
     # each family's facts sit on its class, which engines._FAMILIES finds
-    # by name, so parsing and building make one lookup; the one family
-    # comparison left is auto_matrix's, which serves only an abelian base
+    # by name, so parsing and building make one lookup, and a split
+    # extension prints its base by the key "base", not by its family
     tree = ast.parse((SRC / "engines.py").read_text(encoding="utf-8"))
-    assert family_comparisons(tree) == {("auto_matrix", "'abelian'")}
+    assert family_comparisons(tree) == set()
 
 
 @functools.cache
@@ -338,3 +340,30 @@ def test_bare_import_loads_neither_dataclasses_nor_inspect(module):
         # every library module is imported inside the subcommand that runs it
         assert {m for m in added if m.startswith("growthlab")} == {
             "growthlab", "growthlab.cli"}
+
+
+# one of each kind of line: 14 lines, 7 of them code
+CODE_LINES_SNIPPET = '''\
+"""A module docstring."""
+
+# a comment
+import os
+
+
+def f(x):
+    """A docstring
+    on two lines."""
+    y = max(x,  # a call over two lines
+            1)
+    text = """a string in an expression,
+    over two lines"""
+    return f"{y} {text!r}"
+'''
+
+
+def test_code_lines_counts_by_the_tokenizer_rule(tmp_path):
+    # blank, comment and docstring lines are not code; each line of a
+    # call or of a string inside an expression is
+    path = tmp_path / "snippet.py"
+    path.write_text(CODE_LINES_SNIPPET, encoding="utf-8")
+    assert code_lines(path) == 7

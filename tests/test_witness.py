@@ -419,13 +419,18 @@ def test_bs1_base_inconclusive():
     cert = analyze(bs1_flip_engine(), ["t", "a"], 3.0, 2)
     assert cert.variant == INCONCLUSIVE
     assert "no decision procedure for bs1 base" in cert.diagnostics
-    assert "kernel pair skipped for bs1 base" in cert.diagnostics
+    # BS(1, m) with |m| >= 2 grows exponentially: the skip names the
+    # missing rule, not polynomial growth
+    assert ("kernel pair skipped for bs1 base (no pair rule for a bs1 "
+            "kernel yet)") in cert.diagnostics
+    assert "polynomial" not in cert.diagnostics
 
 
 def test_klein_base_inconclusive():
     cert = analyze(klein_base_engine(), ["t", "a", "t1"], 3.0, 2)
     assert cert.variant == INCONCLUSIVE
-    assert "kernel pair skipped for klein base" in cert.diagnostics
+    assert ("kernel pair skipped for klein base (kernel may have "
+            "polynomial growth)") in cert.diagnostics
 
 
 def test_klein_bottle_pair_is_not_certified():
@@ -669,9 +674,11 @@ def seeded_sets(eng, count=8):
 # sha256 of the certify paths' encoded outputs (``analyze``, ``pcc_scan``
 # and ``alexander_polynomial``, see ``util.certify_outputs``) over these
 # engines, pinned from the code before any of the three was sped up: a
-# change that claims byte-identical outputs must keep it
+# change that claims byte-identical outputs must keep it.  Re-pinned once
+# since, when the skip diagnostic of a shift-0 row over a bs1 base changed
+# its reason to "no pair rule for a bs1 kernel yet"
 CERTIFY_SHA256 = (
-    "a4034fb13ad70ae39fc65352226dda898c777b43d2d7b6e625421d7dc20aed8b")
+    "b34f901255d6ed87e4aea19d1bfb97b34b57fed21c9a74de6e5945a023230c1f")
 
 
 def test_certify_outputs_digest():

@@ -6,6 +6,7 @@ import json
 import math
 import random
 import re
+import tokenize
 from fractions import Fraction
 
 from growthlab import GrowthlabError
@@ -73,6 +74,30 @@ def reference_parse(text: str):
             raise WordSyntaxError(f"zero exponent in {tok!r}")
         pairs.append((m.group(1), exp))
     return Word.of(pairs)
+
+
+# tokens that never make a line count as code
+_NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
+             tokenize.DEDENT, tokenize.ENCODING, tokenize.ENDMARKER}
+
+
+def code_lines(path) -> int:
+    """The code lines of a Python file: the lines that hold a token that
+    is not a comment, a newline, an indent or a string standing alone as
+    a statement (a docstring).  A token that spans lines, such as a
+    triple-quoted string inside an expression, counts on each of them."""
+    with open(path, "rb") as fh:
+        tokens = [t for t in tokenize.tokenize(fh.readline)
+                  if t.type not in (tokenize.COMMENT, tokenize.NL)]
+    lines = set()
+    for i, tok in enumerate(tokens):
+        if tok.type in _NOT_CODE:
+            continue
+        if (tok.type == tokenize.STRING and tokens[i - 1].type in _NOT_CODE
+                and tokens[i + 1].type in (tokenize.NEWLINE, tokenize.ENDMARKER)):
+            continue  # a docstring, or any other string statement
+        lines.update(range(tok.start[0], tok.end[0] + 1))
+    return len(lines)
 
 
 def spec_id(engine) -> str:
@@ -702,7 +727,7 @@ def reference_apply_level(engine, el, k):
     base = engine.base
     if k == 0:
         return el
-    level = engine._level_at(k)
+    level = engine.level_at(k)
     out = base.identity
     for name, exp in reference_element_word(base, el).letters:
         out = base.multiply(out, base.power(level[name], exp))
