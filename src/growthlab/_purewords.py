@@ -25,10 +25,14 @@ how often products take each path:
 pieces into one list.  It takes the inverse of every image along with
 the image, so a letter with a negative exponent reads a stored word and
 inverts nothing: a split extension over a free base keeps both lists per
-automorphism level and applies that level to many words.
+automorphism level and applies that level to many words.  Its powers of
+an image come from ``pow_word``, the package's one square-and-multiply
+loop ``binary_power`` with ``concat_reduce`` as the product.
 """
 
 from __future__ import annotations
+
+from growthlab import binary_power
 
 
 def concat_reduce(a: tuple, b: tuple) -> tuple:
@@ -65,23 +69,12 @@ def invert_word(a: tuple) -> tuple:
 
 
 def pow_word(a: tuple, e) -> tuple:
-    """a**e by square-and-multiply; powers of one word commute."""
-    if e == 0 or not a:
-        return ()
+    """a**e: ``binary_power`` with ``concat_reduce`` after inverting a
+    for e < 0; powers of one word commute, and a**1 is a itself."""
     if e < 0:
         a = invert_word(a)
         e = -e
-    if e == 1:
-        return a
-    result: tuple = ()
-    base = a
-    while True:
-        if e & 1:
-            result = concat_reduce(result, base)
-        e >>= 1
-        if not e:
-            return result
-        base = concat_reduce(base, base)
+    return binary_power(a, e, concat_reduce, ())
 
 
 def substitute(a: tuple, images, inverses) -> tuple:

@@ -44,7 +44,7 @@ from collections import defaultdict
 from itertools import chain, repeat
 from operator import add, itemgetter, mul, neg, sub
 
-from growthlab import GrowthlabError, wordops
+from growthlab import GrowthlabError, binary_power, wordops
 from growthlab.words import Word, WordSyntaxError
 
 TAG_FREE = b"\x01"
@@ -77,6 +77,11 @@ class UnsupportedFamilyError(GrowthlabError, NotImplementedError):
     """The requested operation is not decidable/implemented for this family."""
 
 
+def _base_rank_error(n: int) -> GroupSpecError:
+    return GroupSpecError(
+        f"split extension base has {n} generators, above the ceiling {MAX_BASE_RANK}")
+
+
 # ---------------------------------------------------------------------------
 # free-word helpers of the free engine's conjugacy test
 
@@ -98,13 +103,20 @@ def units_to_flat(units) -> tuple:
     return tuple(chain.from_iterable(runs))
 
 
-def cyclic_reduce_units(units):
-    """Split units as p * core * p^-1; returns (p_units, core_units)."""
-    lo, hi = 0, len(units)
-    while hi - lo >= 2 and units[lo] == -units[hi - 1]:
-        lo += 1
-        hi -= 1
-    return units[:lo], units[lo:hi]
+def cyclic_peel(flat: tuple):
+    """(p, core) with flat = p * core * p^-1 and the core cyclically
+    reduced, for a reduced flat word.  Inverse end runs come off by
+    their common unit count, so no exponent is expanded into letters."""
+    lo, hi = 0, len(flat)
+    while hi - lo >= 4 and flat[lo] == flat[hi - 2] and flat[lo + 1] * flat[hi - 1] < 0:
+        e, f = flat[lo + 1], flat[hi - 1]
+        if e + f:  # the shorter end run comes off whole, and then no more
+            run = (flat[lo], e if abs(e) < abs(f) else -f)
+            mid = wordops.concat_reduce(wordops.invert_word(run), flat[lo:hi])
+            return flat[:lo] + run, wordops.concat_reduce(mid, run)
+        lo += 2
+        hi -= 2
+    return flat[:lo], flat[lo:hi]
 
 
 # ---------------------------------------------------------------------------
@@ -149,19 +161,12 @@ class _EngineBase:
         return (mul(x, a) for x in elements for a in letters)
 
     def power(self, a, k):
-        """a**k by binary powering; the first factor is taken as it is,
-        not multiplied onto the identity, so a**1 costs no product."""
+        """a**k: ``binary_power`` with this engine's ``multiply``, after
+        inverting a for k < 0, so a**1 costs no product and is a itself."""
         if k < 0:
             a = self.invert(a)
             k = -k
-        result = None
-        while k:
-            if k & 1:
-                result = a if result is None else self.multiply(result, a)
-            k >>= 1
-            if k:
-                a = self.multiply(a, a)
-        return self.identity if result is None else result
+        return binary_power(a, k, self.multiply, self.identity)
 
     def commute(self, a, b) -> bool:
         return self.multiply(a, b) == self.multiply(b, a)
@@ -263,19 +268,23 @@ class FreeEngine(_EngineBase):
 
     def conjugacy_test(self, a, b):
         """Conjugator c with c a c^-1 = b, or None.  Conjugate words have
-        cyclic reductions that are rotations of each other."""
-        pa, core_a = cyclic_reduce_units(flat_to_units(a))
-        pb, core_b = cyclic_reduce_units(flat_to_units(b))
-        n = len(core_a)
-        if n != len(core_b):
+        cyclic reductions that are rotations of each other.  The cores'
+        unit lengths, the sums of |e|, are compared first, and only two
+        cores of equal length are expanded into unit letters, so a large
+        exponent outside a core costs no letters."""
+        concat, inv = wordops.concat_reduce, wordops.invert_word
+        pa, core_a = cyclic_peel(a)
+        pb, core_b = cyclic_peel(b)
+        n = sum(map(abs, core_a[1::2]))
+        if n != sum(map(abs, core_b[1::2])):
             return None
         if n == 0:
             return ()  # cyclic length 0: both are the identity
+        units_a, units_b = flat_to_units(core_a), flat_to_units(core_b)
         for r in range(n):
-            if core_a[r:] + core_a[:r] == core_b:
-                # b = q (w2 w1) q^-1 with a = p (w1 w2) p^-1, w1 = core_a[:r]
-                c_units = pb + [-u for u in reversed(core_a[:r])] + [-u for u in reversed(pa)]
-                return units_to_flat(c_units)
+            if units_a[r:] + units_a[:r] == units_b:
+                # b = pb (w2 w1) pb^-1 with a = pa (w1 w2) pa^-1, w1 = units_a[:r]
+                return concat(concat(pb, inv(units_to_flat(units_a[:r]))), inv(pa))
         return None
 
 
@@ -465,9 +474,7 @@ class SemidirectEngine(_EngineBase):
 
     def __init__(self, base, forward: dict, backward: dict):
         if len(base.gen_names) > MAX_BASE_RANK:
-            raise GroupSpecError(
-                f"split extension base has {len(base.gen_names)} generators, "
-                f"above the ceiling {MAX_BASE_RANK}")
+            raise _base_rank_error(len(base.gen_names))
         self.base = base
         need = set(base.gen_names)
         for label, mapping in (("forward", forward), ("backward", backward)):
@@ -657,10 +664,16 @@ def _parse(source) -> list:
 def build_engine(spec):
     """The engine of a group description, validated whole first: the
     innermost base from its family's ``spec_keys``, then each split
-    extension over the engine below it."""
+    extension over the engine below it.  Each level adds one generator,
+    so over g bottom generators the top base of E extensions has
+    g + E - 1; past ``MAX_BASE_RANK`` the tower is refused before any
+    level is built, with the message of the first level that would fail."""
     bottom, *extensions = _parse(spec)
     cls = _FAMILIES[bottom["family"]]
     engine = cls(*[bottom[k] for k in cls.spec_keys])
+    g = len(engine.gen_names)
+    if extensions and g + len(extensions) - 1 > MAX_BASE_RANK:
+        raise _base_rank_error(max(g, MAX_BASE_RANK + 1))
     for level in extensions:
         auto = level["automorphism"]
         try:

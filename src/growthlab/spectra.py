@@ -10,10 +10,12 @@ reported radius `m` is a float, from an Aberth iteration on the
 square-free part.
 
 Fixed vectors are read off the one fraction-free elimination
-`_exact.eliminate`, and matrix powers use its one product `mat_mul`;
+`_exact.eliminate`, and matrix powers are the package's one
+square-and-multiply loop `binary_power` over its one product `mat_mul`.
 `hermite_rows` is a lattice normal form over Z and keeps its own
-reduction, whose unimodular gcd steps fix the printed basis.  The least
-cyclotomic order of a polynomial is `strip_cyclotomic(coeffs)[1]`.
+reduction, Euclid by floor quotients; the printed basis is fixed by the
+uniqueness of the Hermite form, not by the steps that reach it.  The
+least cyclotomic order of a polynomial is `strip_cyclotomic(coeffs)[1]`.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import re
 from collections import namedtuple
 from fractions import Fraction
 
-from growthlab import GrowthlabError
+from growthlab import GrowthlabError, binary_power
 from growthlab._exact import (  # cyclotomic, euler_phi: public here too
     cyclotomic,
     eliminate,
@@ -131,66 +133,44 @@ def mat_sub(a, b):
 
 
 def mat_pow(m, k: int):
+    """M^k for k >= 0: ``binary_power`` with ``mat_mul``, so M^1 is M
+    itself and M^0 a fresh identity."""
     if k < 0:
         raise SpectraError(f"matrix power needs k >= 0, got {k}")
-    acc = mat_identity(len(m))
-    base = m
-    while k:
-        if k & 1:
-            acc = mat_mul(acc, base)
-        k >>= 1
-        if k:
-            base = mat_mul(base, base)
-    return acc
+    return binary_power(m, k, mat_mul, mat_identity(len(m)))
 
 
-def _ext_gcd(a: int, b: int):
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    return old_r, old_s, old_t
+def _floor_reduce(row, by, c):
+    """row - q * by for the floor quotient q = row[c] // by[c]."""
+    q = row[c] // by[c]
+    return [x - q * y for x, y in zip(row, by)] if q else row
 
 
 def hermite_rows(rows):
     """Row-style Hermite form of the lattice spanned by integer rows:
-    unique basis with positive pivots and reduced entries above them."""
-    mat = [list(r) for r in rows if any(r)]
-    if not mat:
-        return []
-    cols = len(mat[0])
-    r = 0
-    for c in range(cols):
-        pivot = None
-        for i in range(r, len(mat)):
-            if mat[i][c] == 0:
-                continue
-            if pivot is None:
-                pivot = i
-                continue
-            a, b = mat[pivot][c], mat[i][c]
-            g, u, v = _ext_gcd(a, b)
-            row_p = [u * mat[pivot][k] + v * mat[i][k] for k in range(cols)]
-            row_i = [(-b // g) * mat[pivot][k] + (a // g) * mat[i][k]
-                     for k in range(cols)]
-            mat[pivot], mat[i] = row_p, row_i
-        if pivot is None or mat[pivot][c] == 0:
-            continue
-        mat[r], mat[pivot] = mat[pivot], mat[r]
-        if mat[r][c] < 0:
-            mat[r] = [-x for x in mat[r]]
-        for i in range(r):
-            q = mat[i][c] // mat[r][c]
-            if q:
-                mat[i] = [mat[i][k] - q * mat[r][k] for k in range(cols)]
-        r += 1
-        if r == len(mat):
-            break
-    return [row for row in mat[:r] if any(row)]
+    the unique basis in echelon form with positive pivots and the
+    entries above each pivot in [0, pivot) (Cohen, A Course in
+    Computational Algebraic Number Theory, section 2.4.2).
+
+    One column at a time, Euclid with floor quotients: while more than
+    one row not yet a pivot is nonzero in the column, the one with the
+    least absolute entry reduces the others.  The row left, made
+    positive, is the pivot, and floor quotients bring the pivot rows
+    above it into [0, pivot)."""
+    mat = [list(row) for row in rows if any(row)]
+    out = []
+    for c in range(len(mat[0]) if mat else 0):
+        live = [row for row in mat if row[c]]
+        mat = [row for row in mat if not row[c]]
+        while len(live) > 1:
+            low = min(live, key=lambda row: abs(row[c]))
+            live = [row if row is low else _floor_reduce(row, low, c) for row in live]
+            mat += [row for row in live if not row[c]]
+            live = [row for row in live if row[c]]
+        if live:
+            pivot = live[0] if live[0][c] > 0 else [-x for x in live[0]]
+            out = [_floor_reduce(row, pivot, c) for row in out] + [pivot]
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -454,6 +454,27 @@ def test_pcc_long_period_bound(tmp_path):
         assert json.loads(proc.stdout)["certificate"] == cert
 
 
+def test_pcc_expands_no_large_exponent(tmp_path):
+    # alpha(x) = y^N x y^-N is conjugate to x by y^N: the conjugacy test
+    # peels the y runs whole and compares the cores' lengths before it
+    # expands a core, so N = 10^8 costs no 10^8 letters, in a process
+    # held to 512 MiB of address space
+    big = "100000000"
+    spec = _semidirect_spec(FREE2_SPEC, {"x": f"y^{big} x y^-{big}", "y": "y"},
+                            {"x": f"y^-{big} x y^{big}", "y": "y"})
+    group = spec_file(tmp_path, "conj.json", spec)
+    src = str(Path(growthlab.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-m", "growthlab.cli", "pcc", "--group", group,
+         "--max-period", "2", "--max-length", "1"],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
+        timeout=60, check=False, preexec_fn=_limit_memory)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert json.loads(proc.stdout)["certificate"] == {
+        "c": f"y^{big}", "k": "x", "n": 1, "reverified": True,
+        "variant": "PeriodicConjugacy"}
+
+
 def test_bs1_pure_shift_costs_no_power_of_m(tmp_path):
     # t^k with a 400-digit k: a product of pure shifts scales only zero
     # numerators, so it forms no 3^|k|, and the ball is a path; in a

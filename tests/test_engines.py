@@ -16,6 +16,7 @@ from growthlab.engines import (
     UnknownGeneratorError,
     _FAMILIES,
     build_engine,
+    cyclic_peel,
     flat_to_units,
     parse_group_spec,
     units_to_flat,
@@ -41,7 +42,9 @@ from util import (
     random_word,
     reference_apply_level,
     reference_auto_power,
+    reference_conjugacy_test,
     reference_element_word,
+    reference_power,
     spec_id,
     torus_engine,
     tower_engine,
@@ -123,6 +126,22 @@ def test_power_matches_repeated_multiplication(engine):
         for _ in range(abs(k)):
             acc = engine.multiply(acc, step)
         assert engine.power(a, k) == acc
+
+
+@pytest.mark.parametrize("engine", family_engines(), ids=spec_id)
+def test_power_matches_the_reference_loop(engine):
+    # the shared square-and-multiply loop gives the power the engines'
+    # former loop gave, and a**1 is a itself; two unit letters keep a
+    # shift of at most 2, so a torus power needs levels up to 24 only
+    rng = random.Random(35)
+    names = engine.gen_names
+    for _ in range(20):
+        a = engine.evaluate_word(Word.of(
+            (rng.choice(names), rng.choice((1, -1))) for _ in range(rng.randrange(3))))
+        for k in range(-12, 13):
+            assert engine.power(a, k) == reference_power(
+                engine.multiply, engine.invert, engine.identity, a, k), k
+        assert engine.power(a, 1) is a
 
 
 @pytest.mark.parametrize("engine", family_engines(), ids=spec_id)
@@ -339,6 +358,46 @@ def test_free_conjugacy_agrees_with_rotation_oracle():
         if expected:
             assert_conjugator(eng, d, a, b)
     assert outcomes == {True, False}
+
+
+def test_cyclic_peel_splits_off_inverse_end_runs():
+    rng = random.Random(33)
+    eng = FreeEngine(3)
+    assert cyclic_peel(()) == ((), ())
+    assert cyclic_peel((0, 3, 1, 1, 0, -1)) == ((0, 1), (0, 2, 1, 1))
+    assert cyclic_peel((0, 1, 1, 1, 0, -3)) == ((0, 1), (1, 1, 0, -2))
+    assert cyclic_peel((1, 10 ** 30, 0, 1, 1, -10 ** 30)) == ((1, 10 ** 30), (0, 1))
+    for _ in range(500):
+        a = random_element(rng, eng)
+        p, core = cyclic_peel(a)
+        assert eng.multiply(eng.multiply(p, core), eng.invert(p)) == a
+        # cyclically reduced: the end runs are not inverse letters
+        assert len(core) < 4 or core[0] != core[-2] or core[1] * core[-1] > 0
+        assert cyclic_core(flat_to_units(a)) == flat_to_units(core)
+
+
+def test_free_conjugacy_matches_the_unit_letter_reference():
+    # peeling whole runs gives the conjugator that unit letters gave,
+    # exponents of several units included
+    rng = random.Random(34)
+    eng = FreeEngine(3)
+
+    def word(runs):
+        return eng.evaluate_word(Word.of(
+            (rng.choice(eng.gen_names), rng.choice([-5, -2, -1, 1, 2, 3]))
+            for _ in range(runs)))
+
+    found = 0
+    for _ in range(4000):
+        a = word(rng.randrange(6))
+        b = word(rng.randrange(6))
+        if rng.random() < 0.5:
+            c = word(rng.randrange(5))
+            b = eng.multiply(eng.multiply(c, a), eng.invert(c))
+        d = eng.conjugacy_test(a, b)
+        assert d == reference_conjugacy_test(a, b), (a, b)
+        found += d is not None
+    assert 1000 < found < 3000
 
 
 @pytest.mark.parametrize("a, b, conjugate", [
@@ -614,6 +673,29 @@ def test_split_base_ceiling_is_the_spectral_degree_ceiling():
     # the count is checked before the maps are read
     with pytest.raises(GroupSpecError) as info:
         SemidirectEngine(AbelianEngine(MAX_BASE_RANK + 1), ident, ident)
+    assert str(info.value) == (
+        f"split extension base has {MAX_BASE_RANK + 1} generators, "
+        f"above the ceiling {MAX_BASE_RANK}")
+
+
+def test_tower_past_the_base_ceiling_builds_no_level(monkeypatch):
+    # an identity tower of depth 129 over Z puts 129 generators in its
+    # top base; the count is read off the parsed spec, so the tower is
+    # refused with the first failing level's message before any level
+    spec, names = {"family": "free", "rank": 1}, ["x"]
+    for _ in range(MAX_BASE_RANK + 1):
+        ident = {n: n for n in names}
+        spec = {"family": "semidirect", "base": spec,
+                "automorphism": {"forward": ident, "backward": ident}}
+        # each level renames t, t1, t2, ... of its base to t1, t2, t3, ...
+        names = ["t", *(f"t{int(n[1:] or 0) + 1}" if n[0] == "t" else n for n in names)]
+
+    def refuse(*args):
+        raise AssertionError("a level was built")
+
+    monkeypatch.setattr("growthlab.engines.SemidirectEngine", refuse)
+    with pytest.raises(GroupSpecError) as info:
+        build_engine(spec)
     assert str(info.value) == (
         f"split extension base has {MAX_BASE_RANK + 1} generators, "
         f"above the ceiling {MAX_BASE_RANK}")

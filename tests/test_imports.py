@@ -15,6 +15,8 @@ short CLI run a tenth of its wall time."""
 
 import ast
 import functools
+import importlib.util
+import inspect
 import os
 import subprocess
 import sys
@@ -291,6 +293,15 @@ def test_witness_search_tests_no_family():
         "'semidirect'"}
 
 
+def test_one_square_and_multiply_loop():
+    # engine, word and matrix powers all call growthlab.binary_power, so
+    # the package halves an exponent in one place
+    halvings = [path.stem for path in sorted(SRC.glob("*.py"))
+                for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                if isinstance(node, ast.AugAssign) and isinstance(node.op, ast.RShift)]
+    assert halvings == ["__init__"]
+
+
 def test_engines_dispatch_on_no_family():
     # each family's facts sit on its class, which engines._FAMILIES finds
     # by name, so parsing and building make one lookup, and a split
@@ -367,3 +378,34 @@ def test_code_lines_counts_by_the_tokenizer_rule(tmp_path):
     path = tmp_path / "snippet.py"
     path.write_text(CODE_LINES_SNIPPET, encoding="utf-8")
     assert code_lines(path) == 7
+
+
+def perfbench_tracing():
+    """``perfbench/tracing.py``, loaded by its path: the names it wraps."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_traced_names_sit_where_the_benchmark_reads_them():
+    # the benchmark's tracer reads each engine method off its class's own
+    # __dict__, so a method moved up to _EngineBase ends a --trace run in
+    # a KeyError; it rewraps Word.parse as a staticmethod; and it wraps a
+    # wordops function only when the function's home is a kernel module,
+    # so an alias defined elsewhere, say pow_word, would read 0 calls
+    from growthlab import engines, wordops
+    from growthlab.words import Word
+
+    tracing = perfbench_tracing()
+    for cls_name in tracing.ENGINE_CLASSES.values():
+        own = vars(getattr(engines, cls_name))
+        assert {m for m in tracing.ENGINE_METHODS if m not in own} == set(), cls_name
+    assert "auto_power" in vars(engines.SemidirectEngine)
+    assert isinstance(vars(Word)["parse"], staticmethod)
+    assert wordops.pow_word.__module__ == "growthlab._purewords"
+    kernel = {name: fn.__module__ for name, fn in vars(wordops).items()
+              if inspect.isfunction(fn)}
+    assert {n for n, home in kernel.items() if home not in tracing.KERNEL_HOMES} == set()
+    assert set(kernel) == RE_EXPORTS["wordops"]

@@ -36,6 +36,8 @@ from util import (
     mat_inv_unimodular,
     mat_pow_signed,
     matrix_rank,
+    reference_hermite_rows,
+    reference_mat_pow,
 )
 
 ROT4 = [[0, -1], [1, 0]]
@@ -526,6 +528,17 @@ def test_mat_pow_and_inverse():
         mat_pow(FIB, -1)
 
 
+def test_mat_pow_matches_the_reference_loop():
+    # one square-and-multiply loop gives the power the former loop from
+    # the identity gave, and M^1 is M itself, with no product formed
+    rng = random.Random(35)
+    for m in [FIB, ROT4, [[3]], block_diag(FIB, ROT4)] + [rand_matrix(rng, 3, -2, 2)
+                                                          for _ in range(6)]:
+        for k in range(21):
+            assert mat_pow(m, k) == reference_mat_pow(m, k), (m, k)
+        assert mat_pow(m, 1) is m
+
+
 def test_matrix_rank():
     assert matrix_rank([[1, 0], [0, 1]]) == 2
     assert matrix_rank([[2, 4], [1, 2]]) == 1
@@ -537,6 +550,29 @@ def test_hermite_rows_canonical():
     assert rows == [[1, 1], [0, 2]]
     assert hermite_rows([[0, 0]]) == []
     assert hermite_rows([[2, 0], [0, 3]]) == [[2, 0], [0, 3]]
+
+
+def test_hermite_rows_matches_the_gcd_step_reference():
+    # the Hermite form of a lattice is unique, so Euclid by floor
+    # quotients prints the basis the former extended-gcd steps printed;
+    # zero, repeated and negated rows make dependent sets
+    rng = random.Random(36)
+    kinds = set()
+    for _ in range(4000):
+        cols = rng.randint(1, 5)
+        rows = []
+        for _ in range(rng.randint(0, 6)):
+            kind = rng.randrange(4 if rows else 2)
+            kinds.add(kind)
+            if kind == 0:
+                rows.append([rng.randint(-9, 9) for _ in range(cols)])
+            elif kind == 1:
+                rows.append([0] * cols)
+            else:
+                row = rng.choice(rows)
+                rows.append(list(row) if kind == 2 else [-x for x in row])
+        assert hermite_rows(rows) == reference_hermite_rows(rows), rows
+    assert kinds == {0, 1, 2, 3}
 
 
 def test_hermite_rows_lattice_invariance():

@@ -11,7 +11,7 @@ from itertools import chain
 from growthlab import _purewords as pure
 from growthlab.words import Word
 
-from util import word_length
+from util import reference_pow_word, word_length
 
 
 def flat_word(pairs):
@@ -170,12 +170,16 @@ def test_invert_matches_reference():
 
 
 def test_pow_matches_reference():
+    # the unit-letter reference, and the kernel's former loop from the
+    # empty word; a**1 is a itself
     rng = random.Random(24)
     for _ in range(150):
         a = random_word(rng, max_runs=4)
-        for e in (-6, -2, -1, 0, 1, 2, 3, 9):
+        for e in range(-12, 13):
             unit = letters(a) if e > 0 else inverse_letters(a)
             assert pure.pow_word(a, e) == reduce_letters(unit * abs(e))
+            assert pure.pow_word(a, e) == reference_pow_word(a, e)
+        assert pure.pow_word(a, 1) is a
 
 
 def test_substitute_matches_reference():

@@ -9,7 +9,7 @@ import re
 import tokenize
 from fractions import Fraction
 
-from growthlab import GrowthlabError
+from growthlab import GrowthlabError, wordops
 from growthlab._exact import eliminate
 from growthlab.engines import (
     AbelianEngine,
@@ -215,6 +215,136 @@ def mat_pow_signed(m, k: int):
     """M^k for any integer k; a negative k powers the unimodular inverse,
     which ``spectra.mat_pow`` (k >= 0 only) leaves to its callers."""
     return mat_pow(mat_inv_unimodular(m), -k) if k < 0 else mat_pow(m, k)
+
+
+# ---------------------------------------------------------------------------
+# the earlier implementations of the routines that now share one powering
+# loop or reduce by floor quotients, kept as oracles: each computes a
+# unique value, so the library must return the same one
+
+
+def reference_power(multiply, invert, identity, a, k):
+    """a**k by the engines' former loop: invert for k < 0, and take the
+    first factor as it is."""
+    if k < 0:
+        a = invert(a)
+        k = -k
+    result = None
+    while k:
+        if k & 1:
+            result = a if result is None else multiply(result, a)
+        k >>= 1
+        if k:
+            a = multiply(a, a)
+    return identity if result is None else result
+
+
+def reference_pow_word(a: tuple, e) -> tuple:
+    """a**e by the word kernel's former loop, which starts from the
+    empty word."""
+    if e == 0 or not a:
+        return ()
+    if e < 0:
+        a = wordops.invert_word(a)
+        e = -e
+    if e == 1:
+        return a
+    result: tuple = ()
+    base = a
+    while True:
+        if e & 1:
+            result = wordops.concat_reduce(result, base)
+        e >>= 1
+        if not e:
+            return result
+        base = wordops.concat_reduce(base, base)
+
+
+def reference_mat_pow(m, k: int):
+    """M^k, k >= 0, by the former loop, which starts from the identity."""
+    acc = mat_identity(len(m))
+    base = m
+    while k:
+        if k & 1:
+            acc = mat_mul(acc, base)
+        k >>= 1
+        if k:
+            base = mat_mul(base, base)
+    return acc
+
+
+def _reference_ext_gcd(a: int, b: int):
+    old_r, r = a, b
+    old_s, s = 1, 0
+    old_t, t = 0, 1
+    while r:
+        q = old_r // r
+        old_r, r = r, old_r - q * r
+        old_s, s = s, old_s - q * s
+        old_t, t = t, old_t - q * t
+    return old_r, old_s, old_t
+
+
+def reference_hermite_rows(rows):
+    """The Hermite form by the former unimodular gcd steps: each row
+    below the pivot is folded into it by the extended gcd of the two
+    entries."""
+    mat = [list(r) for r in rows if any(r)]
+    if not mat:
+        return []
+    cols = len(mat[0])
+    r = 0
+    for c in range(cols):
+        pivot = None
+        for i in range(r, len(mat)):
+            if mat[i][c] == 0:
+                continue
+            if pivot is None:
+                pivot = i
+                continue
+            a, b = mat[pivot][c], mat[i][c]
+            g, u, v = _reference_ext_gcd(a, b)
+            row_p = [u * mat[pivot][k] + v * mat[i][k] for k in range(cols)]
+            row_i = [(-b // g) * mat[pivot][k] + (a // g) * mat[i][k]
+                     for k in range(cols)]
+            mat[pivot], mat[i] = row_p, row_i
+        if pivot is None or mat[pivot][c] == 0:
+            continue
+        mat[r], mat[pivot] = mat[pivot], mat[r]
+        if mat[r][c] < 0:
+            mat[r] = [-x for x in mat[r]]
+        for i in range(r):
+            q = mat[i][c] // mat[r][c]
+            if q:
+                mat[i] = [mat[i][k] - q * mat[r][k] for k in range(cols)]
+        r += 1
+        if r == len(mat):
+            break
+    return [row for row in mat[:r] if any(row)]
+
+
+def reference_conjugacy_test(a: tuple, b: tuple):
+    """The free conjugacy test on unit letters throughout: peel inverse
+    end letters, rotate, and reduce the conjugator's letters."""
+    def peel(units):
+        lo, hi = 0, len(units)
+        while hi - lo >= 2 and units[lo] == -units[hi - 1]:
+            lo += 1
+            hi -= 1
+        return units[:lo], units[lo:hi]
+
+    pa, core_a = peel(flat_to_units(a))
+    pb, core_b = peel(flat_to_units(b))
+    n = len(core_a)
+    if n != len(core_b):
+        return None
+    if n == 0:
+        return ()
+    for r in range(n):
+        if core_a[r:] + core_a[:r] == core_b:
+            c_units = pb + [-u for u in reversed(core_a[:r])] + [-u for u in reversed(pa)]
+            return units_to_flat(c_units)
+    return None
 
 
 def word_length(a: tuple):
