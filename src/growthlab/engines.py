@@ -18,8 +18,11 @@ Each engine stores a power of an automorphism of itself, a level, in
 its own form: ``level`` builds it from the generator images and
 ``apply_level`` applies it, so a split extension never reads its base's
 element format.  A split extension's ``level_at(k)`` returns the
-base's level for alpha^k; over an abelian base that is the rows of the
-integer matrix of alpha^k, which the abelian-kernel searches read.
+base's level for alpha^k, built by ``binary_power`` from level +-1 so
+that a far k costs the bits of k; over an abelian base that is the rows
+of the integer matrix of alpha^k, which the abelian-kernel searches read.
+A free word is a flat tuple of runs throughout: the free conjugacy test
+cuts cores at run ends and expands no exponent into letters.
 
 Each class is its family's row in ``_FAMILIES``: ``family`` names it,
 ``spec_keys`` lists its group-file keys (for every family but the split
@@ -41,7 +44,7 @@ from __future__ import annotations
 
 import json
 from collections import defaultdict
-from itertools import chain, repeat
+from itertools import accumulate, chain, repeat
 from operator import add, itemgetter, mul, neg, sub
 
 from growthlab import GrowthlabError, binary_power, wordops
@@ -86,21 +89,19 @@ def _base_rank_error(n: int) -> GroupSpecError:
 # free-word helpers of the free engine's conjugacy test
 
 
-def flat_to_units(flat: tuple) -> list:
-    """Expand a flat word into signed 1-based unit letters."""
-    units = []
-    for i in range(0, len(flat), 2):
-        g = flat[i] + 1
-        e = flat[i + 1]
-        step = g if e > 0 else -g
-        units.extend([step] * abs(e))
-    return units
-
-
-def units_to_flat(units) -> tuple:
-    """Reduce signed 1-based unit letters to a flat word."""
-    runs = Word.of((abs(u) - 1, 1 if u > 0 else -1) for u in units).letters
-    return tuple(chain.from_iterable(runs))
+def split_units(flat: tuple, r: int):
+    """(head, tail) with head * tail = flat and r unit letters in head,
+    for a reduced flat word and 0 <= r <= its sum of |e|: at most one
+    run is cut."""
+    i = 0
+    while r and abs(flat[i + 1]) <= r:
+        r -= abs(flat[i + 1])
+        i += 2
+    if not r:
+        return flat[:i], flat[i:]
+    g, e = flat[i], flat[i + 1]
+    s = r if e > 0 else -r
+    return flat[:i] + (g, s), (g, e - s) + flat[i + 2:]
 
 
 def cyclic_peel(flat: tuple):
@@ -268,10 +269,13 @@ class FreeEngine(_EngineBase):
 
     def conjugacy_test(self, a, b):
         """Conjugator c with c a c^-1 = b, or None.  Conjugate words have
-        cyclic reductions that are rotations of each other.  The cores'
-        unit lengths, the sums of |e|, are compared first, and only two
-        cores of equal length are expanded into unit letters, so a large
-        exponent outside a core costs no letters."""
+        cyclic reductions that are rotations of each other (Lyndon and
+        Schupp, ch. I), and the cores' unit lengths, the sums of |e|, are
+        compared first.  The rotation that turns a's core into b's starts
+        b's first run (g, f), so it ends |f| units before the end of a
+        run of a's core with letter g and the sign of f: only those cuts
+        are tried, in ascending order, each by ``split_units``, and no
+        exponent is expanded into letters."""
         concat, inv = wordops.concat_reduce, wordops.invert_word
         pa, core_a = cyclic_peel(a)
         pb, core_b = cyclic_peel(b)
@@ -280,11 +284,13 @@ class FreeEngine(_EngineBase):
             return None
         if n == 0:
             return ()  # cyclic length 0: both are the identity
-        units_a, units_b = flat_to_units(core_a), flat_to_units(core_b)
-        for r in range(n):
-            if units_a[r:] + units_a[:r] == units_b:
-                # b = pb (w2 w1) pb^-1 with a = pa (w1 w2) pa^-1, w1 = units_a[:r]
-                return concat(concat(pb, inv(units_to_flat(units_a[:r]))), inv(pa))
+        g, f = core_b[0], core_b[1]
+        runs = zip(core_a[::2], core_a[1::2], accumulate(map(abs, core_a[1::2])))
+        for r in sorted({(end - abs(f)) % n for h, e, end in runs if h == g and e * f > 0}):
+            head, tail = split_units(core_a, r)
+            if concat(tail, head) == core_b:
+                # b = pb (tail head) pb^-1 with a = pa (head tail) pa^-1
+                return concat(concat(pb, inv(head)), inv(pa))
         return None
 
 
@@ -458,10 +464,11 @@ class SemidirectEngine(_EngineBase):
     which the one ``spec_dict`` prints back.  Before any map is read the
     base's generator count is checked against ``MAX_BASE_RANK``.
     Powers of the automorphism are applied through ``level_at(k)``, a
-    memo of one level per exponent k != 0, filled on first use by
-    composing with level +-1; each level is in the form of the base's
-    ``level``, so over an abelian base it is the rows of the matrix of
-    alpha^k.
+    memo of one level per requested exponent k, filled on first use by
+    ``binary_power`` of level +-1 with the composition of levels as the
+    product and level 0, the identity, as its one; each level is in the
+    form of the base's ``level``, so over an abelian base it is the rows
+    of the matrix of alpha^k.
 
     ``products`` needs alpha^k(w2) once per shift k of the elements and
     letter (w2, k2), so it keeps no memo of these images: a sphere has
@@ -488,10 +495,10 @@ class SemidirectEngine(_EngineBase):
         self.automorphism = {side: {g: str(w) for g, w in m.items()}
                              for side, m in zip(("forward", "backward"), words)}
         fwd, bwd = ({g: base.evaluate_word(w) for g, w in m.items()} for m in words)
-        # no level 0: auto_power returns early at k = 0
-        self._levels = {1: base.level(fwd), -1: base.level(bwd)}
-        for g in base.gen_names:
-            gen = base.generator(g)
+        gens = {g: base.generator(g) for g in base.gen_names}
+        # level 0, the identity, is binary_power's one in level_at
+        self._levels = {0: base.level(gens), 1: base.level(fwd), -1: base.level(bwd)}
+        for g, gen in gens.items():
             if base.apply_level(self._levels[-1], fwd[g]) != gen:
                 raise GroupSpecError(f"backward(forward({g})) != {g}: maps are not inverse")
             if base.apply_level(self._levels[1], bwd[g]) != gen:
@@ -508,34 +515,29 @@ class SemidirectEngine(_EngineBase):
         # injective on them and never yields "t"
         rename = {n: _bump_stable_name(n) for n in base.gen_names}
         self._base_to_outer = rename
-        self._gens = {"t": (base.identity, 1),
-                      **{rename[g]: (base.generator(g), 0) for g in base.gen_names}}
+        self._gens = {"t": (base.identity, 1), **{rename[g]: (x, 0) for g, x in gens.items()}}
         self.gen_names = tuple(self._gens)
         self.identity = (base.identity, 0)
 
     # -- automorphism ------------------------------------------------------
 
     def level_at(self, k: int):
-        """The base's level of alpha^k, k != 0, in the form of its
-        ``level``: the stored one, or one built from the nearest stored
-        level towards 0 by alpha^j = alpha^(j - step) o alpha^step, one
-        step at a time.  The same object on every call."""
-        levels = self._levels
-        hit = levels.get(k)
-        if hit is not None:
-            return hit
-        step = 1 if k > 0 else -1
-        j = k - step
-        while levels.get(j) is None:
-            j -= step
+        """The base's level of alpha^k, in the form of its ``level``: the
+        stored one, or ``binary_power`` of level +-1 to the power |k|
+        with ``_compose`` as the product, so the cost is in the bits of
+        k, not its value.  Only requested k are stored, and each is the
+        same object on every call."""
+        hit = self._levels.get(k)
+        if hit is None:
+            hit = self._levels[k] = binary_power(
+                self._levels[1 if k > 0 else -1], abs(k), self._compose, self._levels[0])
+        return hit
+
+    def _compose(self, x, y):
+        """The base's level of x o y, for levels x and y: y applied first."""
         base = self.base
         apply = base.apply_level
-        one = {g: apply(levels[step], base.generator(g)) for g in base.gen_names}
-        while j != k:
-            prev = levels[j]
-            j += step
-            levels[j] = base.level({g: apply(prev, w) for g, w in one.items()})
-        return levels[k]
+        return base.level({g: apply(x, apply(y, base.generator(g))) for g in base.gen_names})
 
     def auto_power(self, el, k: int):
         """alpha^k applied to a base element."""

@@ -4,8 +4,8 @@ Syntax: whitespace-separated letters, each ``name`` or ``name^k`` with k a
 nonzero decimal integer.  A Word is a reduced run-length sequence of
 (name, exponent) pairs; reduction here only merges adjacent equal names,
 group-specific simplification happens in the engines.  ``_merge`` is the
-one loop in growthlab that merges runs: a free engine's conjugators go
-through ``Word.of`` too, with generator indices as names.
+one loop in growthlab that merges runs of named letters; a free engine
+keeps its words as flat runs, which the word kernel reduces at seams.
 
 Each distinct letter token is parsed once: ``_letter`` is a bounded memo
 from token to (name, exponent).  Tokens repeat within a call and across

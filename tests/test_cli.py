@@ -475,6 +475,54 @@ def test_pcc_expands_no_large_exponent(tmp_path):
         "variant": "PeriodicConjugacy"}
 
 
+def test_free_conjugacy_of_long_runs_in_a_fresh_process():
+    # x^N y against y x^N with N = 10^8: the cores are cut at run ends,
+    # not spelled as N unit letters, in a process held to 512 MiB
+    src = str(Path(growthlab.__file__).resolve().parent.parent)
+    script = ("from growthlab.engines import FreeEngine\n"
+              "n = 10 ** 8\n"
+              "print(FreeEngine(2).conjugacy_test((0, n, 1, 1), (1, 1, 0, n)))")
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=src), timeout=60, check=False,
+        preexec_fn=_limit_memory)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "(0, -100000000)\n", "")
+
+
+# F2 x| (x -> x, y -> y x), where alpha^k(y) = y x^k, and Z^2 x| [[1, 1], [0, 1]]
+UNIPOTENT_SPEC = _semidirect_spec(FREE2_SPEC, {"x": "x", "y": "y x"},
+                                  {"x": "x", "y": "y x^-1"})
+SHEAR_SPEC = _semidirect_spec({"family": "abelian", "rank": 2},
+                              {"e1": "e1", "e2": "e1 e2"}, {"e1": "e1", "e2": "e1^-1 e2"})
+
+
+@pytest.mark.parametrize("spec, argv, expected", [
+    (UNIPOTENT_SPEC, ["witness", "--gens", "t^10000000,y", "--u", "3", "--d", "2"],
+     ["variant = PeriodicConjugacy", "k = y x^10000000 y^-1", "n = 10000000"]),
+    (UNIPOTENT_SPEC, ["growth", "--gens", "t^3000000,y", "--radius", "2"],
+     ["0\t1\t", "1\t5\t5.0000000000", "2\t17\t4.1231056256"]),
+    (SHEAR_SPEC, ["witness", "--gens", "t^1000000,e2", "--u", "3", "--d", "2"],
+     ["variant = PeriodicConjugacy", "k = e1", "n = 1000000"]),
+    (UNIPOTENT_SPEC, ["growth", "--gens", "t^1000000000000,y", "--radius", "3"],
+     ["0\t1\t", "1\t5\t5.0000000000", "2\t17\t4.1231056256",
+      "3\t53\t3.7562857542"]),
+], ids=["witness-free", "growth-free", "witness-abelian", "growth-free-far"])
+def test_far_powers_of_t_cost_their_bits(tmp_path, spec, argv, expected):
+    # a generator t^N needs level N of the automorphism, which
+    # binary_power builds from level +-1 in about 2 log2(N) compositions
+    # and stores alone; a walk that stored every level up to N would
+    # need more than 512 MiB, or more than a minute at N = 10^12
+    group = spec_file(tmp_path, "group.json", spec)
+    src = str(Path(growthlab.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-m", "growthlab.cli", argv[0], "--group", group, *argv[1:]],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
+        timeout=60, check=False, preexec_fn=_limit_memory)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    lines = proc.stdout.splitlines()
+    assert [line for line in lines if line in expected] == expected
+
+
 def test_bs1_pure_shift_costs_no_power_of_m(tmp_path):
     # t^k with a 400-digit k: a product of pure shifts scales only zero
     # numerators, so it forms no 3^|k|, and the ball is a path; in a

@@ -17,9 +17,8 @@ from growthlab.engines import (
     _FAMILIES,
     build_engine,
     cyclic_peel,
-    flat_to_units,
     parse_group_spec,
-    units_to_flat,
+    split_units,
 )
 from growthlab.spectra import MAX_DEGREE
 from growthlab.words import Word
@@ -33,6 +32,7 @@ from util import (
     bs1_normal_form,
     embed,
     family_engines,
+    flat_to_units,
     insert_trivial_pair,
     klein_automorphisms,
     mat_pow_signed,
@@ -44,10 +44,12 @@ from util import (
     reference_auto_power,
     reference_conjugacy_test,
     reference_element_word,
+    reference_level_at,
     reference_power,
     spec_id,
     torus_engine,
     tower_engine,
+    units_to_flat,
     word_inverse,
 )
 
@@ -377,8 +379,11 @@ def test_cyclic_peel_splits_off_inverse_end_runs():
 
 
 def test_free_conjugacy_matches_the_unit_letter_reference():
-    # peeling whole runs gives the conjugator that unit letters gave,
-    # exponents of several units included
+    # peeling whole runs and cutting cores at run ends gives the
+    # conjugator that unit letters gave: exponents of several units;
+    # proper powers, whose cores match at several rotations (the least
+    # one wins); and cores whose first and last runs share letter and
+    # sign, so that a run of b's core spans the end of a's core
     rng = random.Random(34)
     eng = FreeEngine(3)
 
@@ -387,17 +392,55 @@ def test_free_conjugacy_matches_the_unit_letter_reference():
             (rng.choice(eng.gen_names), rng.choice([-5, -2, -1, 1, 2, 3]))
             for _ in range(runs)))
 
-    found = 0
+    pairs = []
     for _ in range(4000):
         a = word(rng.randrange(6))
         b = word(rng.randrange(6))
         if rng.random() < 0.5:
             c = word(rng.randrange(5))
             b = eng.multiply(eng.multiply(c, a), eng.invert(c))
+        pairs.append((a, b))
+    for i in range(3000):
+        a = eng.power(word(rng.randrange(1, 5)), 1 + i % 3)
+        if i % 2 and len(a) > 2 and a[-2] != a[0]:
+            a += a[:2]  # an end run with the first run's letter and sign
+        c = word(rng.randrange(4))
+        b = eng.multiply(eng.multiply(c, a), eng.invert(c))
+        pairs.append((a, eng.multiply(b, word(1)) if i % 5 == 0 else b))
+    found = []
+    for a, b in pairs:
         d = eng.conjugacy_test(a, b)
         assert d == reference_conjugacy_test(a, b), (a, b)
-        found += d is not None
-    assert 1000 < found < 3000
+        found.append(d is not None)
+    assert 1000 < sum(found[:4000]) < 3000
+    assert 2000 < sum(found[4000:]) < 3000
+    # x^2 y x^3 against x^5 y: the x^5 run spans the end of a's core
+    assert eng.conjugacy_test((0, 2, 1, 1, 0, 3), (0, 5, 1, 1)) == (1, -1, 0, -2)
+
+
+def test_free_conjugacy_costs_no_letter_per_unit():
+    # x^100000 y against y x^100000: the one cut that the y run allows is
+    # tried, with no list of unit letters; trying every rotation of
+    # 100001 unit letters takes about a minute
+    eng = FreeEngine(2)
+    assert eng.conjugacy_test((0, 10 ** 5, 1, 1), (1, 1, 0, 10 ** 5)) == (0, -100000)
+    assert eng.conjugacy_test((0, 10 ** 30, 1, 1), (1, 1, 0, 10 ** 30)) == (0, -10 ** 30)
+    assert eng.conjugacy_test((0, 10 ** 5, 1, 1), (1, 1, 0, -10 ** 5)) is None
+
+
+def test_split_units_cuts_at_most_one_run():
+    rng = random.Random(36)
+    eng = FreeEngine(3)
+    for _ in range(300):
+        flat = random_element(rng, eng, 6)
+        units = flat_to_units(flat)
+        for r in range(len(units) + 1):
+            head, tail = split_units(flat, r)
+            assert flat_to_units(head) == units[:r]
+            assert flat_to_units(tail) == units[r:]
+            # whole runs on each side, but for the one cut
+            assert len(head) + len(tail) <= len(flat) + 2
+    assert split_units((0, 10 ** 20, 1, -2), 10 ** 20 + 1) == ((0, 10 ** 20, 1, -1), (1, -1))
 
 
 @pytest.mark.parametrize("a, b, conjugate", [
@@ -526,6 +569,36 @@ def test_auto_matrix_rows_are_matrix_powers(auto, m):
         assert rows == tuple(map(tuple, mat_pow_signed(m, k))), k
         # the stored level itself, not a copy
         assert eng.level_at(k) is rows
+
+
+@pytest.mark.parametrize(
+    "engine", [e for e in family_engines() if e.family == "semidirect"]
+    + [nested_torus_engine(), tower_engine(), nested_bs1_engine()], ids=spec_id)
+def test_level_at_matches_the_one_step_walk(engine):
+    # binary_power on levels +-1 gives the levels that a walk one step at
+    # a time gives, level 0 (the identity level) included; each is
+    # stored once and returned as the same object
+    for k in range(-12, 13):
+        level = engine.level_at(k)
+        assert level == reference_level_at(engine, k), k
+        assert engine.level_at(k) is level
+
+
+def test_level_at_far_powers_in_closed_form():
+    # alpha^k(y) = y x^k over F2 x| (x -> x, y -> y x), and [[1, k], [0, 1]]
+    # over Z^2 x| [[1, 1], [0, 1]]: k = 10^18 costs about 60 products
+    k = 10 ** 18
+    free = SemidirectEngine(FreeEngine(2), {"x": "x", "y": "y x"},
+                            {"x": "x", "y": "y x^-1"})
+    assert free.level_at(k) == ([(0, 1), (1, 1, 0, k)], [(0, -1), (0, -k, 1, -1)])
+    assert free.level_at(-k) == ([(0, 1), (1, 1, 0, -k)], [(0, -1), (0, k, 1, -1)])
+    assert free.auto_power((1, 2), k) == (1, 1, 0, k, 1, 1, 0, k)
+    lattice = SemidirectEngine(AbelianEngine(2), {"e1": "e1", "e2": "e1 e2"},
+                               {"e1": "e1", "e2": "e1^-1 e2"})
+    assert lattice.level_at(k) == ((1, k), (0, 1))
+    assert lattice.level_at(-k) == ((1, -k), (0, 1))
+    # only the requested levels are stored, beside 0 and +-1
+    assert set(free._levels) == set(lattice._levels) == {0, 1, -1, k, -k}
 
 
 def test_deep_free_levels():

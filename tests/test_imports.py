@@ -302,6 +302,60 @@ def test_one_square_and_multiply_loop():
     assert halvings == ["__init__"]
 
 
+def test_level_at_is_one_binary_power():
+    # a far level costs the bits of k: level_at calls binary_power and
+    # has no loop of its own, such as a walk from the nearest level
+    tree = ast.parse((SRC / "engines.py").read_text(encoding="utf-8"))
+    cls = next(n for n in tree.body if isinstance(n, ast.ClassDef)
+               and n.name == "SemidirectEngine")
+    level_at = next(n for n in cls.body if isinstance(n, ast.FunctionDef)
+                    and n.name == "level_at")
+    nodes = list(ast.walk(level_at))
+    assert not [n for n in nodes if isinstance(n, (ast.For, ast.While, ast.comprehension))]
+    assert "binary_power" in {n.func.id for n in nodes
+                              if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)}
+
+
+def unit_expansions(tree) -> set:
+    """The functions that repeat a sequence display by an ``abs(...)``
+    count, the shape of spelling a run g^e as |e| unit letters."""
+    def by_abs(node):
+        return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "abs")
+
+    found = set()
+    for fn in ast.walk(tree):
+        if isinstance(fn, ast.FunctionDef):
+            found.update(fn.name for n in ast.walk(fn)
+                         if isinstance(n, ast.BinOp) and isinstance(n.op, ast.Mult)
+                         and any(isinstance(a, (ast.List, ast.Tuple)) and by_abs(b)
+                                 for a, b in ((n.left, n.right), (n.right, n.left))))
+    return found
+
+
+def test_unit_expansion_finder():
+    tree = ast.parse(
+        "def flat_to_units(flat):\n"
+        "    units = []\n"
+        "    for i in range(0, len(flat), 2):\n"
+        "        units.extend([flat[i] + 1] * abs(flat[i + 1]))\n"
+        "    return units\n"
+        "def spelled(g, e):\n"
+        "    return abs(e) * (g,)\n"
+        "def zeros(n, e):\n"
+        "    return [0] * n, (1,) * e\n")
+    assert unit_expansions(tree) == {"flat_to_units", "spelled"}
+
+
+def test_no_unit_letter_expansion_in_src():
+    # free words stay runs everywhere in the package: conjugacy cuts
+    # cores at run ends, and the one spelling left is a rewritten
+    # relator printed under laurent.MAX_PRINTED_LETTERS
+    found = {path.stem: unit_expansions(ast.parse(path.read_text(encoding="utf-8")))
+             for path in sorted(SRC.glob("*.py"))}
+    assert {m: names for m, names in found.items() if names} == {"laurent": {"format"}}
+
+
 def test_engines_dispatch_on_no_family():
     # each family's facts sit on its class, which engines._FAMILIES finds
     # by name, so parsing and building make one lookup, and a split

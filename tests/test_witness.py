@@ -17,7 +17,6 @@ from growthlab.engines import (
     KleinEngine,
     SemidirectEngine,
     UnsupportedFamilyError,
-    flat_to_units,
 )
 from growthlab._exact import eliminate, poly_divmod, strip_cyclotomic
 from growthlab.subgroups import is_cyclic_pair
@@ -54,6 +53,7 @@ from util import (
     elementary_product,
     fib_engine,
     first_of_orbit,
+    flat_to_units,
     klein_automorphisms,
     mat_inv_unimodular,
     mat_scale,

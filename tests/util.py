@@ -8,6 +8,7 @@ import random
 import re
 import tokenize
 from fractions import Fraction
+from itertools import chain
 
 from growthlab import GrowthlabError, wordops
 from growthlab._exact import eliminate
@@ -17,8 +18,6 @@ from growthlab.engines import (
     FreeEngine,
     KleinEngine,
     SemidirectEngine,
-    flat_to_units,
-    units_to_flat,
 )
 from growthlab.laurent import LaurentPoly, alexander_polynomial
 from growthlab.spectra import (
@@ -321,6 +320,23 @@ def reference_hermite_rows(rows):
         if r == len(mat):
             break
     return [row for row in mat[:r] if any(row)]
+
+
+def flat_to_units(flat: tuple) -> list:
+    """Expand a flat word into signed 1-based unit letters."""
+    units = []
+    for i in range(0, len(flat), 2):
+        g = flat[i] + 1
+        e = flat[i + 1]
+        step = g if e > 0 else -g
+        units.extend([step] * abs(e))
+    return units
+
+
+def units_to_flat(units) -> tuple:
+    """Reduce signed 1-based unit letters to a flat word."""
+    runs = Word.of((abs(u) - 1, 1 if u > 0 else -1) for u in units).letters
+    return tuple(chain.from_iterable(runs))
 
 
 def reference_conjugacy_test(a: tuple, b: tuple):
@@ -828,6 +844,23 @@ def reference_returns(engine, max_period):
         return out
 
     return returns
+
+
+def reference_level_at(engine, k):
+    """The base's level of alpha^k by a walk from level +-1 towards k,
+    alpha^j = alpha^(j - step) o alpha^step one step at a time, storing
+    nothing on the engine; at k = 0 one step back from level 1 gives the
+    identity level."""
+    base = engine.base
+    apply = base.apply_level
+    step = 1 if k > 0 else -1
+    j = -step if k == 0 else step
+    level = engine.level_at(j)
+    one = {g: apply(engine.level_at(step), base.generator(g)) for g in base.gen_names}
+    while j != k:
+        j += step
+        level = base.level({g: apply(level, w) for g, w in one.items()})
+    return level
 
 
 def reference_element_word(engine, el):
